@@ -1,10 +1,10 @@
 // google-benchmark micro suite: the hot operations of the GORDIAN core
-// (prefix-tree construction in both modes, node merging, NonKeySet
-// maintenance, attribute-set algebra, distinct counting) plus
-// attribute-ordering ablations of the full pipeline and the parallel slice
-// traversal. Besides the usual benchmark output, main() writes a
-// machine-readable serial-vs-parallel summary to BENCH_kernel.json (path
-// overridable via GORDIAN_BENCH_JSON) for CI trend tracking.
+// (prefix-tree construction in both modes, NonKeySet maintenance,
+// attribute-set algebra, distinct counting, warm frozen traversal,
+// incremental appends) plus attribute-ordering ablations of the full
+// pipeline. Besides the usual benchmark output, main() writes a
+// machine-readable summary to BENCH_kernel.json (path overridable via
+// GORDIAN_BENCH_JSON) for CI trend tracking.
 
 #include <benchmark/benchmark.h>
 
@@ -21,7 +21,6 @@
 #include "core/frozen_tree.h"
 #include "core/gordian.h"
 #include "core/incremental.h"
-#include "core/non_key_finder.h"
 #include "core/non_key_set.h"
 #include "core/pipeline.h"
 #include "core/prefix_tree.h"
@@ -69,23 +68,6 @@ void BM_PrefixTreeBuildInsertion(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
 BENCHMARK(BM_PrefixTreeBuildInsertion)->Arg(10000)->Arg(50000);
-
-void BM_MergeRootChildren(benchmark::State& state) {
-  Table& t = SharedTable(10000, 16);
-  auto order = SchemaOrder(t);
-  PrefixTree tree =
-      PrefixTree::Build(t, order, GordianOptions::TreeBuild::kSorted);
-  std::vector<PrefixTree::Node*> children;
-  for (const PrefixTree::Cell& c : tree.root()->cells) {
-    children.push_back(c.child);
-  }
-  for (auto _ : state) {
-    PrefixTree::Node* merged = MergeNodes(tree.pool(), children, nullptr);
-    benchmark::DoNotOptimize(merged);
-    tree.pool().Unref(merged);
-  }
-}
-BENCHMARK(BM_MergeRootChildren);
 
 void BM_NonKeySetInsert(benchmark::State& state) {
   // A worst-case-ish stream: random incomparable sets.
@@ -177,27 +159,12 @@ BENCHMARK(BM_FindKeysOrdering)
     ->Arg(2)  // cardinality asc
     ->Arg(3);  // random
 
-// The parallel slice traversal at various worker counts; Arg(0) is the
-// serial baseline on the same table.
-void BM_FindKeysParallel(benchmark::State& state) {
-  Table& t = SharedTable(50000, 16);
-  GordianOptions o;
-  o.traversal_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    KeyDiscoveryResult r = FindKeys(t, o);
-    benchmark::DoNotOptimize(r.keys.size());
-  }
-  state.SetItemsProcessed(state.iterations() * t.num_rows());
-}
-BENCHMARK(BM_FindKeysParallel)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 Table MakeSliceHeavyTable();  // defined with the JSON helpers below
 
-// Warm traversal (the tree-cache-hit shape): the tree — and for the frozen
-// mode its flat layout — already exists; each iteration pays only the
-// non-key search, with merge intermediates in a private pool, exactly like
-// a service job hitting the TreeArtifactCache. Arg(0): 0 = pointer
-// NonKeyFinder, 1 = FrozenNonKeyFinder.
+// Warm traversal (the tree-cache-hit shape): the tree and its flat layout
+// already exist; each iteration pays only the non-key search, with merge
+// intermediates in a private pool, exactly like a service job hitting the
+// TreeArtifactCache.
 void BM_TraverseWarm(benchmark::State& state) {
   static Table t = MakeSliceHeavyTable();
   static PrefixTree tree =
@@ -208,21 +175,14 @@ void BM_TraverseWarm(benchmark::State& state) {
     GordianStats stats;
     NonKeySet set(&stats);
     PrefixTree::NodePool merge_pool;
-    if (state.range(0) == 0) {
-      NonKeyFinder finder(tree, o, &set, &stats);
-      finder.SetMergePool(&merge_pool);
-      benchmark::DoNotOptimize(finder.Run());
-    } else {
-      FrozenNonKeyFinder finder(*frozen, o, &set, &stats);
-      finder.SetMergePool(&merge_pool);
-      benchmark::DoNotOptimize(finder.Run());
-    }
+    FrozenNonKeyFinder finder(*frozen, o, &set, &stats);
+    finder.SetMergePool(&merge_pool);
+    benchmark::DoNotOptimize(finder.Run());
     benchmark::DoNotOptimize(set.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
-  state.SetLabel(state.range(0) == 0 ? "pointer" : "frozen");
 }
-BENCHMARK(BM_TraverseWarm)->Arg(0)->Arg(1);
+BENCHMARK(BM_TraverseWarm);
 
 // Rows [begin, end) of `t` re-materialised as a RowBatch — the append-side
 // input format.
@@ -289,101 +249,60 @@ BENCHMARK(BM_IncrementalAppend)
 struct KernelSample {
   double best_seconds = 0;
   int64_t peak_bytes = 0;
-  int64_t threads_used = 0;
   size_t num_keys = 0;
 };
 
-KernelSample MeasureFindKeys(const Table& t, int threads, int reps) {
+KernelSample MeasureFindKeys(const Table& t, int reps) {
   KernelSample sample;
   for (int i = 0; i < reps; ++i) {
-    GordianOptions o;
-    o.traversal_threads = threads;
     Stopwatch watch;
-    KeyDiscoveryResult r = FindKeys(t, o);
+    KeyDiscoveryResult r = FindKeys(t);
     const double secs = watch.ElapsedSeconds();
     if (i == 0 || secs < sample.best_seconds) sample.best_seconds = secs;
     sample.peak_bytes = r.stats.peak_memory_bytes;
-    sample.threads_used = r.stats.traversal_threads_used;
     sample.num_keys = r.keys.size();
   }
   return sample;
 }
 
 // A table whose traversal work lives inside the top-level slices (moderate
-// cardinality everywhere), so the parallel fan-out has something to chew
-// on. OPIC-like data puts a near-unique column at the root under the
-// default ordering, which single-entity-prunes every slice and leaves only
-// the serial root merge — worth measuring too, as the parallel mode's
-// worst case.
+// cardinality everywhere). OPIC-like data puts a near-unique column at the
+// root under the default ordering, which single-entity-prunes every slice
+// and leaves the root merge as the bulk of the work — worth measuring too.
 Table MakeSliceHeavyTable() { return MakeUniformTable(20000, 906); }
 
+// One dataset's FindKeys figures plus its warm traversal: the tree and its
+// flat layout prebuilt (the tree-cache-hit shape), best-of-`reps` wall time
+// of FrozenNonKeyFinder::Run with a private merge pool, the freeze pass's
+// one-time cost, and the flat layout's footprint.
 void WriteDatasetJson(std::ostream& os, const std::string& name,
                       const Table& t, int reps) {
-  const KernelSample serial = MeasureFindKeys(t, 0, reps);
-  os << "    {\"name\": \"" << name << "\", \"rows\": " << t.num_rows()
-     << ", \"attributes\": " << t.num_columns() << ",\n"
-     << "     \"serial\": {\"wall_seconds\": " << serial.best_seconds
-     << ", \"peak_bytes\": " << serial.peak_bytes
-     << ", \"keys\": " << serial.num_keys << "},\n"
-     << "     \"parallel\": [\n";
-  const int thread_counts[] = {1, 2, 4, 8};
-  for (size_t i = 0; i < 4; ++i) {
-    const KernelSample p = MeasureFindKeys(t, thread_counts[i], reps);
-    os << "       {\"threads\": " << thread_counts[i]
-       << ", \"threads_used\": " << p.threads_used
-       << ", \"wall_seconds\": " << p.best_seconds
-       << ", \"peak_bytes\": " << p.peak_bytes
-       << ", \"keys\": " << p.num_keys
-       << ", \"speedup_vs_serial\": "
-       << (p.best_seconds > 0 ? serial.best_seconds / p.best_seconds : 0)
-       << "}" << (i + 1 < 4 ? "," : "") << "\n";
-  }
-  os << "     ]}";
-}
-
-// Best-of-`reps` wall time of one warm traversal (tree prebuilt; frozen
-// mode also has the flat layout prebuilt — the tree-cache-hit shape).
-template <typename TreeT, typename FinderT>
-double MeasureWarmTraversal(TreeT& tree, int reps) {
-  double best = 0;
-  for (int i = 0; i < reps; ++i) {
-    GordianOptions o;
-    GordianStats stats;
-    NonKeySet set(&stats);
-    PrefixTree::NodePool merge_pool;
-    FinderT finder(tree, o, &set, &stats);
-    finder.SetMergePool(&merge_pool);
-    Stopwatch watch;
-    finder.Run();
-    const double secs = watch.ElapsedSeconds();
-    if (i == 0 || secs < best) best = secs;
-  }
-  return best;
-}
-
-// Frozen-vs-pointer traversal summary over one dataset: warm wall times of
-// both representations on the same tree, the freeze pass's one-time cost,
-// and the flat layout's footprint.
-void WriteFrozenDatasetJson(std::ostream& os, const std::string& name,
-                            const Table& t, int reps) {
+  const KernelSample full = MeasureFindKeys(t, reps);
   PrefixTree tree =
       PrefixTree::Build(t, SchemaOrder(t), GordianOptions::TreeBuild::kSorted);
   Stopwatch freeze_watch;
   std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
   const double freeze_seconds = freeze_watch.ElapsedSeconds();
-
-  const double pointer_secs =
-      MeasureWarmTraversal<PrefixTree, NonKeyFinder>(tree, reps);
-  const double frozen_secs =
-      MeasureWarmTraversal<FrozenTree, FrozenNonKeyFinder>(*frozen, reps);
-
+  double warm_seconds = 0;
+  for (int i = 0; i < reps; ++i) {
+    GordianOptions o;
+    GordianStats stats;
+    NonKeySet set(&stats);
+    PrefixTree::NodePool merge_pool;
+    FrozenNonKeyFinder finder(*frozen, o, &set, &stats);
+    finder.SetMergePool(&merge_pool);
+    Stopwatch watch;
+    finder.Run();
+    const double secs = watch.ElapsedSeconds();
+    if (i == 0 || secs < warm_seconds) warm_seconds = secs;
+  }
   os << "    {\"name\": \"" << name << "\", \"rows\": " << t.num_rows()
      << ", \"attributes\": " << t.num_columns() << ",\n"
-     << "     \"pointer_wall_seconds\": " << pointer_secs
-     << ", \"frozen_wall_seconds\": " << frozen_secs
-     << ", \"speedup\": "
-     << (frozen_secs > 0 ? pointer_secs / frozen_secs : 0) << ",\n"
-     << "     \"freeze_wall_seconds\": " << freeze_seconds
+     << "     \"find_keys\": {\"wall_seconds\": " << full.best_seconds
+     << ", \"peak_bytes\": " << full.peak_bytes
+     << ", \"keys\": " << full.num_keys << "},\n"
+     << "     \"warm_traversal_wall_seconds\": " << warm_seconds
+     << ", \"freeze_wall_seconds\": " << freeze_seconds
      << ", \"frozen_bytes\": " << frozen->ApproxBytes()
      << ", \"bytes_per_node\": " << frozen->BytesPerNode()
      << ", \"nodes\": " << frozen->node_count() << "}";
@@ -399,8 +318,8 @@ void WriteAppendVsFullJson(std::ostream& os, int reps) {
   const int64_t delta_sizes[] = {128, 512, 2048};
   Table pool = MakeUniformTable(3 * 2048, 917);
   os << "   \"config\": \"append: IncrementalProfiler::Append (tree absorb "
-        "+ warm re-traversal, serial); full: from-scratch FindKeys on the "
-        "concatenated table, serial; best of reps\",\n"
+        "+ warm re-traversal); full: from-scratch FindKeys on the "
+        "concatenated table; best of reps\",\n"
      << "   \"dataset\": \"uniform_8attr_card32_unique_rows\",\n"
      << "   \"points\": [\n";
   bool first = true;
@@ -411,10 +330,8 @@ void WriteAppendVsFullJson(std::ostream& os, int reps) {
       // One standing profiler per grid point; each rep appends a distinct
       // pool slice (the table drifts by at most reps * delta rows, noise
       // against the base size) and the best wall time is kept.
-      GordianOptions opts;
-      opts.traversal_threads = -1;  // pin serial on both sides of the grid
       IncrementalProfiler prof;
-      Status s = IncrementalProfiler::Begin(base, opts, &prof);
+      Status s = IncrementalProfiler::Begin(base, GordianOptions(), &prof);
       if (!s.ok()) {
         std::cerr << s.ToString() << "\n";
         return;
@@ -440,7 +357,7 @@ void WriteAppendVsFullJson(std::ostream& os, int reps) {
         std::cerr << s.ToString() << "\n";
         return;
       }
-      const KernelSample full = MeasureFindKeys(concat, -1, reps);
+      const KernelSample full = MeasureFindKeys(concat, reps);
       if (!first) os << ",\n";
       first = false;
       os << "    {\"base_rows\": " << base_rows
@@ -454,9 +371,9 @@ void WriteAppendVsFullJson(std::ostream& os, int reps) {
   os << "\n   ]\n";
 }
 
-// Serial-vs-parallel kernel summary, one JSON object per dataset and
-// configuration. Written after the google-benchmark run so CI can diff wall
-// time and peak bytes across commits without parsing human-oriented output.
+// Kernel summary, one JSON object per dataset plus the append grid. Written
+// after the google-benchmark run so CI can diff wall time and peak bytes
+// across commits without parsing human-oriented output.
 void WriteKernelJson() {
   const char* env_path = std::getenv("GORDIAN_BENCH_JSON");
   const std::string path =
@@ -473,22 +390,13 @@ void WriteKernelJson() {
      << "  \"benchmark\": \"gordian_kernel\",\n"
      << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
      << ",\n"
+     << "  \"simd_kernel\": \"" << frozen_simd::ActiveKernel() << "\",\n"
      << "  \"reps\": " << kReps << ",\n"
      << "  \"datasets\": [\n";
   WriteDatasetJson(os, "uniform_20k_8attr_card32", slice_heavy, kReps);
   os << ",\n";
   WriteDatasetJson(os, "opic_50k_16attr", SharedTable(50000, 16), kReps);
   os << "\n  ],\n"
-     << "  \"frozen_vs_pointer\": {\n"
-     << "   \"config\": \"warm traversal (tree-cache hit): tree and flat "
-        "layout prebuilt, private merge pool, serial\",\n"
-     << "   \"simd_kernel\": \"" << frozen_simd::ActiveKernel() << "\",\n"
-     << "   \"datasets\": [\n";
-  WriteFrozenDatasetJson(os, "uniform_20k_8attr_card32", slice_heavy, kReps);
-  os << ",\n";
-  WriteFrozenDatasetJson(os, "opic_50k_16attr", SharedTable(50000, 16),
-                         kReps);
-  os << "\n   ]\n  },\n"
      << "  \"append_vs_full\": {\n";
   WriteAppendVsFullJson(os, kReps);
   os << "  }\n}\n";

@@ -11,10 +11,10 @@
 namespace gordian {
 
 // A fixed-size pool of worker threads draining a FIFO task queue. This is
-// the execution substrate of both the profiling service and the core's
-// parallel slice traversal; scheduling policy (priorities, cancellation,
-// job bookkeeping) lives one layer up in JobScheduler, which feeds the pool
-// exactly one closure per runnable job.
+// the execution substrate of the profiling service and of parallel CSV
+// encoding; scheduling policy (priorities, cancellation, job bookkeeping)
+// lives one layer up in JobScheduler, which feeds the pool exactly one
+// closure per runnable job.
 //
 // Thread-safe: Submit may be called from any thread, including from inside
 // a running task. The destructor finishes every task already submitted

@@ -1,7 +1,6 @@
 #include "core/frozen_tree.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #if defined(__x86_64__) && !defined(GORDIAN_DISABLE_SIMD) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -134,14 +133,6 @@ const char* ActiveKernel() { return HaveAvx2() ? "avx2" : "scalar"; }
 
 }  // namespace frozen_simd
 
-bool FrozenTreesEnabled() {
-  static const bool enabled = [] {
-    const char* s = std::getenv("GORDIAN_FROZEN");
-    return s == nullptr || *s == '\0' || std::atoi(s) != 0;
-  }();
-  return enabled;
-}
-
 std::unique_ptr<FrozenTree> FrozenTree::Freeze(const PrefixTree& tree) {
   std::unique_ptr<FrozenTree> out(new FrozenTree());
   out->attr_order_ = tree.attr_order();
@@ -231,71 +222,20 @@ FrozenNonKeyFinder::FrozenNonKeyFinder(FrozenTree& tree,
 
 bool FrozenNonKeyFinder::Run() {
   if (depth_ == 0 || tree_.num_entities() == 0) return true;
-  StartBudgetClock(0);
-  Visit(MakeFrozen(0, 0), 0);
-  return !aborted_;
-}
-
-void FrozenNonKeyFinder::StartBudgetClock(double offset_seconds) {
-  budget_offset_seconds_ = offset_seconds;
   budget_watch_.Restart();
-}
-
-bool FrozenNonKeyFinder::RunSlice(int cell_index) {
-  assert(depth_ >= 2);
-  assert(cell_index >= 0 &&
-         static_cast<size_t>(cell_index) < tree_.level(0).num_cells());
-  if (aborted_) return false;
-  const int attr = tree_.attribute_at_level(0);
-  cur_non_key_.Set(attr);
-  if (options_.singleton_pruning &&
-      tree_.level(1).ref[static_cast<size_t>(cell_index)] > 1) {
-    // Cannot happen in a freshly frozen tree (top-level subtrees have a
-    // single parent) but kept for exact parity with the serial loop body.
-    if (stats_ != nullptr) ++stats_->singleton_traversal_prunes;
-    if (observer_ != nullptr) observer_->OnPrune("singleton", 0);
-  } else {
-    Visit(MakeFrozen(1, static_cast<uint64_t>(cell_index)), 1);
-  }
-  cur_non_key_.Reset(attr);
-  return !aborted_;
-}
-
-bool FrozenNonKeyFinder::RunRootMerge() {
-  assert(depth_ >= 2);
-  if (aborted_) return false;
-  assert(cur_non_key_.Empty());
-  const size_t num_slices = tree_.level(0).num_cells();
-  if (num_slices <= 1) {
-    if (num_slices == 1) {
-      if (stats_ != nullptr) ++stats_->singleton_merge_prunes;
-      if (observer_ != nullptr) observer_->OnPrune("singleton-merge", 0);
-    }
-    return !aborted_;
-  }
-  if (options_.futility_pruning && FutilityCovered(suffix_attrs_[1])) {
-    if (stats_ != nullptr) ++stats_->futility_prunes;
-    if (observer_ != nullptr) observer_->OnPrune("futility", 0);
-    return !aborted_;
-  }
-  NodeRef merged = MergeChildren(MakeFrozen(0, 0), 0);
-  if (observer_ != nullptr) observer_->OnMerge(0);
-  Visit(merged, 1);
-  UnrefRef(merged);
+  Visit(MakeFrozen(0, 0), 0);
   return !aborted_;
 }
 
 bool FrozenNonKeyFinder::OverBudget() {
   if (aborted_) return true;
+  // A relaxed load per Visit is noise next to the traversal work, so the
+  // cancellation flag — unlike the clock — is polled unamortized: a
+  // cancelled service job should unwind promptly.
   if (options_.cancel_flag != nullptr &&
       options_.cancel_flag->load(std::memory_order_relaxed)) {
     aborted_ = true;
     abort_reason_ = AbortReason::kCancelled;
-    return true;
-  }
-  if (external_stop_ != nullptr &&
-      external_stop_->load(std::memory_order_relaxed)) {
-    aborted_ = true;  // reason stays kNone: it belongs to another worker
     return true;
   }
   if (options_.max_non_keys > 0 && non_keys_->size() > options_.max_non_keys) {
@@ -303,14 +243,10 @@ bool FrozenNonKeyFinder::OverBudget() {
     abort_reason_ = AbortReason::kNonKeyBudget;
     return true;
   }
-  if ((++visit_tick_ & 0xFFF) == 0) {
-    if (maintenance_) maintenance_();
-    if (options_.time_budget_seconds > 0 &&
-        budget_offset_seconds_ + budget_watch_.ElapsedSeconds() >
-            options_.time_budget_seconds) {
-      aborted_ = true;
-      abort_reason_ = AbortReason::kTimeBudget;
-    }
+  if ((++visit_tick_ & 0xFFF) == 0 && options_.time_budget_seconds > 0 &&
+      budget_watch_.ElapsedSeconds() > options_.time_budget_seconds) {
+    aborted_ = true;
+    abort_reason_ = AbortReason::kTimeBudget;
   }
   return aborted_;
 }
@@ -320,16 +256,13 @@ bool FrozenNonKeyFinder::FutilityCovered(const AttributeSet& probe) {
     if (stats_ != nullptr) ++stats_->warm_start_prunes;
     return true;
   }
-  if (non_keys_->CoversSet(probe)) return true;
-  if (remote_cover_ && remote_cover_(probe)) {
-    if (stats_ != nullptr) ++stats_->futility_snapshot_prunes;
-    return true;
-  }
-  return false;
+  return non_keys_->CoversSet(probe);
 }
 
 void FrozenNonKeyFinder::ProcessLeaf(NodeRef node, int level) {
   const int attr = tree_.attribute_at_level(level);
+  // Lines 3-8: a duplicate within the current projection (count > 1) makes
+  // curNonKey, including this level's attribute, a non-key.
   if (observer_ != nullptr) observer_->OnSegment(cur_non_key_);
   size_t num_cells;
   int64_t first_count = 0;
@@ -357,6 +290,9 @@ void FrozenNonKeyFinder::ProcessLeaf(NodeRef node, int level) {
     if (observer_ != nullptr) observer_->OnNonKey(cur_non_key_);
     non_keys_->Insert(cur_non_key_);
   }
+  // Lines 9-12: project out the leaf attribute; if the slice then holds
+  // more than one entity (several cells, or one cell with count > 1), the
+  // remaining prefix is a non-key.
   cur_non_key_.Reset(attr);
   if (observer_ != nullptr) observer_->OnSegment(cur_non_key_);
   if (num_cells > 1 || (num_cells == 1 && first_count > 1)) {
@@ -370,7 +306,7 @@ void FrozenNonKeyFinder::Visit(NodeRef node, int level) {
   if (OverBudget()) return;
   const int attr = tree_.attribute_at_level(level);
   assert(!cur_non_key_.Test(attr));
-  cur_non_key_.Set(attr);
+  cur_non_key_.Set(attr);  // line 1: append attrNo to curNonKey
 
   if (level == depth_ - 1) {
     ProcessLeaf(node, level);  // also removes attr from cur_non_key_
@@ -392,6 +328,7 @@ void FrozenNonKeyFinder::Visit(NodeRef node, int level) {
     entities = pnode->EntityCount();
   }
 
+  // Line 14: a slice holding a single entity cannot yield a non-key.
   if (options_.single_entity_pruning && entities == 1) {
     if (stats_ != nullptr) ++stats_->single_entity_prunes;
     if (observer_ != nullptr) observer_->OnPrune("single-entity", level);
@@ -399,6 +336,8 @@ void FrozenNonKeyFinder::Visit(NodeRef node, int level) {
     return;
   }
 
+  // Lines 17-21: visit children depth-first, skipping shared (previously
+  // traversed) subtrees — singleton pruning, Figure 10(a).
   size_t num_children;
   if (pnode == nullptr) {
     num_children = span_end - span_begin;
@@ -428,10 +367,16 @@ void FrozenNonKeyFinder::Visit(NodeRef node, int level) {
     }
   }
 
-  cur_non_key_.Reset(attr);
+  cur_non_key_.Reset(attr);  // line 22
   if (aborted_) return;
 
-  // The unconditional Figure 10(b) skip, exactly as in NonKeyFinder.
+  // Lines 23-30: merge the children (projecting out this level's attribute)
+  // and explore the merged tree. A single-cell node's merge would return a
+  // shared tree and so cannot yield non-redundant non-keys — singleton
+  // pruning, Figure 10(b). This skip is written unconditionally into
+  // Algorithm 4 ("if there is more than one cell in root"), so it is not
+  // gated on the pruning toggle: without it, chains of single-cell nodes
+  // would double the traversal at every level (2^d on single-entity paths).
   if (num_children <= 1) {
     if (num_children == 1) {
       if (stats_ != nullptr) ++stats_->singleton_merge_prunes;
@@ -440,6 +385,9 @@ void FrozenNonKeyFinder::Visit(NodeRef node, int level) {
     return;
   }
 
+  // Line 24: futility test — the largest non-key the merged subtree could
+  // produce is cur_non_key_ | suffix_attrs_[level + 1]; if an already
+  // discovered non-key covers it, everything below is redundant.
   if (options_.futility_pruning &&
       FutilityCovered(cur_non_key_ |
                       suffix_attrs_[static_cast<size_t>(level) + 1])) {
@@ -451,7 +399,7 @@ void FrozenNonKeyFinder::Visit(NodeRef node, int level) {
   NodeRef merged = MergeChildren(node, level);
   if (observer_ != nullptr) observer_->OnMerge(level);
   Visit(merged, level + 1);
-  UnrefRef(merged);
+  UnrefRef(merged);  // line 29: discard the merged tree
 }
 
 FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeChildren(NodeRef node,
@@ -803,8 +751,8 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeSorted(
   if (!leaf) sc.children.reserve(total_cells);
 
   // Gather every input cell as a packed (code, gather-index) sort key with
-  // parallel count/child arrays — the SoA counterpart of MergeNodes's
-  // pointer gather.
+  // parallel count/child arrays: sorting the keys groups equal codes, and
+  // the gather index finds each cell's count and child again.
   uint32_t gi = 0;
   for (size_t t = 0; t < n; ++t) {
     if (IsFrozen(inputs[t])) {

@@ -1,17 +1,14 @@
 #ifndef GORDIAN_CORE_FROZEN_TREE_H_
 #define GORDIAN_CORE_FROZEN_TREE_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/attribute_set.h"
 #include "common/stopwatch.h"
-#include "core/non_key_finder.h"
 #include "core/non_key_set.h"
 #include "core/options.h"
 #include "core/prefix_tree.h"
@@ -43,11 +40,6 @@ const char* ActiveKernel();
 
 }  // namespace frozen_simd
 
-// Process-wide escape hatch for the frozen traversal: false when the
-// GORDIAN_FROZEN environment variable is set to 0 (read once, like
-// GORDIAN_THREADS). GordianOptions::frozen_traversal gates per run on top.
-bool FrozenTreesEnabled();
-
 // A read-only flattening of a built PrefixTree for the traversal hot path:
 // per level, one contiguous sorted code span per node instead of per-node
 // heap vectors — struct-of-arrays, no pointers, one allocation per array.
@@ -63,8 +55,7 @@ bool FrozenTreesEnabled();
 // sharing temporarily raises reference counts exactly as it does on pointer
 // nodes, and restores them on unwind (aborted runs included), so a frozen
 // tree served by the TreeArtifactCache comes back bit-identical. Like the
-// pointer tree, a frozen tree can therefore serve only one run at a time;
-// parallel workers may share one because slices touch disjoint subtrees.
+// pointer tree, a frozen tree can therefore serve only one run at a time.
 class FrozenTree {
  public:
   struct Level {
@@ -125,20 +116,49 @@ class FrozenTree {
   int64_t approx_bytes_ = 0;
 };
 
-// Algorithm 4 specialized for the frozen representation: the same
-// doubly-recursive traversal as NonKeyFinder — identical visit order,
-// pruning decisions, counters, observer callbacks, and budget semantics —
-// but Visit runs over contiguous code spans, the leaf duplicate test is a
-// SIMD scan, and the 2-way merge (the dominant shape inside merge
-// recursions) is a branch-light galloping span union. Merge outputs are
-// ordinary NodePool nodes whose Cell::child fields hold either a pool node
-// or a tagged reference to a frozen node (bit 0 set — real node pointers
-// are always even), so merge intermediates share untouched frozen subtrees
-// exactly as pointer-mode merges share subtrees of the base tree.
+// Observation hooks into the traversal, for debugging, tracing, and the
+// specification tests that pin the paper's Figure 9 processing order. All
+// callbacks default to no-ops; the finder never depends on them.
+class TraversalObserver {
+ public:
+  virtual ~TraversalObserver() = default;
+
+  // A segment (candidate non-key) of the current slice was examined at the
+  // leaf level — the unit of work Figure 9 orders.
+  virtual void OnSegment(const AttributeSet& /*segment*/) {}
+
+  // A non-key was handed to the NonKeySet (it may still be rejected there
+  // as redundant).
+  virtual void OnNonKey(const AttributeSet& /*non_key*/) {}
+
+  // A merge produced the tree for the next projection at `level`.
+  virtual void OnMerge(int /*level*/) {}
+
+  // A pruning rule fired: "singleton", "singleton-merge", "single-entity",
+  // or "futility".
+  virtual void OnPrune(const char* /*kind*/, int /*level*/) {}
+};
+
+// Algorithm 4 over the frozen representation: the doubly-recursive
+// depth-first traversal that interleaves the (virtual) cube computation
+// with non-key discovery. The outer recursion explores slices; after all
+// children of a node are visited, its children are merged (projecting out
+// the node's attribute) and the merged tree is explored recursively — so
+// every segment of every slice is examined, in the order shown in the
+// paper's Figure 9, except where pruning applies.
 //
-// The produced NonKeySet — and therefore every report — is byte-identical
-// to a NonKeyFinder run over the same tree, serial and parallel; the
-// equivalence fuzz in tests/frozen_tree_test.cc pins this.
+// Visit runs over contiguous code spans, the leaf duplicate test is a SIMD
+// scan, and the 2-way merge (the dominant shape inside merge recursions) is
+// a branch-light galloping span union. Merge outputs are ordinary NodePool
+// nodes whose Cell::child fields hold either a pool node or a tagged
+// reference to a frozen node (bit 0 set — real node pointers are always
+// even), so merge intermediates share untouched frozen subtrees the way
+// Algorithm 3 shares subtrees of the base tree.
+//
+// This is the library's only non-key search. The pointer-tree finder in
+// tests/oracle/ replays Algorithm 4 over PrefixTree nodes; the equivalence
+// fuzz in tests/frozen_tree_test.cc pins identical reports and identical
+// work counters between the two.
 class FrozenNonKeyFinder {
  public:
   // Merge intermediates are allocated from the pool passed via
@@ -149,22 +169,21 @@ class FrozenNonKeyFinder {
                      NonKeySet* non_keys, GordianStats* stats,
                      TraversalObserver* observer = nullptr);
 
-  // The entry points and parallel hooks mirror NonKeyFinder verbatim; see
-  // core/non_key_finder.h for their contracts.
+  // Runs the traversal, populating the NonKeySet passed at construction.
+  // Returns false if a budget (options.max_non_keys /
+  // options.time_budget_seconds) tripped or options.cancel_flag was raised
+  // and the traversal stopped early; abort_reason() then says which.
   bool Run();
+
+  // Why the traversal stopped early, or kNone after a complete run.
   AbortReason abort_reason() const { return abort_reason_; }
 
-  bool RunSlice(int cell_index);
-  bool RunRootMerge();
-  void StartBudgetClock(double offset_seconds);
   void SetMergePool(PrefixTree::NodePool* pool) { merge_pool_ = pool; }
-  void SetExternalStop(const std::atomic<bool>* stop) { external_stop_ = stop; }
-  void SetRemoteCover(std::function<bool(const AttributeSet&)> cover) {
-    remote_cover_ = std::move(cover);
-  }
-  void SetMaintenanceHook(std::function<void()> hook) {
-    maintenance_ = std::move(hook);
-  }
+
+  // Warm-start cover (options.warm_start_non_keys materialized as a
+  // NonKeySet): consulted by the futility test before the working set, so
+  // prunes earned by the prior run's non-keys are counted under
+  // warm_start_prunes. Read-only here; it must outlive the traversal.
   void SetWarmCover(const NonKeySet* warm) { warm_cover_ = warm; }
 
  private:
@@ -200,10 +219,10 @@ class FrozenNonKeyFinder {
     return reinterpret_cast<PrefixTree::Node*>(r);
   }
 
-  // Per-recursion-depth merge scratch (the frozen counterpart of
-  // MergeScratch). MergeDirect buckets through the code-indexed tables
-  // (code_mult/code_acc/code_pos, kept all-zero between merges); the
-  // sort-based fallback uses the packed (code << 32 | gather-index) keys.
+  // Per-recursion-depth merge scratch. MergeDirect buckets through the
+  // code-indexed tables (code_mult/code_acc/code_pos, kept all-zero between
+  // merges); the sort-based fallback uses the packed
+  // (code << 32 | gather-index) keys.
   // A deque so deeper merges growing the table never invalidate the level a
   // shallower merge still references.
   struct MergeLevelScratch {
@@ -221,7 +240,7 @@ class FrozenNonKeyFinder {
   void Visit(NodeRef node, int level);
   void ProcessLeaf(NodeRef node, int level);
   // Merges the children of `node` (a non-leaf at `level`) into one node at
-  // level + 1, mirroring the MergeNodes call sites of NonKeyFinder.
+  // level + 1 (the merge step of Algorithm 4, lines 23-30).
   NodeRef MergeChildren(NodeRef node, int level);
   // Algorithm 3 over NodeRefs: inputs are same-level nodes at `level`.
   NodeRef MergeRefs(const NodeRef* inputs, size_t n, int level, size_t depth);
@@ -278,13 +297,12 @@ class FrozenNonKeyFinder {
   std::unique_ptr<PrefixTree::NodePool> fallback_pool_;
   PrefixTree::NodePool* merge_pool_ = nullptr;
 
-  const std::atomic<bool>* external_stop_ = nullptr;
-  std::function<bool(const AttributeSet&)> remote_cover_;
-  std::function<void()> maintenance_;
   const NonKeySet* warm_cover_ = nullptr;
 
+  // Budget state (see GordianOptions): aborted_ unwinds the recursion.
+  // visit_tick_ amortizes the clock check; it is local so the budget is
+  // enforced even when no stats sink was supplied.
   Stopwatch budget_watch_;
-  double budget_offset_seconds_ = 0;
   uint64_t visit_tick_ = 0;
   bool aborted_ = false;
   AbortReason abort_reason_ = AbortReason::kNone;

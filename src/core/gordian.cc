@@ -8,11 +8,11 @@ namespace gordian {
 
 KeyDiscoveryResult FindKeys(const Table& table, const GordianOptions& options) {
   // The facade is a thin composition over the staged pipeline: encode, tree
-  // build, traversal (serial or parallel), key conversion, validation. See
+  // build and freeze, traversal, key conversion, validation. See
   // core/pipeline.h and docs/architecture.md.
   ProfileSession session(options);
   KeyDiscoveryResult result;
-  (void)session.Run(table, &result);  // default-plan stages never fail
+  (void)session.Run(table, &result);  // the stages never fail
   return result;
 }
 

@@ -120,7 +120,7 @@ Status ReprofileTree(PrefixTree* tree, const GordianOptions& options,
   // Hand-seeded context: everything EncodeStage would have produced is
   // already pinned by the tree (the data lives in it), so the run starts at
   // the tree-build stage — which, seeing an external tree, only re-checks
-  // duplicates/cancellation and (re-)freezes.
+  // duplicates/cancellation and re-freezes.
   ProfileContext ctx;
   ctx.options = options;
   ctx.attr_order = tree->attr_order();
@@ -128,20 +128,9 @@ Status ReprofileTree(PrefixTree* tree, const GordianOptions& options,
   ctx.tree_external = true;
   ctx.result.stats.num_attributes = num_attributes;
   ctx.result.stats.rows_processed = num_rows;
-
-  std::vector<std::unique_ptr<ProfileStage>> stages;
-  stages.push_back(std::make_unique<TreeBuildStage>());
-  const int threads = ResolveTraversalThreads(options);
-  if (threads >= 1) {
-    stages.push_back(std::make_unique<ParallelTraversalStage>(threads));
-  } else {
-    stages.push_back(std::make_unique<SerialTraversalStage>());
-  }
-  stages.push_back(std::make_unique<KeyConversionStage>());
-  stages.push_back(std::make_unique<ValidationStage>());
-  for (const std::unique_ptr<ProfileStage>& stage : stages) {
-    Status s = stage->Run(&ctx);
-    if (!s.ok()) return s;
+  for (void (*stage)(ProfileContext*) :
+       {TreeBuildStage, TraverseStage, ConvertStage, ValidateStage}) {
+    stage(&ctx);
     if (ctx.finished) break;
   }
   if (refrozen != nullptr) *refrozen = std::move(ctx.owned_frozen);

@@ -31,8 +31,9 @@ namespace gordian {
 //   3. the content fingerprint extends in O(delta) per batch
 //      (FingerprintAccumulator), so catalog/cache keys stay exact.
 // Complete runs produce byte-identical reports to a from-scratch FindKeys
-// on the concatenated table (tests/incremental_test.cc pins this across
-// serial/parallel x frozen/pointer x warm on/off x spilled base tables).
+// on the concatenated table (tests/incremental_test.cc pins this against
+// the pointer-tree oracle, warm on and off, resident and spilled base
+// tables).
 
 // The mutable append-side twin of an immutable Table: private dictionary
 // copies plus growing code vectors, seeded from a base table (spilled
@@ -87,18 +88,18 @@ class AppendState {
   int64_t num_rows_ = 0;
 };
 
-// Re-runs the post-encode phases of the profiling pipeline over an
+// Re-runs the post-encode stages of the profiling pipeline over an
 // already-built (and possibly just-absorbed) tree: duplicate-entity check,
-// optional freeze, traversal (serial or parallel per the resolved thread
-// count), key conversion, validation. The tree is treated as external —
-// merge intermediates come from a private pool — but unlike a cache-hit
-// run there is no Table in sight: the tree IS the data. `num_attributes`
-// is the profiled table's column count (== tree.num_levels()).
+// freeze, traversal, key conversion, validation. The tree is treated as
+// external — merge intermediates come from a private pool — but unlike a
+// cache-hit run there is no Table in sight: the tree IS the data.
+// `num_attributes` is the profiled table's column count
+// (== tree.num_levels()).
 //
-// When the options resolve to frozen traversal, the tree is re-frozen here
-// (any prior frozen artifact is stale after an absorb); the new artifact is
-// returned through *refrozen (nullptr allowed) and the freeze wall clock is
-// recorded in result->stats.freeze_seconds.
+// The tree is re-frozen here (any prior frozen artifact is stale after an
+// absorb); the new artifact is returned through *refrozen (nullptr
+// allowed; it receives nullptr when the run concluded before freezing) and
+// the freeze wall clock is recorded in result->stats.freeze_seconds.
 //
 // `options.sample_rows` must be 0 and null semantics kNullEqualsNull — both
 // need the raw table and are rejected with InvalidArgument.

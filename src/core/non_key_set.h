@@ -40,12 +40,6 @@ class NonKeySet {
 
   int64_t size() const { return count_; }
 
-  // Monotonic counter bumped on every accepted Insert. Evictions always
-  // accompany an accepted insert, so the revision changes iff the member
-  // set changed — the parallel traversal uses it to skip republishing an
-  // unchanged futility snapshot.
-  uint64_t revision() const { return next_seq_; }
-
   // Drops everything, keeping allocated bucket capacity.
   void Clear();
 

@@ -85,10 +85,10 @@ struct GordianOptions {
   double time_budget_seconds = 0;
 
   // Cooperative cancellation. When non-null, the flag is polled at phase
-  // boundaries and inside NonKeyFinder's outer recursion; once it reads
-  // true, discovery unwinds and the result comes back incomplete with
-  // reason kCancelled. The pointed-to flag must outlive the run. Used by
-  // the profiling service to cancel in-flight jobs without killing threads.
+  // boundaries and inside the traversal's recursion; once it reads true,
+  // discovery unwinds and the result comes back incomplete with reason
+  // kCancelled. The pointed-to flag must outlive the run. Used by the
+  // profiling service to cancel in-flight jobs without killing threads.
   const std::atomic<bool>* cancel_flag = nullptr;
 
   // Warm-start seed for incremental re-profiles (appends). Every set listed
@@ -102,29 +102,6 @@ struct GordianOptions {
   // antichain (and hence identical keys) with or without seeding; only the
   // work counters differ. The pointed-to vector must outlive the run.
   const std::vector<AttributeSet>* warm_start_non_keys = nullptr;
-
-  // Traversal representation. When true (the default), the built prefix
-  // tree is flattened into the read-only FrozenTree layout right after the
-  // build phase and the non-key search runs FrozenNonKeyFinder's
-  // contiguous-span kernels instead of chasing Node/Cell pointers; results
-  // are byte-identical either way. False forces the pointer-tree traversal
-  // (the equivalence tests pin their baseline this way). The GORDIAN_FROZEN
-  // environment variable (set to 0) disables freezing process-wide on top
-  // of this flag.
-  bool frozen_traversal = true;
-
-  // Intra-query parallelism: number of worker threads over which FindKeys
-  // fans out the root's top-level slices of the traversal (each worker runs
-  // a private NonKeyFinder; discovered non-keys are exchanged through a
-  // lock-light snapshot so futility pruning still fires across slices, and
-  // the per-slice results are merged deterministically before the final
-  // root-merge pass). 0 = serial (the default; also consults the
-  // GORDIAN_THREADS environment variable, letting CI exercise the whole
-  // suite in parallel mode without code changes). >= 1 engages the parallel
-  // machinery with that many workers. < 0 forces serial even when
-  // GORDIAN_THREADS is set (the equivalence tests pin their baseline this
-  // way). Results are identical to serial mode; see docs/parallel.md.
-  int traversal_threads = 0;
 };
 
 // Counters and timings reported by a discovery run; feeds Table 2 and the
@@ -137,7 +114,7 @@ struct GordianStats {
   int64_t base_tree_nodes = 0;
   int64_t base_tree_cells = 0;
 
-  // NonKeyFinder work.
+  // Traversal (FrozenNonKeyFinder) work.
   int64_t nodes_visited = 0;
   int64_t merges_performed = 0;
   int64_t merge_nodes_created = 0;
@@ -145,9 +122,6 @@ struct GordianStats {
   int64_t singleton_merge_prunes = 0;
   int64_t single_entity_prunes = 0;
   int64_t futility_prunes = 0;
-  // Of the futility_prunes, how many fired off another worker's published
-  // snapshot rather than locally discovered non-keys (parallel mode only).
-  int64_t futility_snapshot_prunes = 0;
   // Warm start (incremental re-profiles): non-keys seeded from a prior run
   // before traversal began, and how many futility prunes fired off the
   // seeded cover rather than non-keys discovered in this run.
@@ -160,18 +134,13 @@ struct GordianStats {
   int64_t non_keys_evicted = 0;
   int64_t final_non_keys = 0;
 
-  // Memory (bytes); peak covers tree + merge intermediates + NonKeySet.
-  // In parallel mode, worker-pool peaks are summed in.
+  // Memory (bytes); peak covers tree + frozen layout + merge intermediates
+  // + NonKeySet.
   int64_t peak_memory_bytes = 0;
 
-  // Worker threads the find phase actually used (0 = serial traversal).
-  int64_t traversal_threads_used = 0;
-
-  // Frozen-representation accounting: whether the find phase ran over a
-  // FrozenTree, the flat layout's byte footprint, and the wall clock of the
-  // freeze pass (0 when a prebuilt frozen artifact was injected — a
-  // TreeArtifactCache hit pays the freeze once at insert).
-  bool frozen_traversal_used = false;
+  // Frozen-representation accounting: the flat layout's byte footprint and
+  // the wall clock of the freeze pass (0 when a prebuilt frozen artifact
+  // was injected — a TreeArtifactCache hit pays the freeze once at insert).
   int64_t frozen_tree_bytes = 0;
   double freeze_seconds = 0;
 

@@ -2,39 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <numeric>
 
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/key_conversion.h"
-#include "core/non_key_finder.h"
 #include "core/non_key_set.h"
-#include "core/parallel_finder.h"
 #include "core/strength.h"
 
 namespace gordian {
 
 namespace {
 
-// GORDIAN_THREADS engages the parallel traversal for callers that leave
-// GordianOptions::traversal_threads at 0 (CI runs the whole suite this way).
-// Read once: discovery may run on many threads and getenv is not reliably
-// safe against concurrent environment mutation.
-int EnvTraversalThreads() {
-  static const int cached = [] {
-    const char* s = std::getenv("GORDIAN_THREADS");
-    if (s == nullptr || *s == '\0') return 0;
-    const int v = std::atoi(s);
-    return v > 0 ? v : 0;
-  }();
-  return cached;
-}
-
-// Both traversal modes report non-keys in this canonical order (cardinality,
-// then bitset order — the same ordering MinimizeSets uses for keys), making
-// reports byte-identical across serial and parallel runs: the discovered
-// antichain's *content* is mode-invariant, but its insertion order is not.
+// Non-keys are reported in this canonical order (cardinality, then bitset
+// order — the same ordering MinimizeSets uses for keys): the discovered
+// antichain's *content* is fixed by the data, but its insertion order
+// depends on the attribute order and on warm-start seeding.
 void CanonicalizeNonKeys(std::vector<AttributeSet>* non_keys) {
   std::sort(non_keys->begin(), non_keys->end(),
             [](const AttributeSet& a, const AttributeSet& b) {
@@ -97,58 +80,20 @@ std::vector<int> NullableColumns(const Table& table) {
   return nullable;
 }
 
-// Shared tail of both traversal stages: canonical ordering, phase timing,
-// peak-memory accounting, and the incomplete short-circuit (a partial
-// non-key set cannot certify keys — later stages must not run).
-void FinishTraversal(ProfileContext* ctx, const Stopwatch& watch,
-                     int64_t worker_pool_bytes) {
-  CanonicalizeNonKeys(&ctx->result.non_keys);
-  ctx->result.stats.find_seconds = watch.ElapsedSeconds();
-  ctx->result.stats.peak_memory_bytes =
-      ctx->tree->pool().peak_bytes() + worker_pool_bytes;
-  if (ctx->tree_external) {
-    ctx->result.stats.peak_memory_bytes +=
-        ctx->external_merge_pool.peak_bytes();
-  }
-  if (ctx->frozen != nullptr) {
-    ctx->result.stats.peak_memory_bytes += ctx->frozen->ApproxBytes();
-  }
-  if (ctx->result.incomplete) ctx->finished = true;
-}
-
-// The merge-intermediate pool for a frozen traversal: the run's own tree
-// pool when the tree is this run's (its peak is already what FinishTraversal
-// reports), the external pool when the tree — and therefore its pool — is a
-// shared cache artifact that must come back untouched.
-PrefixTree::NodePool* FrozenMergePool(ProfileContext* ctx) {
-  return ctx->tree_external ? &ctx->external_merge_pool : &ctx->tree->pool();
-}
-
 }  // namespace
 
-int ResolveTraversalThreads(const GordianOptions& options) {
-  int threads = options.traversal_threads;
-  if (threads == 0) threads = EnvTraversalThreads();
-  if (threads < 0) threads = 0;  // explicit "force serial"
-  return threads;
-}
-
-bool ResolveFrozenTraversal(const GordianOptions& options) {
-  return options.frozen_traversal && FrozenTreesEnabled();
-}
-
-Status EncodeStage::Run(ProfileContext* ctx) {
+void EncodeStage(ProfileContext* ctx) {
   const Table& table = *ctx->input;
   const int d = table.num_columns();
   ctx->result.stats.num_attributes = d;
   if (d == 0) {
     ctx->finished = true;
-    return Status::OK();
+    return;
   }
 
   // SQL-style null handling: bar nullable columns from the search entirely,
   // then lift the results of the projection back to original positions. The
-  // projection is profiled by a nested session running the same plan shape.
+  // projection is profiled by a nested session running the same stages.
   if (ctx->options.null_semantics ==
       GordianOptions::NullSemantics::kExcludeNullableColumns) {
     std::vector<int> nullable = NullableColumns(table);
@@ -164,15 +109,14 @@ Status EncodeStage::Run(ProfileContext* ctx) {
       }
       if (kept.empty()) {  // nothing can be a key
         ctx->finished = true;
-        return Status::OK();
+        return;
       }
       GordianOptions inner = ctx->options;
       inner.null_semantics = GordianOptions::NullSemantics::kNullEqualsNull;
       Table projected_table = table.SelectColumns(kept);
       ProfileSession nested(inner);
       KeyDiscoveryResult projected;
-      Status s = nested.Run(projected_table, &projected);
-      if (!s.ok()) return s;
+      (void)nested.Run(projected_table, &projected);
       auto remap = [&](const AttributeSet& attrs) {
         AttributeSet out;
         attrs.ForEach([&](int a) { out.Set(kept[a]); });
@@ -183,7 +127,7 @@ Status EncodeStage::Run(ProfileContext* ctx) {
       projected.stats.num_attributes = d;
       ctx->result = std::move(projected);
       ctx->finished = true;
-      return Status::OK();
+      return;
     }
   }
 
@@ -202,14 +146,13 @@ Status EncodeStage::Run(ProfileContext* ctx) {
     ctx->result.incomplete = true;
     ctx->result.incomplete_reason = AbortReason::kCancelled;
     ctx->finished = true;
-    return Status::OK();
+    return;
   }
 
   ctx->attr_order = ComputeAttributeOrder(*ctx->data, ctx->options);
-  return Status::OK();
 }
 
-Status TreeBuildStage::Run(ProfileContext* ctx) {
+void TreeBuildStage(ProfileContext* ctx) {
   Stopwatch watch;
   if (ctx->tree != nullptr) {
     // A prebuilt tree was injected (TreeArtifactCache hit). It was built
@@ -234,7 +177,7 @@ Status TreeBuildStage::Run(ProfileContext* ctx) {
         AttributeSet::FirstN(static_cast<int>(ctx->result.stats.num_attributes)));
     ctx->result.stats.peak_memory_bytes = tree.pool().peak_bytes();
     ctx->finished = true;
-    return Status::OK();
+    return;
   }
 
   if (ctx->Cancelled()) {
@@ -242,26 +185,23 @@ Status TreeBuildStage::Run(ProfileContext* ctx) {
     ctx->result.incomplete_reason = AbortReason::kCancelled;
     ctx->result.stats.peak_memory_bytes = tree.pool().peak_bytes();
     ctx->finished = true;
-    return Status::OK();
+    return;
   }
 
   // The tree will not be mutated again (traversal only touches reference
   // counts), so this is the point where freezing pays: flatten once, let
-  // the traversal stage run the span kernels. A cache hit injects the
-  // prefrozen artifact instead and skips the pass entirely.
-  if (ResolveFrozenTraversal(ctx->options)) {
-    if (ctx->frozen == nullptr) {
-      Stopwatch freeze_watch;
-      ctx->owned_frozen = FrozenTree::Freeze(tree);
-      ctx->frozen = ctx->owned_frozen.get();
-      ctx->result.stats.freeze_seconds = freeze_watch.ElapsedSeconds();
-    }
-    ctx->result.stats.frozen_tree_bytes = ctx->frozen->ApproxBytes();
+  // the traversal run the span kernels. A cache hit injects the prefrozen
+  // artifact instead and skips the pass entirely.
+  if (ctx->frozen == nullptr) {
+    Stopwatch freeze_watch;
+    ctx->owned_frozen = FrozenTree::Freeze(tree);
+    ctx->frozen = ctx->owned_frozen.get();
+    ctx->result.stats.freeze_seconds = freeze_watch.ElapsedSeconds();
   }
-  return Status::OK();
+  ctx->result.stats.frozen_tree_bytes = ctx->frozen->ApproxBytes();
 }
 
-Status SerialTraversalStage::Run(ProfileContext* ctx) {
+void TraverseStage(ProfileContext* ctx) {
   Stopwatch watch;
   KeyDiscoveryResult& result = ctx->result;
   NonKeySet non_key_set(&result.stats);
@@ -280,70 +220,33 @@ Status SerialTraversalStage::Run(ProfileContext* ctx) {
     }
     result.stats.warm_start_seeds += static_cast<int64_t>(warm_seeds->size());
   }
-  if (ctx->frozen != nullptr) {
-    FrozenNonKeyFinder finder(*ctx->frozen, ctx->options, &non_key_set,
-                              &result.stats);
-    finder.SetMergePool(FrozenMergePool(ctx));
-    if (warm) finder.SetWarmCover(&warm_set);
-    result.stats.frozen_traversal_used = true;
-    result.incomplete = !finder.Run();
-    result.incomplete_reason = finder.abort_reason();
-  } else {
-    NonKeyFinder finder(*ctx->tree, ctx->options, &non_key_set,
-                        &result.stats);
-    // An externally owned tree must come back byte-identical (other jobs
-    // will reuse it), so merge intermediates go to a private pool — the
-    // same discipline parallel workers already follow.
-    if (ctx->tree_external) finder.SetMergePool(&ctx->external_merge_pool);
-    if (warm) finder.SetWarmCover(&warm_set);
-    result.incomplete = !finder.Run();
-    result.incomplete_reason = finder.abort_reason();
-  }
+  // Merge intermediates go to the run's own tree pool when the tree is this
+  // run's, and to the private pool when the tree — and therefore its pool —
+  // is a shared cache artifact that must come back untouched.
+  PrefixTree::NodePool& merge_pool =
+      ctx->tree_external ? ctx->external_merge_pool : ctx->tree->pool();
+  FrozenNonKeyFinder finder(*ctx->frozen, ctx->options, &non_key_set,
+                            &result.stats);
+  finder.SetMergePool(&merge_pool);
+  if (warm) finder.SetWarmCover(&warm_set);
+  result.incomplete = !finder.Run();
+  result.incomplete_reason = finder.abort_reason();
   result.stats.final_non_keys = non_key_set.size();
   result.non_keys = non_key_set.non_keys();
-  FinishTraversal(ctx, watch, non_key_set.ApproxBytes());
-  return Status::OK();
+
+  CanonicalizeNonKeys(&result.non_keys);
+  result.stats.find_seconds = watch.ElapsedSeconds();
+  result.stats.peak_memory_bytes = ctx->tree->pool().peak_bytes() +
+                                   non_key_set.ApproxBytes() +
+                                   ctx->frozen->ApproxBytes();
+  if (ctx->tree_external) {
+    result.stats.peak_memory_bytes += ctx->external_merge_pool.peak_bytes();
+  }
+  // A partial non-key set cannot certify keys: later stages must not run.
+  if (result.incomplete) ctx->finished = true;
 }
 
-Status ParallelTraversalStage::Run(ProfileContext* ctx) {
-  PrefixTree& tree = *ctx->tree;
-  // The parallel path needs >= 2 top-level slices to fan out; everything
-  // smaller (leaf root, single slice) is trivial and runs serially
-  // regardless — the historical FindKeys dispatch.
-  const bool parallel = threads_ >= 1 && tree.root() != nullptr &&
-                        !tree.root()->is_leaf &&
-                        tree.root()->cells.size() >= 2;
-  if (!parallel) {
-    SerialTraversalStage serial;
-    return serial.Run(ctx);
-  }
-
-  Stopwatch watch;
-  KeyDiscoveryResult& result = ctx->result;
-  NonKeySet merged_set(nullptr);
-  ++result.stats.nodes_visited;  // the root, visited once in serial mode
-  ParallelTraversalResult pr;
-  if (ctx->frozen != nullptr) {
-    result.stats.frozen_traversal_used = true;
-    pr = ParallelFindNonKeys(*ctx->frozen, ctx->options, threads_,
-                             &merged_set, &result.stats,
-                             FrozenMergePool(ctx));
-  } else {
-    pr = ParallelFindNonKeys(
-        tree, ctx->options, threads_, &merged_set, &result.stats,
-        ctx->tree_external ? &ctx->external_merge_pool : nullptr);
-  }
-  result.incomplete = pr.aborted;
-  result.incomplete_reason = pr.reason;
-  result.stats.traversal_threads_used = pr.threads_used;
-  result.stats.final_non_keys = merged_set.size();
-  result.non_keys = merged_set.non_keys();
-  FinishTraversal(ctx, watch,
-                  pr.worker_pool_peak_bytes + merged_set.ApproxBytes());
-  return Status::OK();
-}
-
-Status KeyConversionStage::Run(ProfileContext* ctx) {
+void ConvertStage(ProfileContext* ctx) {
   Stopwatch watch;
   std::vector<AttributeSet> keys =
       NonKeysToKeys(ctx->result.non_keys,
@@ -355,32 +258,15 @@ Status KeyConversionStage::Run(ProfileContext* ctx) {
     dk.attrs = k;
     ctx->result.keys.push_back(dk);
   }
-  return Status::OK();
 }
 
-Status ValidationStage::Run(ProfileContext* ctx) {
+void ValidateStage(ProfileContext* ctx) {
   for (DiscoveredKey& k : ctx->result.keys) {
     k.estimated_strength =
         ctx->result.sampled ? EstimatedStrengthLowerBound(*ctx->data, k.attrs)
                             : 1.0;
     if (!ctx->result.sampled) k.exact_strength = 1.0;
   }
-  return Status::OK();
-}
-
-ProfilePlan ProfilePlan::Default(const GordianOptions& options) {
-  ProfilePlan plan;
-  plan.Append(std::make_unique<EncodeStage>());
-  plan.Append(std::make_unique<TreeBuildStage>());
-  const int threads = ResolveTraversalThreads(options);
-  if (threads >= 1) {
-    plan.Append(std::make_unique<ParallelTraversalStage>(threads));
-  } else {
-    plan.Append(std::make_unique<SerialTraversalStage>());
-  }
-  plan.Append(std::make_unique<KeyConversionStage>());
-  plan.Append(std::make_unique<ValidationStage>());
-  return plan;
 }
 
 Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
@@ -391,21 +277,26 @@ Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
     ctx.tree = shared_tree_;
     ctx.tree_external = true;
     shared_tree_ = nullptr;  // one Run per injection
-    if (shared_frozen_ != nullptr && ResolveFrozenTraversal(options_)) {
-      ctx.frozen = shared_frozen_;
-    }
+    ctx.frozen = shared_frozen_;
   }
   shared_frozen_ = nullptr;
   metrics_.clear();
   built_tree_.reset();
   built_frozen_.reset();
 
-  Status status;
-  for (const std::unique_ptr<ProfileStage>& stage : plan_.stages()) {
+  static constexpr struct {
+    const char* name;
+    void (*run)(ProfileContext*);
+  } kStages[] = {{"encode", EncodeStage},
+                 {"tree_build", TreeBuildStage},
+                 {"traverse", TraverseStage},
+                 {"convert", ConvertStage},
+                 {"validate", ValidateStage}};
+  for (const auto& stage : kStages) {
     Stopwatch watch;
-    status = stage->Run(&ctx);
+    stage.run(&ctx);
     StageMetric m;
-    m.name = stage->name();
+    m.name = stage.name;
     m.seconds = watch.ElapsedSeconds();
     // Dominant footprint per stage; see StageMetric.
     if (m.name == "encode") {
@@ -417,12 +308,12 @@ Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
       m.bytes = ctx.result.stats.peak_memory_bytes;
     }
     metrics_.push_back(std::move(m));
-    if (!status.ok() || ctx.finished) break;
+    if (ctx.finished) break;
   }
   built_tree_ = std::move(ctx.owned_tree);
   built_frozen_ = std::move(ctx.owned_frozen);
   *out = std::move(ctx.result);
-  return status;
+  return Status::OK();
 }
 
 }  // namespace gordian

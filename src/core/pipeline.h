@@ -16,24 +16,25 @@ namespace gordian {
 
 // The staged profiling pipeline. GORDIAN's run is naturally phased — encode
 // the entities (sampling, null handling, attribute ordering), build the
-// prefix tree (Algorithm 2), traverse it for non-keys (Algorithm 4), convert
-// non-keys to keys (Algorithm 6), attach strengths (Section 3.9) — and this
-// module makes the phases explicit: each is a ProfileStage, a ProfilePlan is
-// an ordered stage list, and a ProfileSession executes a plan over a
-// ProfileContext, recording per-stage wall time and bytes.
+// prefix tree (Algorithm 2) and freeze it, traverse it for non-keys
+// (Algorithm 4), convert non-keys to keys (Algorithm 6), attach strengths
+// (Section 3.9) — and this module makes the phases explicit: each is a
+// stage function over a ProfileContext, and a ProfileSession runs the five
+// of them in order, recording per-stage wall time and bytes.
 //
 // FindKeys, StreamingProfiler::Finish, the profiling service, and the engine
-// advisor are all thin compositions over the same default plan; they differ
-// only in how the context is seeded (most importantly, whether a prebuilt
-// prefix tree is injected from the service's TreeArtifactCache, letting a
-// job skip TreeBuildStage entirely). Results are byte-identical across all
-// composition paths and across serial/parallel traversal.
+// advisor all run a ProfileSession; they differ only in how the context is
+// seeded (most importantly, whether a prebuilt prefix tree is injected from
+// the service's TreeArtifactCache, letting a job skip the build entirely).
+// ReprofileTree (core/incremental.h) seeds the context by hand and runs the
+// stages from TreeBuildStage on. Results are byte-identical across all of
+// these paths.
 
 // Wall time, bytes, and rows attributed to one executed stage. `bytes` is
 // the stage's dominant footprint: the sample's heap for encode, the tree
-// pool for build, worker pools + NonKeySet for traversal; 0 when nothing
-// meaningful applies. `rows` is the row count the stage operated on (set by
-// encode: the rows actually profiled after sampling).
+// pool for build, the run's peak for traversal; 0 when nothing meaningful
+// applies. `rows` is the row count the stage operated on (set by encode:
+// the rows actually profiled after sampling).
 struct StageMetric {
   std::string name;
   double seconds = 0;
@@ -59,18 +60,16 @@ struct ProfileContext {
   // built its own, or at an externally owned, previously built tree
   // (injected via ProfileSession::set_shared_tree — a TreeArtifactCache
   // hit). An external tree's NodePool must not be touched: traversal merge
-  // intermediates then come from `external_merge_pool` instead, exactly as
-  // parallel workers already allocate from private pools.
+  // intermediates then come from `external_merge_pool` instead.
   std::unique_ptr<PrefixTree> owned_tree;
   PrefixTree* tree = nullptr;
   bool tree_external = false;
   PrefixTree::NodePool external_merge_pool;
 
-  // Frozen counterpart of the tree fields: TreeBuildStage freezes the built
-  // tree when ResolveFrozenTraversal allows (or `frozen` was injected via
-  // ProfileSession::set_shared_frozen_tree alongside the shared pointer
-  // tree); the traversal stages then run FrozenNonKeyFinder. Null when the
-  // frozen path is disabled — traversal falls back to the pointer tree.
+  // Frozen counterpart of the tree fields: TreeBuildStage freezes the tree
+  // unless `frozen` was injected via ProfileSession::set_shared_frozen_tree
+  // alongside the shared pointer tree; TraverseStage runs
+  // FrozenNonKeyFinder over it.
   std::unique_ptr<FrozenTree> owned_frozen;
   FrozenTree* frozen = nullptr;
 
@@ -86,107 +85,44 @@ struct ProfileContext {
   }
 };
 
-// One stage of the pipeline. Run() mutates the context; a non-OK Status
-// aborts the session (none of the built-in stages fail — the Status channel
-// is the seam for future stages with real failure modes, e.g. spill-to-disk
-// trees or per-stage distribution).
-class ProfileStage {
- public:
-  virtual ~ProfileStage() = default;
-  virtual const char* name() const = 0;
-  virtual Status Run(ProfileContext* ctx) = 0;
-};
+// The five stages, in execution order. Each mutates the context; one that
+// concludes the run sets ctx->finished, and the caller then skips the rest.
 
 // Sampling (Section 3.9), SQL-style null projection, attribute ordering,
 // and the pre-build cancellation check. When null semantics exclude nullable
 // columns, this stage runs a nested session over the projected table and
 // lifts the results back — concluding the run.
-class EncodeStage : public ProfileStage {
- public:
-  const char* name() const override { return "encode"; }
-  Status Run(ProfileContext* ctx) override;
-};
+void EncodeStage(ProfileContext* ctx);
 
 // Algorithm 2: builds the prefix tree (unless an external tree was
-// injected), detects duplicate entities, checks cancellation.
-class TreeBuildStage : public ProfileStage {
- public:
-  const char* name() const override { return "tree_build"; }
-  Status Run(ProfileContext* ctx) override;
-};
+// injected), detects duplicate entities, checks cancellation, and freezes
+// the tree (unless a frozen artifact was injected).
+void TreeBuildStage(ProfileContext* ctx);
 
-// Algorithm 4: the non-key search. One interface, two implementations —
-// serial, and the slice-parallel fan-out of docs/parallel.md. Both finish
-// with the same canonical non-key ordering, so downstream stages (and
-// reports) cannot tell them apart.
-class TraversalStage : public ProfileStage {
- public:
-  const char* name() const override { return "traverse"; }
-};
-
-class SerialTraversalStage : public TraversalStage {
- public:
-  Status Run(ProfileContext* ctx) override;
-};
-
-// Fans the root's top-level slices across `threads` workers. Trees too
-// small to fan out (leaf root, single slice) fall back to the serial body,
-// mirroring the historical FindKeys dispatch exactly.
-class ParallelTraversalStage : public TraversalStage {
- public:
-  explicit ParallelTraversalStage(int threads) : threads_(threads) {}
-  Status Run(ProfileContext* ctx) override;
-
- private:
-  int threads_;
-};
+// Algorithm 4: FrozenNonKeyFinder over the frozen tree, warm-started from
+// options.warm_start_non_keys when given. Non-keys come out in a canonical
+// order (cardinality, then bitset order), so reports never depend on the
+// traversal's discovery order.
+void TraverseStage(ProfileContext* ctx);
 
 // Algorithm 6: maximal non-keys -> minimal keys.
-class KeyConversionStage : public ProfileStage {
- public:
-  const char* name() const override { return "convert"; }
-  Status Run(ProfileContext* ctx) override;
-};
+void ConvertStage(ProfileContext* ctx);
 
 // Attaches strengths: exact 1.0 for full-data runs, the T(K) lower bound
 // for sampled runs (Section 3.9).
-class ValidationStage : public ProfileStage {
- public:
-  const char* name() const override { return "validate"; }
-  Status Run(ProfileContext* ctx) override;
-};
+void ValidateStage(ProfileContext* ctx);
 
-// An ordered list of stages. Default(options) reproduces FindKeys: encode,
-// tree build, traversal (parallel when the resolved thread count asks for
-// it — options.traversal_threads, falling back to GORDIAN_THREADS),
-// conversion, validation.
-class ProfilePlan {
- public:
-  static ProfilePlan Default(const GordianOptions& options);
-
-  void Append(std::unique_ptr<ProfileStage> stage) {
-    stages_.push_back(std::move(stage));
-  }
-  const std::vector<std::unique_ptr<ProfileStage>>& stages() const {
-    return stages_;
-  }
-
- private:
-  std::vector<std::unique_ptr<ProfileStage>> stages_;
-};
-
-// Executes a plan over one table. Reusable: each Run resets the context.
+// Runs the five stages over one table. Reusable: each Run resets the
+// context.
 //
-//   ProfileSession session(options);            // default plan
+//   ProfileSession session(options);
 //   KeyDiscoveryResult r;
 //   Status s = session.Run(table, &r);
 //   for (const StageMetric& m : session.stage_metrics()) ...
 class ProfileSession {
  public:
   explicit ProfileSession(const GordianOptions& options)
-      : options_(options), plan_(ProfilePlan::Default(options)) {}
-  ProfileSession(ProfilePlan plan, const GordianOptions& options)
-      : options_(options), plan_(std::move(plan)) {}
+      : options_(options) {}
 
   // Injects a prebuilt prefix tree for the next Run (a TreeArtifactCache
   // hit): TreeBuildStage skips Build and traversal allocates merge
@@ -205,7 +141,8 @@ class ProfileSession {
   void set_shared_frozen_tree(FrozenTree* frozen) { shared_frozen_ = frozen; }
 
   // Runs every stage in order (stopping early when a stage concludes the
-  // run) and moves the result into *out.
+  // run) and moves the result into *out. No stage fails, so the returned
+  // Status is always OK.
   Status Run(const Table& table, KeyDiscoveryResult* out);
 
   // Per-stage wall/bytes of the last Run, in execution order.
@@ -215,33 +152,21 @@ class ProfileSession {
   // the run used a shared tree, never built one, or was never run).
   std::unique_ptr<PrefixTree> TakeTree() { return std::move(built_tree_); }
 
-  // The frozen flattening the last Run produced (nullptr when the frozen
-  // path was disabled, a prefrozen artifact was injected, or no tree was
-  // built). Callers that cache the tree cache this alongside it.
+  // The frozen flattening the last Run produced (nullptr when a prefrozen
+  // artifact was injected or the run concluded before freezing). Callers
+  // that cache the tree cache this alongside it.
   std::unique_ptr<FrozenTree> TakeFrozenTree() {
     return std::move(built_frozen_);
   }
 
  private:
   GordianOptions options_;
-  ProfilePlan plan_;
   PrefixTree* shared_tree_ = nullptr;
   FrozenTree* shared_frozen_ = nullptr;
   std::vector<StageMetric> metrics_;
   std::unique_ptr<PrefixTree> built_tree_;
   std::unique_ptr<FrozenTree> built_frozen_;
 };
-
-// The thread count the default plan resolves for `options`:
-// traversal_threads when set, else GORDIAN_THREADS, else 0 (serial);
-// negative forces serial. Exposed so callers (service metrics, benches) can
-// report the mode a run will use.
-int ResolveTraversalThreads(const GordianOptions& options);
-
-// Whether a run under `options` freezes the tree and traverses the flat
-// layout: options.frozen_traversal gated by the process-wide GORDIAN_FROZEN
-// escape hatch (see FrozenTreesEnabled).
-bool ResolveFrozenTraversal(const GordianOptions& options);
 
 }  // namespace gordian
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -38,8 +37,8 @@ class PrefixTree {
     std::vector<Cell> cells;  // sorted by code, strictly increasing
     int64_t accounted_bytes = 0;  // maintained by NodePool::SyncCellBytes
     // Sum of cells[*].count, maintained incrementally by the builders and
-    // by MergeNodes so the single-entity prune — which fires on every
-    // non-leaf Visit — never re-sums the cell vector.
+    // by the traversal's merges so the single-entity prune — which fires on
+    // every non-leaf Visit — never re-sums the cell vector.
     int64_t entity_total = 0;
     int32_t ref_count = 1;
     bool is_leaf = false;
@@ -55,9 +54,9 @@ class PrefixTree {
     }
   };
 
-  // Allocates, frees, and byte-accounts nodes. All merge intermediates flow
-  // through the same pool as the base tree, so peak_bytes is the honest
-  // maximum footprint of the whole tree phase.
+  // Allocates, frees, and byte-accounts nodes. Merge intermediates of a
+  // run over its own tree flow through the same pool as the base tree, so
+  // peak_bytes is the honest maximum footprint of the whole tree phase.
   //
   // Storage is a block arena plus a free list: nodes are carved out of
   // fixed-size blocks and recycled (retaining their cell-vector capacity)
@@ -68,8 +67,8 @@ class PrefixTree {
   // capacity is allocator slack, exactly like memory returned to malloc was
   // before the arena, so current/peak semantics are unchanged.
   //
-  // Not thread-safe; the parallel traversal gives each worker a private
-  // pool.
+  // Not thread-safe; a traversal over a shared (cached) tree allocates its
+  // merge intermediates from a private pool.
   class NodePool {
    public:
     NodePool() = default;
@@ -185,48 +184,6 @@ class PrefixTree {
   bool has_duplicate_entities_ = false;
   mutable std::atomic<int64_t> cell_count_cache_{-1};
 };
-
-// Reusable per-traversal buffers for MergeNodes: one gather/partial pair per
-// recursion depth, so a traversal performing millions of merges allocates
-// the scratch once and then only grows it to the high-water mark. A scratch
-// must not be shared across threads.
-class MergeScratch {
- public:
-  struct Level {
-    std::vector<const PrefixTree::Cell*> gathered;
-    std::vector<PrefixTree::Node*> partial;
-  };
-
-  Level& AtDepth(size_t depth) {
-    if (depth >= levels_.size()) levels_.resize(depth + 1);
-    return levels_[depth];
-  }
-
- private:
-  // deque, not vector: a merge at depth d holds a reference to its Level
-  // (and passes its `partial` buffer to the recursive call) while deeper
-  // merges may grow the table — deque growth never invalidates references
-  // to existing elements.
-  std::deque<Level> levels_;
-};
-
-// Algorithm 3: merges a set of same-level nodes into one node whose cells
-// hold the union of the input values; equal-value children are merged
-// recursively; equal-value leaf counts are summed. A single-node input is
-// returned directly with an extra reference (node sharing). The caller owns
-// one reference to the result and must Unref it when done.
-//
-// `merges_performed` / `merge_nodes_created` counters are incremented when a
-// stats pointer is supplied. The scratch overload reuses the caller's
-// buffers across calls; the two-argument form allocates a transient scratch
-// and exists for callers outside the traversal hot path (tests, benches).
-PrefixTree::Node* MergeNodes(PrefixTree::NodePool& pool,
-                             const std::vector<PrefixTree::Node*>& to_merge,
-                             GordianStats* stats);
-PrefixTree::Node* MergeNodes(PrefixTree::NodePool& pool,
-                             const std::vector<PrefixTree::Node*>& to_merge,
-                             GordianStats* stats, MergeScratch* scratch,
-                             size_t depth = 0);
 
 }  // namespace gordian
 

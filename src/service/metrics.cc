@@ -21,8 +21,7 @@ std::string FormatServiceMetrics(const ServiceMetrics::Snapshot& s) {
   line("coalesced jobs", s.coalesced_jobs);
   line("tree cache hits", s.tree_cache_hits);
   line("tree cache misses", s.tree_cache_misses);
-  if (s.trees_frozen > 0 || s.frozen_serves > 0) {
-    line("frozen serves", s.frozen_serves);
+  if (s.trees_frozen > 0) {
     line("trees frozen", s.trees_frozen);
     std::snprintf(buf, sizeof(buf), "  %-18s %.3f ms\n", "freeze wall",
                   s.freeze_seconds * 1e3);

@@ -28,11 +28,6 @@ class ServiceMetrics {
   void OnTreeCacheHit() { tree_cache_hits_.fetch_add(1, kRelaxed); }
   void OnTreeCacheMiss() { tree_cache_misses_.fetch_add(1, kRelaxed); }
 
-  // A job's traversal ran over a prefrozen cached artifact (tree-cache hit
-  // whose entry carried a FrozenTree — the run paid neither build nor
-  // freeze).
-  void OnFrozenServe() { frozen_serves_.fetch_add(1, kRelaxed); }
-
   // One freeze pass: its wall clock, the flat layout's byte footprint, and
   // the node count it covers (for the bytes-per-node derived figure).
   void OnTreeFrozen(double seconds, int64_t bytes, int64_t nodes) {
@@ -143,7 +138,6 @@ class ServiceMetrics {
     int64_t coalesced_jobs = 0;
     int64_t tree_cache_hits = 0;
     int64_t tree_cache_misses = 0;
-    int64_t frozen_serves = 0;
     int64_t trees_frozen = 0;
     double freeze_seconds = 0;
     int64_t frozen_tree_bytes = 0;
@@ -229,7 +223,6 @@ class ServiceMetrics {
     s.coalesced_jobs = coalesced_jobs_.load(kRelaxed);
     s.tree_cache_hits = tree_cache_hits_.load(kRelaxed);
     s.tree_cache_misses = tree_cache_misses_.load(kRelaxed);
-    s.frozen_serves = frozen_serves_.load(kRelaxed);
     s.trees_frozen = trees_frozen_.load(kRelaxed);
     s.freeze_seconds =
         static_cast<double>(freeze_micros_.load(kRelaxed)) * 1e-6;
@@ -293,7 +286,6 @@ class ServiceMetrics {
   std::atomic<int64_t> coalesced_jobs_{0};
   std::atomic<int64_t> tree_cache_hits_{0};
   std::atomic<int64_t> tree_cache_misses_{0};
-  std::atomic<int64_t> frozen_serves_{0};
   std::atomic<int64_t> trees_frozen_{0};
   std::atomic<int64_t> freeze_micros_{0};
   std::atomic<int64_t> frozen_tree_bytes_{0};

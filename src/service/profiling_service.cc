@@ -240,9 +240,6 @@ void ProfilingService::RunTableJob(Record* rec,
   if (cache != nullptr) {
     if (rec->tree_cache_hit) {
       metrics_.OnTreeCacheHit();
-      // A hit whose traversal ran the frozen layout was served the cached
-      // artifact's prefrozen twin — the run paid neither build nor freeze.
-      if (rec->result.stats.frozen_traversal_used) metrics_.OnFrozenServe();
     } else {
       metrics_.OnTreeCacheMiss();
       if (rec->result.stats.freeze_seconds > 0 ||

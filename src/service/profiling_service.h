@@ -105,8 +105,8 @@ struct AppendOutcome {
   // false when the tree was unavailable (cache disabled, evicted, or leased
   // by a concurrent run) and discovery rebuilt from a snapshot instead.
   bool tree_absorbed = false;
-  // Wall clock spent re-freezing the absorbed tree (0 when the frozen
-  // layout is disabled or the rebuild path ran).
+  // Wall clock spent re-freezing the absorbed tree (0 when the rebuild
+  // path ran).
   double refreeze_seconds = 0;
   KeyDiscoveryResult result;
 };

@@ -40,8 +40,9 @@ struct TreeArtifactCache::Lease::Entry {
   TreeCacheKey key;
   std::unique_ptr<PrefixTree> tree;
   // Prefrozen flat layout, kept beside the pointer tree (never instead of
-  // it: a GORDIAN_FROZEN=0 run hitting this entry still needs the pointer
-  // tree). Null when freezing was disabled at insert time.
+  // it: appends absorb into the pointer tree, and a hit's merge
+  // intermediates are pointer-tree nodes). Null only after a Rekey whose
+  // re-profile concluded before freezing; the next hit then freezes.
   std::unique_ptr<FrozenTree> frozen;
   int64_t bytes = 0;
   bool leased = false;
@@ -97,11 +98,10 @@ TreeArtifactCache::Lease TreeArtifactCache::Insert(
 
   // Freeze-on-insert: pay the flattening once, outside the lock, so every
   // hit serves the prefrozen artifact. Skipped when the inserting run
-  // already froze (it hands its artifact over) or freezing is disabled.
+  // already froze (it hands its artifact over).
   double freeze_seconds = 0;
   bool froze_here = false;
-  if (frozen == nullptr && FrozenTreesEnabled() &&
-      tree->root() != nullptr) {
+  if (frozen == nullptr && tree->root() != nullptr) {
     Stopwatch freeze_watch;
     frozen = FrozenTree::Freeze(*tree);
     freeze_seconds = freeze_watch.ElapsedSeconds();
@@ -288,8 +288,8 @@ KeyDiscoveryResult ProfileWithTreeCache(
       // Runs that never built a tree (null-projection hand-off, cancelled
       // before the build stage) return null from TakeTree. Duplicate-entity
       // trees are cacheable too — a rerun hits and re-derives no_keys.
-      // The run's frozen artifact (if the frozen path was on) is admitted
-      // alongside, so Insert does not refreeze.
+      // The run's frozen artifact is admitted alongside, so Insert does not
+      // refreeze (it freezes only trees whose run stopped before freezing).
       lease = cache->Insert(
           MakeTreeCacheKey(fingerprint, table.num_columns(), options),
           std::move(built), session.TakeFrozenTree());

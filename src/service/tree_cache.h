@@ -90,8 +90,8 @@ class TreeArtifactCache {
 
     bool valid() const { return entry_ != nullptr; }
     PrefixTree* tree() const;
-    // The prefrozen flat layout stored alongside the tree, or nullptr when
-    // freezing was disabled when the entry was admitted. Hits inject it via
+    // The prefrozen flat layout stored alongside the tree (nullptr only
+    // after a Rekey handed over none). Hits inject it via
     // ProfileSession::set_shared_frozen_tree so the run skips the freeze
     // pass as well as the build.
     FrozenTree* frozen() const;
@@ -119,10 +119,10 @@ class TreeArtifactCache {
   // key; if the existing entry is leased, the new tree is kept lease-only
   // and not admitted.
   //
-  // `frozen` is the flat layout to serve alongside the tree. When null and
-  // freezing is enabled process-wide, Insert freezes the tree itself — the
-  // freeze is paid once here, and every subsequent hit serves the prefrozen
-  // artifact (freeze_seconds = 0 on hits). Callers whose profiling run
+  // `frozen` is the flat layout to serve alongside the tree. When null,
+  // Insert freezes the tree itself — the freeze is paid once here, and
+  // every subsequent hit serves the prefrozen artifact (freeze_seconds = 0
+  // on hits). Callers whose profiling run
   // already froze the tree hand the artifact over instead
   // (ProfileSession::TakeFrozenTree), making insertion free of refreezing.
   Lease Insert(const TreeCacheKey& key, std::unique_ptr<PrefixTree> tree,
@@ -130,11 +130,12 @@ class TreeArtifactCache {
 
   // Lease upgrade for appends: re-registers `lease`'s entry under `new_key`
   // (the fingerprint after a delta was absorbed into the leased tree),
-  // replaces its frozen artifact with `refrozen` (may be null — e.g.
-  // freezing disabled), and re-measures its bytes. The old key's resident
-  // slot is unlinked; the entry is re-admitted under the new key when it
-  // fits the budget, following Insert's existing-entry discipline (an
-  // unleased twin is replaced; a leased twin keeps this entry lease-only).
+  // replaces its frozen artifact with `refrozen` (may be null — the
+  // re-profile concluded before freezing), and re-measures its bytes. The
+  // old key's resident slot is unlinked; the entry is re-admitted under the
+  // new key when it fits the budget, following Insert's existing-entry
+  // discipline (an unleased twin is replaced; a leased twin keeps this
+  // entry lease-only).
   //
   // The lease stays valid and exclusive throughout, which is the
   // no-half-absorbed-tree guarantee: while the absorb ran, concurrent
@@ -192,11 +193,11 @@ class TreeArtifactCache {
 
 // The acquire → run → insert composition every tree-cache-aware caller
 // (profiling service, index advisor, benches) shares: leases a cached tree
-// when available, runs the default profiling plan over `table` (injecting
-// the tree on a hit), and admits the freshly built tree on a miss. With
-// `cache` null this is exactly FindKeys. `tree_cache_hit` (optional)
-// reports whether the run skipped tree building; `stage_metrics` (optional)
-// receives the session's per-stage wall/bytes.
+// when available, runs a ProfileSession over `table` (injecting the tree
+// and its frozen layout on a hit), and admits the freshly built tree on a
+// miss. With `cache` null this is exactly FindKeys. `tree_cache_hit`
+// (optional) reports whether the run skipped tree building;
+// `stage_metrics` (optional) receives the session's per-stage wall/bytes.
 KeyDiscoveryResult ProfileWithTreeCache(
     const Table& table, const GordianOptions& options, uint64_t fingerprint,
     TreeArtifactCache* cache, bool* tree_cache_hit = nullptr,

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <utility>
 
+#include "common/attribute_set.h"
 #include "common/thread_pool.h"
 
 namespace gordian {
@@ -212,6 +213,11 @@ Status CsvBatchReader::Init() {
   if (got == Scan::kEof) return Status::OK();  // no records: num_columns()==0
 
   const int ncols = static_cast<int>(rec_fields_.size());
+  if (ncols > AttributeSet::kMaxAttributes) {
+    return Status::InvalidArgument(
+        "CSV has " + std::to_string(ncols) + " columns; at most " +
+        std::to_string(AttributeSet::kMaxAttributes) + " are supported");
+  }
   names_.reserve(static_cast<size_t>(ncols));
   for (int i = 0; i < ncols; ++i) {
     if (options_.has_header) {

@@ -44,7 +44,8 @@ class CsvBatchReader {
 
   // Consumes the header (or, without a header, stages the first record) to
   // establish the column count. Init returning OK with num_columns() == 0
-  // means the input had no records at all.
+  // means the input had no records at all; more than
+  // AttributeSet::kMaxAttributes columns is InvalidArgument.
   Status Init();
 
   int num_columns() const { return static_cast<int>(names_.size()); }

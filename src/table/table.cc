@@ -430,6 +430,17 @@ void TableBuilder::MergeColumnStatuses() {
 }
 
 Status TableBuilder::Build(Table* out) {
+  if (cols_.size() > static_cast<size_t>(AttributeSet::kMaxAttributes)) {
+    // Attribute sets are fixed-width bitmaps: a wider table could only be
+    // profiled by silently dropping columns.
+    const size_t ncols = cols_.size();
+    table_ = Table();
+    cols_.clear();
+    num_rows_ = 0;
+    return Status::InvalidArgument(
+        "table has " + std::to_string(ncols) + " columns; at most " +
+        std::to_string(AttributeSet::kMaxAttributes) + " are supported");
+  }
   FileSystem* fs = policy_.fs ? policy_.fs : DefaultFileSystem();
   for (size_t c = 0; c < cols_.size(); ++c) {
     BuildColumn& bc = cols_[c];

@@ -180,9 +180,10 @@ class TableBuilder {
   // Columns currently being streamed to GRDL writers.
   int spilling_column_count() const;
 
-  // Finalizes into *out. Fails only when spilled data could not be
-  // recovered (never for a clean degrade to resident). The builder is left
-  // empty.
+  // Finalizes into *out. Fails when the schema is wider than
+  // AttributeSet::kMaxAttributes (InvalidArgument) or when spilled data
+  // could not be recovered (never for a clean degrade to resident). The
+  // builder is left empty.
   Status Build(Table* out);
 
   // Legacy infallible form; asserts that no unrecoverable spill loss

@@ -1,8 +1,12 @@
 // Tests for the discovery budget guards (GordianOptions::max_non_keys and
-// time_budget_seconds): the safety valves for adversarial inputs whose
-// non-key antichain is combinatorial.
+// time_budget_seconds) and cooperative cancellation (cancel_flag): the
+// safety valves for adversarial inputs whose non-key antichain is
+// combinatorial, and for service jobs that must stop early.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "core/gordian.h"
 #include "datagen/opic_like.h"
@@ -23,6 +27,18 @@ Table WorkyTable() {
   return t;
 }
 
+// Uniform data with distinct rows (no duplicate entities), for the abort
+// paths: low cardinality gives many non-redundant non-keys.
+Table UniformUniqueTable(int rows, int cols, uint64_t cardinality,
+                         uint64_t seed) {
+  SyntheticSpec spec = UniformSpec(cols, rows, cardinality, 0.0, seed);
+  spec.ensure_unique_rows = true;
+  Table t;
+  Status s = GenerateSynthetic(spec, &t);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return t;
+}
+
 TEST(Budget, NonKeyLimitTripsAndMarksIncomplete) {
   Table t = WorkyTable();
   KeyDiscoveryResult unbounded = FindKeys(t);
@@ -32,6 +48,7 @@ TEST(Budget, NonKeyLimitTripsAndMarksIncomplete) {
   o.max_non_keys = 1;
   KeyDiscoveryResult r = FindKeys(t, o);
   EXPECT_TRUE(r.incomplete);
+  EXPECT_EQ(r.incomplete_reason, AbortReason::kNonKeyBudget);
   EXPECT_TRUE(r.keys.empty());
   EXPECT_FALSE(r.non_keys.empty());
   // Everything reported is still a genuine non-key.
@@ -40,13 +57,77 @@ TEST(Budget, NonKeyLimitTripsAndMarksIncomplete) {
   }
 }
 
+TEST(Budget, NonKeyLimitTripsOnLowCardinalityData) {
+  // Far more than one non-redundant non-key, so max_non_keys = 1 trips
+  // inside the traversal.
+  Table t = UniformUniqueTable(300, 7, 4, 88);
+  GordianOptions o;
+  o.max_non_keys = 1;
+  KeyDiscoveryResult r = FindKeys(t, o);
+  EXPECT_TRUE(r.incomplete);
+  EXPECT_EQ(r.incomplete_reason, AbortReason::kNonKeyBudget);
+  EXPECT_TRUE(r.keys.empty());
+}
+
 TEST(Budget, TimeBudgetTripsOnLargeInput) {
   Table t = GenerateOpicLike(20000, 30, 99);
   GordianOptions o;
   o.time_budget_seconds = 1e-9;
   KeyDiscoveryResult r = FindKeys(t, o);
   EXPECT_TRUE(r.incomplete);
+  EXPECT_EQ(r.incomplete_reason, AbortReason::kTimeBudget);
   EXPECT_TRUE(r.keys.empty());
+}
+
+TEST(Budget, TimeBudgetTripsPastTheAmortizedClockCheck) {
+  // The clock is read once every 4096 visits. With futility pruning off
+  // this table needs well over that many, so an unmeetable budget must
+  // trip inside the traversal.
+  Table t = UniformUniqueTable(2000, 9, 4, 99);
+  GordianOptions probe_opts;
+  probe_opts.futility_pruning = false;
+  KeyDiscoveryResult probe = FindKeys(t, probe_opts);
+  ASSERT_GT(probe.stats.nodes_visited, 10 * 4096)
+      << "table too small to exercise the amortized clock check";
+
+  GordianOptions o;
+  o.futility_pruning = false;
+  o.time_budget_seconds = 1e-9;
+  KeyDiscoveryResult r = FindKeys(t, o);
+  EXPECT_TRUE(r.incomplete);
+  EXPECT_EQ(r.incomplete_reason, AbortReason::kTimeBudget);
+  EXPECT_TRUE(r.keys.empty());
+}
+
+TEST(Budget, PreRaisedCancelFlagAbortsWithCancelled) {
+  Table t = UniformUniqueTable(500, 6, 16, 77);
+  std::atomic<bool> cancel{true};
+  GordianOptions o;
+  o.cancel_flag = &cancel;
+  KeyDiscoveryResult r = FindKeys(t, o);
+  EXPECT_TRUE(r.incomplete);
+  EXPECT_EQ(r.incomplete_reason, AbortReason::kCancelled);
+  EXPECT_TRUE(r.keys.empty());
+}
+
+TEST(Budget, CancelRaisedMidRunAbortsCleanly) {
+  // The flag flips while discovery runs; the run must come back either
+  // complete or incomplete-with-kCancelled, never crash. (Timing decides
+  // how much work happened first; the outcome classification is what is
+  // deterministic.)
+  Table t = UniformUniqueTable(2000, 8, 6, 55);
+  std::atomic<bool> cancel{false};
+  GordianOptions o;
+  o.cancel_flag = &cancel;
+  std::thread flipper([&cancel] { cancel.store(true); });
+  KeyDiscoveryResult r = FindKeys(t, o);
+  flipper.join();
+  if (r.incomplete) {
+    EXPECT_EQ(r.incomplete_reason, AbortReason::kCancelled);
+    EXPECT_TRUE(r.keys.empty());
+  } else {
+    EXPECT_EQ(r.KeySets(), FindKeys(t).KeySets());
+  }
 }
 
 TEST(Budget, GenerousBudgetsDoNotChangeResults) {

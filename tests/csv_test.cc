@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace gordian {
 namespace {
@@ -199,6 +200,52 @@ TEST_F(CsvTest, CustomDelimiter) {
   ASSERT_TRUE(ReadCsv(p, opts, &t).ok());
   EXPECT_EQ(t.num_columns(), 2);
   EXPECT_EQ(t.value(0, 1), Value(int64_t{2}));
+}
+
+// A CSV of `cols` columns and `rows` rows of distinct values.
+std::string WideCsv(int cols, int rows) {
+  std::string body;
+  for (int c = 0; c < cols; ++c) {
+    body += (c > 0 ? "," : "") + std::string("c") + std::to_string(c);
+  }
+  body += "\n";
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      body += (c > 0 ? "," : "") + std::to_string(r * cols + c);
+    }
+    body += "\n";
+  }
+  return body;
+}
+
+// Attribute sets hold AttributeSet::kMaxAttributes columns; a wider CSV
+// used to load anyway, and profiling it wrote past the bitmap's end and
+// reported 128 keys for 130 unique columns.
+TEST_F(CsvTest, RejectsMoreColumnsThanAttributeSetsHold) {
+  std::string p = Path("wide130.csv");
+  WriteFile(p, WideCsv(130, 50));
+  Table t;
+  Status s = ReadCsv(p, CsvOptions{}, &t);
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
+
+  CsvOptions no_header;
+  no_header.has_header = false;
+  s = ReadCsv(p, no_header, &t);
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
+
+  std::string at_limit = Path("wide128.csv");
+  WriteFile(at_limit, WideCsv(AttributeSet::kMaxAttributes, 50));
+  ASSERT_TRUE(ReadCsv(at_limit, CsvOptions{}, &t).ok());
+  EXPECT_EQ(t.num_columns(), AttributeSet::kMaxAttributes);
+}
+
+TEST_F(CsvTest, TableBuilderRejectsMoreColumnsThanAttributeSetsHold) {
+  std::vector<std::string> names;
+  for (int c = 0; c < 130; ++c) names.push_back("c" + std::to_string(c));
+  TableBuilder builder{Schema(names)};
+  builder.AddRow(std::vector<Value>(130, Value(int64_t{1})));
+  Table t;
+  EXPECT_EQ(builder.Build(&t).code(), Status::Code::kInvalidArgument);
 }
 
 }  // namespace

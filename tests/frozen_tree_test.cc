@@ -1,7 +1,7 @@
 // Tests for the frozen prefix-tree (core/frozen_tree.h): flat-layout
 // invariants after Freeze, byte-identical equivalence of the frozen
-// traversal against the pointer-tree baseline (serial and parallel,
-// complete and aborted runs), SIMD kernel agreement with the scalar
+// traversal against the pointer-tree oracle (complete and aborted runs,
+// work counters included), SIMD kernel agreement with the scalar
 // reference, and the tree-cache integration that serves prefrozen
 // artifacts on hits.
 
@@ -23,6 +23,7 @@
 #include "core/pipeline.h"
 #include "core/prefix_tree.h"
 #include "datagen/synthetic.h"
+#include "oracle/non_key_finder.h"
 #include "service/tree_cache.h"
 #include "table/fingerprint.h"
 
@@ -41,14 +42,6 @@ Table MakeTable(int64_t rows, uint64_t seed, int columns = 6) {
   return t;
 }
 
-// The pointer-tree run every frozen run is compared against: serial,
-// frozen path forced off.
-KeyDiscoveryResult PointerBaseline(const Table& t, GordianOptions opt) {
-  opt.traversal_threads = -1;
-  opt.frozen_traversal = false;
-  return FindKeys(t, opt);
-}
-
 void ExpectSameReport(const Table& table, const KeyDiscoveryResult& a,
                       const KeyDiscoveryResult& b) {
   EXPECT_EQ(FormatResult(table, a), FormatResult(table, b));
@@ -61,8 +54,8 @@ void ExpectSameReport(const Table& table, const KeyDiscoveryResult& a,
   }
 }
 
-// The frozen traversal replays the pointer traversal decision-for-decision,
-// so the work counters must agree exactly, not just the results.
+// The frozen traversal replays the oracle's traversal decision for
+// decision, so the work counters must agree exactly, not just the results.
 void ExpectSameCounters(const GordianStats& a, const GordianStats& b) {
   EXPECT_EQ(a.nodes_visited, b.nodes_visited);
   EXPECT_EQ(a.merges_performed, b.merges_performed);
@@ -126,41 +119,14 @@ TEST(FrozenTreeLayoutTest, FreezePreservesStructure) {
   EXPECT_EQ(total_cells, frozen->cell_count());
 }
 
-TEST(FrozenTraversalTest, SerialMatchesPointerBaseline) {
-  for (uint64_t seed : {3u, 17u, 41u}) {
+TEST(FrozenTraversalTest, MatchesOracle) {
+  for (uint64_t seed : {3u, 7u, 17u, 29u, 41u}) {
     Table t = MakeTable(2500, seed);
-    GordianOptions opt;
-    KeyDiscoveryResult baseline = PointerBaseline(t, opt);
-
-    GordianOptions froz = opt;
-    froz.traversal_threads = -1;
-    froz.frozen_traversal = true;
-    KeyDiscoveryResult frozen = FindKeys(t, froz);
-    if (FrozenTreesEnabled()) {
-      EXPECT_TRUE(frozen.stats.frozen_traversal_used);
-      EXPECT_GT(frozen.stats.frozen_tree_bytes, 0);
-    }
-    ExpectSameReport(t, baseline, frozen);
-    ExpectSameCounters(baseline.stats, frozen.stats);
-  }
-}
-
-TEST(FrozenTraversalTest, ParallelMatchesPointerBaseline) {
-  for (uint64_t seed : {7u, 29u}) {
-    Table t = MakeTable(2500, seed);
-    GordianOptions opt;
-    KeyDiscoveryResult baseline = PointerBaseline(t, opt);
-
-    GordianOptions par = opt;
-    par.traversal_threads = 8;
-    par.frozen_traversal = true;
-    KeyDiscoveryResult frozen = FindKeys(t, par);
-    ExpectSameReport(t, baseline, frozen);
-    // Work counters are timing-dependent in parallel mode (futility pruning
-    // fires off other workers' published snapshots), so only the
-    // deterministic outcome is compared — like the pointer-mode parallel
-    // equivalence tests.
-    EXPECT_EQ(baseline.stats.final_non_keys, frozen.stats.final_non_keys);
+    KeyDiscoveryResult oracle = OracleFindKeys(t);
+    KeyDiscoveryResult frozen = FindKeys(t);
+    EXPECT_GT(frozen.stats.frozen_tree_bytes, 0);
+    ExpectSameReport(t, oracle, frozen);
+    ExpectSameCounters(oracle.stats, frozen.stats);
   }
 }
 
@@ -178,33 +144,24 @@ TEST(FrozenTraversalTest, RandomizedFuzzAcrossShapes) {
     GordianOptions opt;
     opt.tree_build = (round % 2 == 0) ? GordianOptions::TreeBuild::kSorted
                                       : GordianOptions::TreeBuild::kInsertion;
-    KeyDiscoveryResult baseline = PointerBaseline(t, opt);
-
-    GordianOptions froz = opt;
-    froz.traversal_threads = (round % 3 == 0) ? 8 : -1;
-    froz.frozen_traversal = true;
-    KeyDiscoveryResult frozen = FindKeys(t, froz);
-    ExpectSameReport(t, baseline, frozen);
-    if (froz.traversal_threads < 0) {
-      ExpectSameCounters(baseline.stats, frozen.stats);
-    }
+    KeyDiscoveryResult oracle = OracleFindKeys(t, opt);
+    KeyDiscoveryResult frozen = FindKeys(t, opt);
+    ExpectSameReport(t, oracle, frozen);
+    ExpectSameCounters(oracle.stats, frozen.stats);
   }
 }
 
-TEST(FrozenTraversalTest, NonKeyBudgetAbortMatchesPointerBaseline) {
+TEST(FrozenTraversalTest, NonKeyBudgetAbortMatchesOracle) {
   Table t = MakeTable(3000, 53);
   GordianOptions opt;
   opt.max_non_keys = 2;
-  KeyDiscoveryResult baseline = PointerBaseline(t, opt);
-  ASSERT_TRUE(baseline.incomplete);
-  EXPECT_EQ(baseline.incomplete_reason, AbortReason::kNonKeyBudget);
+  KeyDiscoveryResult oracle = OracleFindKeys(t, opt);
+  ASSERT_TRUE(oracle.incomplete);
+  EXPECT_EQ(oracle.incomplete_reason, AbortReason::kNonKeyBudget);
 
-  GordianOptions froz = opt;
-  froz.traversal_threads = -1;
-  froz.frozen_traversal = true;
-  KeyDiscoveryResult frozen = FindKeys(t, froz);
-  ExpectSameReport(t, baseline, frozen);
-  ExpectSameCounters(baseline.stats, frozen.stats);
+  KeyDiscoveryResult frozen = FindKeys(t, opt);
+  ExpectSameReport(t, oracle, frozen);
+  ExpectSameCounters(oracle.stats, frozen.stats);
 }
 
 TEST(FrozenTraversalTest, PreCancelledRunAbortsWithCancelled) {
@@ -212,8 +169,6 @@ TEST(FrozenTraversalTest, PreCancelledRunAbortsWithCancelled) {
   std::atomic<bool> cancel{true};
   GordianOptions opt;
   opt.cancel_flag = &cancel;
-  opt.traversal_threads = -1;
-  opt.frozen_traversal = true;
   KeyDiscoveryResult r = FindKeys(t, opt);
   EXPECT_TRUE(r.incomplete);
   EXPECT_EQ(r.incomplete_reason, AbortReason::kCancelled);
@@ -245,16 +200,6 @@ TEST(FrozenTraversalTest, AbortedRunFullyUnwindsFrozenRefs) {
   FrozenNonKeyFinder second(*frozen, opt2, &set2, &stats2);
   EXPECT_TRUE(second.Run());
   EXPECT_TRUE(frozen->AllRefsAreOne());
-}
-
-TEST(FrozenTraversalTest, OptionFlagForcesPointerPath) {
-  Table t = MakeTable(1200, 67);
-  GordianOptions opt;
-  opt.frozen_traversal = false;
-  KeyDiscoveryResult r = FindKeys(t, opt);
-  EXPECT_FALSE(r.stats.frozen_traversal_used);
-  EXPECT_EQ(r.stats.frozen_tree_bytes, 0);
-  EXPECT_FALSE(ResolveFrozenTraversal(opt));
 }
 
 TEST(FrozenSimdTest, KernelsAgreeWithScalarReference) {
@@ -291,7 +236,6 @@ TEST(FrozenSimdTest, KernelsAgreeWithScalarReference) {
 }
 
 TEST(FrozenTreeCacheTest, HitServesPrefrozenArtifact) {
-  if (!FrozenTreesEnabled()) GTEST_SKIP() << "GORDIAN_FROZEN=0";
   Table t = MakeTable(1500, 71);
   GordianOptions opt;
   const uint64_t fp = TableFingerprint(t);
@@ -300,7 +244,6 @@ TEST(FrozenTreeCacheTest, HitServesPrefrozenArtifact) {
   bool hit = false;
   KeyDiscoveryResult first = ProfileWithTreeCache(t, opt, fp, &cache, &hit);
   EXPECT_FALSE(hit);
-  EXPECT_TRUE(first.stats.frozen_traversal_used);
   EXPECT_GT(first.stats.freeze_seconds, 0.0);
   // The miss admitted the run's own frozen artifact; Insert refroze nothing.
   TreeArtifactCache::Stats cs = cache.GetStats();
@@ -309,7 +252,7 @@ TEST(FrozenTreeCacheTest, HitServesPrefrozenArtifact) {
 
   KeyDiscoveryResult second = ProfileWithTreeCache(t, opt, fp, &cache, &hit);
   EXPECT_TRUE(hit);
-  EXPECT_TRUE(second.stats.frozen_traversal_used);
+  EXPECT_GT(second.stats.frozen_tree_bytes, 0);
   // A hit pays neither build nor freeze: the prefrozen twin was injected.
   EXPECT_EQ(second.stats.freeze_seconds, 0.0);
   ExpectSameReport(t, first, second);

@@ -1,7 +1,8 @@
 // The golden property suite: on randomized tables, GORDIAN's key set must
 // equal the brute-force oracle's, under every pruning combination and
-// attribute ordering. This is the repository's primary correctness evidence
-// (invariants 1-4 of DESIGN.md).
+// attribute ordering — for the production traversal and for the
+// pointer-tree oracle alike. This is the repository's primary correctness
+// evidence (invariants 1-4 of DESIGN.md).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "bruteforce/brute_force.h"
 #include "core/gordian.h"
 #include "datagen/synthetic.h"
+#include "oracle/non_key_finder.h"
 
 namespace gordian {
 namespace {
@@ -68,6 +70,12 @@ TEST_P(GordianVsBruteForce, KeySetsMatch) {
   KeyDiscoveryResult r = FindKeys(t);
   ASSERT_FALSE(r.no_keys);
   EXPECT_EQ(Sorted(r.KeySets()), Sorted(oracle.keys));
+
+  // The pointer-tree traversal oracle is one more configuration of the
+  // same sweep, so it stays differential against brute force too.
+  KeyDiscoveryResult pointer = OracleFindKeys(t);
+  ASSERT_FALSE(pointer.no_keys);
+  EXPECT_EQ(Sorted(pointer.KeySets()), Sorted(oracle.keys));
 }
 
 TEST_P(GordianVsBruteForce, KeysVerifyUniqueAndMinimalAndNonKeysVerifyDuplicated) {

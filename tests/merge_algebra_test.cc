@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "core/prefix_tree.h"
+#include "oracle/merge_nodes.h"
 #include "table/table.h"
 
 namespace gordian {

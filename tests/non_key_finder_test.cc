@@ -1,15 +1,18 @@
-// Targeted unit tests for NonKeyFinder (Algorithm 4) beyond the end-to-end
-// sweeps: the Section 3.5 worked trace, pruning-counter behavior on crafted
-// trees, and the interaction between traversal and the NonKeySet.
-
-#include "core/non_key_finder.h"
+// Targeted unit tests for FrozenNonKeyFinder (Algorithm 4) beyond the
+// end-to-end sweeps: the Section 3.5 worked trace, pruning-counter behavior
+// on crafted trees, and the interaction between traversal and the
+// NonKeySet. Every run is repeated with the pointer-tree oracle, which must
+// find the same non-keys with the same work counters.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
+#include "core/frozen_tree.h"
 #include "core/gordian.h"
 #include "core/prefix_tree.h"
+#include "oracle/non_key_finder.h"
 #include "table/table.h"
 
 namespace gordian {
@@ -44,14 +47,30 @@ RunOutcome RunFinder(const Table& t, const GordianOptions& o) {
   RunOutcome out;
   PrefixTree tree = PrefixTree::Build(t, SchemaOrder(t.num_columns()),
                                       o.tree_build);
+  std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
   NonKeySet set(&out.stats);
-  NonKeyFinder finder(tree, o, &set, &out.stats);
+  FrozenNonKeyFinder finder(*frozen, o, &set, &out.stats);
   EXPECT_TRUE(finder.Run());
   out.non_keys = set.non_keys();
+
+  // Parity with the oracle: same non-keys, in the same insertion order,
+  // from the same amount of work.
+  GordianStats oracle_stats;
+  NonKeySet oracle_set(&oracle_stats);
+  NonKeyFinder oracle(tree, o, &oracle_set, &oracle_stats);
+  EXPECT_TRUE(oracle.Run());
+  EXPECT_EQ(oracle_set.non_keys(), out.non_keys);
+  EXPECT_EQ(oracle_stats.nodes_visited, out.stats.nodes_visited);
+  EXPECT_EQ(oracle_stats.merges_performed, out.stats.merges_performed);
+  EXPECT_EQ(oracle_stats.futility_prunes, out.stats.futility_prunes);
+  EXPECT_EQ(oracle_stats.singleton_traversal_prunes,
+            out.stats.singleton_traversal_prunes);
+  EXPECT_EQ(oracle_stats.single_entity_prunes,
+            out.stats.single_entity_prunes);
   return out;
 }
 
-TEST(NonKeyFinder, PaperTraceFindsTheTwoNonKeysWithOneFutilityPrune) {
+TEST(FrozenNonKeyFinderTest, PaperTraceFindsTheTwoNonKeysWithOneFutilityPrune) {
   // Section 3.5 narrates exactly one futility prune on this dataset (at
   // node M3, the <First Name> segment) and singleton prunes at node (6) and
   // at nodes (4),(5),(7) during the merged traversal.
@@ -69,7 +88,7 @@ TEST(NonKeyFinder, PaperTraceFindsTheTwoNonKeysWithOneFutilityPrune) {
   EXPECT_GT(out.stats.singleton_traversal_prunes, 0);
 }
 
-TEST(NonKeyFinder, NoPruningStillFindsTheSameNonKeys) {
+TEST(FrozenNonKeyFinderTest, NoPruningStillFindsTheSameNonKeys) {
   GordianOptions o;
   o.singleton_pruning = false;
   o.futility_pruning = false;
@@ -83,7 +102,7 @@ TEST(NonKeyFinder, NoPruningStillFindsTheSameNonKeys) {
   EXPECT_GT(out.stats.nodes_visited, pruned.stats.nodes_visited);
 }
 
-TEST(NonKeyFinder, UniqueColumnYieldsNoNonKeysThere) {
+TEST(FrozenNonKeyFinderTest, UniqueColumnYieldsNoNonKeysThere) {
   // Table where column 0 is unique: no non-key may contain... actually a
   // non-key may not exist at all if every column is unique; craft column 0
   // unique, column 1 constant.
@@ -94,10 +113,10 @@ TEST(NonKeyFinder, UniqueColumnYieldsNoNonKeysThere) {
   EXPECT_EQ(out.non_keys[0], AttributeSet{1});
 }
 
-TEST(NonKeyFinder, AllRowsIdenticalInOneColumnPair) {
+TEST(FrozenNonKeyFinderTest, AllRowsIdenticalInOneColumnPair) {
   // Two columns, both constant: the maximal non-key is {0,1} (all rows
   // collide), found at the leaf of the base tree... but identical full rows
-  // mean "no keys" and the tree flags it; NonKeyFinder is not even run by
+  // mean "no keys" and the tree flags it; the finder is not even run by
   // the facade. Here rows differ in a third column.
   TableBuilder b(Schema(std::vector<std::string>{"c1", "c2", "id"}));
   for (int i = 0; i < 8; ++i) {
@@ -108,7 +127,7 @@ TEST(NonKeyFinder, AllRowsIdenticalInOneColumnPair) {
   EXPECT_EQ(out.non_keys[0], (AttributeSet{0, 1}));
 }
 
-TEST(NonKeyFinder, SingleEntityPruneCountsSlicesOfOneEntity) {
+TEST(FrozenNonKeyFinderTest, SingleEntityPruneCountsSlicesOfOneEntity) {
   // Distinct ids at the root level: every level-1 slice holds one entity.
   TableBuilder b(Schema(std::vector<std::string>{"id", "x", "y"}));
   for (int i = 0; i < 16; ++i) {
@@ -119,34 +138,40 @@ TEST(NonKeyFinder, SingleEntityPruneCountsSlicesOfOneEntity) {
   EXPECT_EQ(out.stats.single_entity_prunes, 16);
 }
 
-TEST(NonKeyFinder, EmptyTreeIsANoOp) {
+TEST(FrozenNonKeyFinderTest, EmptyTreeIsANoOp) {
   TableBuilder b(Schema(std::vector<std::string>{"a"}));
   Table t = b.Build();
   GordianOptions o;
   GordianStats stats;
   PrefixTree tree = PrefixTree::Build(t, {0}, o.tree_build);
+  std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
   NonKeySet set(&stats);
-  NonKeyFinder finder(tree, o, &set, &stats);
+  FrozenNonKeyFinder finder(*frozen, o, &set, &stats);
   EXPECT_TRUE(finder.Run());
   EXPECT_EQ(set.size(), 0);
   EXPECT_EQ(stats.nodes_visited, 0);
 }
 
-TEST(NonKeyFinder, MergeIntermediatesAreReleased) {
+TEST(FrozenNonKeyFinderTest, MergeIntermediatesAreReleased) {
   Table t = PaperDataset();
   GordianOptions o;
   GordianStats stats;
   PrefixTree tree = PrefixTree::Build(t, SchemaOrder(4), o.tree_build);
-  int64_t base_nodes = tree.pool().live_nodes();
+  std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
+  const int64_t base_nodes = tree.pool().live_nodes();
   NonKeySet set(&stats);
-  NonKeyFinder finder(tree, o, &set, &stats);
+  FrozenNonKeyFinder finder(*frozen, o, &set, &stats);
+  finder.SetMergePool(&tree.pool());
   EXPECT_TRUE(finder.Run());
-  // Every merge intermediate must have been unreffed back to the base tree.
+  EXPECT_GT(stats.merge_nodes_created, 0);
+  // Every merge intermediate must have been released back to the pool, and
+  // every temporary share of a frozen node unwound.
   EXPECT_EQ(tree.pool().live_nodes(), base_nodes);
   EXPECT_GE(tree.pool().peak_bytes(), tree.pool().current_bytes());
+  EXPECT_TRUE(frozen->AllRefsAreOne());
 }
 
-TEST(NonKeyFinder, FutilityPruningNeedsDiscoveredNonKeys) {
+TEST(FrozenNonKeyFinderTest, FutilityPruningNeedsDiscoveredNonKeys) {
   // On a table whose only non-key is found last (lexicographically), the
   // futility counter stays low; the counter is data-dependent, so just
   // assert consistency: prunes require at least one prior non-key.

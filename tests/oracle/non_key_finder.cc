@@ -1,6 +1,11 @@
-#include "core/non_key_finder.h"
+#include "oracle/non_key_finder.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <utility>
+
+#include "core/pipeline.h"
 
 namespace gordian {
 
@@ -18,88 +23,21 @@ NonKeyFinder::NonKeyFinder(PrefixTree& tree,
     suffix_attrs_[l] = suffix_attrs_[l + 1];
     suffix_attrs_[l].Set(tree_.attribute_at_level(l));
   }
-  merge_pool_ = &tree_.pool();
 }
 
 bool NonKeyFinder::Run() {
   if (tree_.root() == nullptr || tree_.num_entities() == 0) return true;
-  StartBudgetClock(0);
-  Visit(tree_.root(), 0);
-  return !aborted_;
-}
-
-void NonKeyFinder::StartBudgetClock(double offset_seconds) {
-  budget_offset_seconds_ = offset_seconds;
   budget_watch_.Restart();
-}
-
-bool NonKeyFinder::RunSlice(int cell_index) {
-  PrefixTree::Node* root = tree_.root();
-  assert(root != nullptr && !root->is_leaf);
-  assert(cell_index >= 0 &&
-         cell_index < static_cast<int>(root->cells.size()));
-  if (aborted_) return false;
-  const int attr = tree_.attribute_at_level(0);
-  cur_non_key_.Set(attr);
-  const PrefixTree::Cell& cell = root->cells[cell_index];
-  if (options_.singleton_pruning && cell.child->ref_count > 1) {
-    // Cannot happen in a freshly built base tree (top-level subtrees have a
-    // single parent) but kept for exact parity with the serial loop body.
-    if (stats_ != nullptr) ++stats_->singleton_traversal_prunes;
-    if (observer_ != nullptr) observer_->OnPrune("singleton", 0);
-  } else {
-    Visit(cell.child, 1);
-  }
-  cur_non_key_.Reset(attr);
-  return !aborted_;
-}
-
-bool NonKeyFinder::RunRootMerge() {
-  PrefixTree::Node* root = tree_.root();
-  assert(root != nullptr && !root->is_leaf);
-  if (aborted_) return false;
-  // cur_non_key_ is empty here: the root attribute was projected back out at
-  // the end of every slice, matching line 22 of Algorithm 4.
-  assert(cur_non_key_.Empty());
-  if (root->cells.size() <= 1) {
-    if (root->cells.size() == 1) {
-      if (stats_ != nullptr) ++stats_->singleton_merge_prunes;
-      if (observer_ != nullptr) observer_->OnPrune("singleton-merge", 0);
-    }
-    return !aborted_;
-  }
-  if (options_.futility_pruning && FutilityCovered(suffix_attrs_[1])) {
-    if (stats_ != nullptr) ++stats_->futility_prunes;
-    if (observer_ != nullptr) observer_->OnPrune("futility", 0);
-    return !aborted_;
-  }
-  std::vector<PrefixTree::Node*> children;
-  children.reserve(root->cells.size());
-  for (const PrefixTree::Cell& cell : root->cells) {
-    children.push_back(cell.child);
-  }
-  PrefixTree::Node* merged =
-      MergeNodes(*merge_pool_, children, stats_, &merge_scratch_);
-  if (observer_ != nullptr) observer_->OnMerge(0);
-  Visit(merged, 1);
-  merge_pool_->Unref(merged);
+  Visit(tree_.root(), 0);
   return !aborted_;
 }
 
 bool NonKeyFinder::OverBudget() {
   if (aborted_) return true;
-  // A relaxed load per Visit is noise next to the traversal work, so the
-  // cancellation and stop flags — unlike the clock — are polled unamortized:
-  // a cancelled service job should unwind promptly.
   if (options_.cancel_flag != nullptr &&
       options_.cancel_flag->load(std::memory_order_relaxed)) {
     aborted_ = true;
     abort_reason_ = AbortReason::kCancelled;
-    return true;
-  }
-  if (external_stop_ != nullptr &&
-      external_stop_->load(std::memory_order_relaxed)) {
-    aborted_ = true;  // reason stays kNone: it belongs to another worker
     return true;
   }
   if (options_.max_non_keys > 0 && non_keys_->size() > options_.max_non_keys) {
@@ -107,17 +45,12 @@ bool NonKeyFinder::OverBudget() {
     abort_reason_ = AbortReason::kNonKeyBudget;
     return true;
   }
-  // The wall-clock check (and the snapshot maintenance hook) is amortized
-  // over a finder-local tick so it works — and costs the same — whether or
-  // not a stats sink was supplied.
-  if ((++visit_tick_ & 0xFFF) == 0) {
-    if (maintenance_) maintenance_();
-    if (options_.time_budget_seconds > 0 &&
-        budget_offset_seconds_ + budget_watch_.ElapsedSeconds() >
-            options_.time_budget_seconds) {
-      aborted_ = true;
-      abort_reason_ = AbortReason::kTimeBudget;
-    }
+  // The clock check is amortized over a finder-local tick, exactly like the
+  // production finder's, so both abort after the same number of visits.
+  if ((++visit_tick_ & 0xFFF) == 0 && options_.time_budget_seconds > 0 &&
+      budget_watch_.ElapsedSeconds() > options_.time_budget_seconds) {
+    aborted_ = true;
+    abort_reason_ = AbortReason::kTimeBudget;
   }
   return aborted_;
 }
@@ -127,12 +60,7 @@ bool NonKeyFinder::FutilityCovered(const AttributeSet& probe) {
     if (stats_ != nullptr) ++stats_->warm_start_prunes;
     return true;
   }
-  if (non_keys_->CoversSet(probe)) return true;
-  if (remote_cover_ && remote_cover_(probe)) {
-    if (stats_ != nullptr) ++stats_->futility_snapshot_prunes;
-    return true;
-  }
-  return false;
+  return non_keys_->CoversSet(probe);
 }
 
 void NonKeyFinder::ProcessLeaf(PrefixTree::Node* node, int level) {
@@ -225,10 +153,100 @@ void NonKeyFinder::Visit(PrefixTree::Node* node, int level) {
     children.push_back(cell.child);
   }
   PrefixTree::Node* merged =
-      MergeNodes(*merge_pool_, children, stats_, &merge_scratch_);
+      MergeNodes(tree_.pool(), children, stats_, &merge_scratch_);
   if (observer_ != nullptr) observer_->OnMerge(level);
   Visit(merged, level + 1);
-  merge_pool_->Unref(merged);  // line 29: discard the merged tree
+  tree_.pool().Unref(merged);  // line 29: discard the merged tree
+}
+
+namespace {
+
+bool HasNull(const Table& table, int column) {
+  const uint32_t null_code = table.dictionary(column).Lookup(Value::Null());
+  return null_code != UINT32_MAX &&
+         table.column_codes(column).CountEqual(null_code) > 0;
+}
+
+}  // namespace
+
+KeyDiscoveryResult OracleFindKeys(const Table& table,
+                                  const GordianOptions& options) {
+  GordianOptions opts = options;
+  const int d = table.num_columns();
+  if (opts.null_semantics ==
+      GordianOptions::NullSemantics::kExcludeNullableColumns) {
+    opts.null_semantics = GordianOptions::NullSemantics::kNullEqualsNull;
+    std::vector<int> kept;
+    for (int c = 0; c < d; ++c) {
+      if (!HasNull(table, c)) kept.push_back(c);
+    }
+    if (static_cast<int>(kept.size()) < d) {
+      KeyDiscoveryResult out;
+      if (!kept.empty()) {
+        out = OracleFindKeys(table.SelectColumns(kept), opts);
+        auto remap = [&](const AttributeSet& attrs) {
+          AttributeSet lifted;
+          attrs.ForEach([&](int a) { lifted.Set(kept[a]); });
+          return lifted;
+        };
+        for (DiscoveredKey& k : out.keys) k.attrs = remap(k.attrs);
+        for (AttributeSet& nk : out.non_keys) nk = remap(nk);
+      }
+      out.stats.num_attributes = d;
+      return out;
+    }
+  }
+
+  ProfileContext ctx;
+  ctx.input = &table;
+  ctx.options = opts;
+  EncodeStage(&ctx);
+  if (ctx.finished) return std::move(ctx.result);
+
+  KeyDiscoveryResult& result = ctx.result;
+  PrefixTree tree =
+      PrefixTree::Build(*ctx.data, ctx.attr_order, opts.tree_build);
+  result.stats.base_tree_nodes = tree.node_count();
+  result.stats.base_tree_cells = tree.cell_count();
+  if (tree.has_duplicate_entities()) {
+    result.no_keys = true;
+    result.non_keys.push_back(AttributeSet::FirstN(d));
+    return std::move(ctx.result);
+  }
+  if (ctx.Cancelled()) {
+    result.incomplete = true;
+    result.incomplete_reason = AbortReason::kCancelled;
+    return std::move(ctx.result);
+  }
+
+  NonKeySet non_key_set(&result.stats);
+  NonKeySet warm_set(nullptr);
+  const std::vector<AttributeSet>* warm_seeds = opts.warm_start_non_keys;
+  const bool warm = warm_seeds != nullptr && !warm_seeds->empty();
+  if (warm) {
+    for (const AttributeSet& nk : *warm_seeds) {
+      warm_set.Insert(nk);
+      non_key_set.Insert(nk);
+    }
+    result.stats.warm_start_seeds += static_cast<int64_t>(warm_seeds->size());
+  }
+  NonKeyFinder finder(tree, opts, &non_key_set, &result.stats);
+  if (warm) finder.SetWarmCover(&warm_set);
+  result.incomplete = !finder.Run();
+  result.incomplete_reason = finder.abort_reason();
+  result.stats.final_non_keys = non_key_set.size();
+  result.non_keys = non_key_set.non_keys();
+  // Cardinality first, then bitset order.
+  std::sort(result.non_keys.begin(), result.non_keys.end(),
+            [](const AttributeSet& a, const AttributeSet& b) {
+              if (a.Count() != b.Count()) return a.Count() < b.Count();
+              return a < b;
+            });
+  if (result.incomplete) return std::move(ctx.result);
+
+  ConvertStage(&ctx);
+  ValidateStage(&ctx);
+  return std::move(ctx.result);
 }
 
 }  // namespace gordian

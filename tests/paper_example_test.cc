@@ -1,5 +1,6 @@
 // End-to-end checks against the paper's running example (Figure 1 and the
-// worked NonKeyFinder trace of Section 3.5).
+// worked non-key search trace of Section 3.5, which FindKeys runs through
+// FrozenNonKeyFinder).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 
 #include "bruteforce/brute_force.h"
 #include "core/gordian.h"
+#include "oracle/non_key_finder.h"
 #include "table/table.h"
 
 namespace gordian {
@@ -108,6 +110,22 @@ TEST(PaperExample, ResultIsIndependentOfAttributeOrderAndPruning) {
       }
     }
   }
+}
+
+TEST(PaperExample, OracleReplaysTheSameTrace) {
+  // The pointer-tree oracle walks the Section 3.5 trace over the same tree:
+  // identical report and identical work.
+  Table t = PaperDataset();
+  GordianOptions opts;
+  opts.attribute_order = GordianOptions::AttributeOrder::kSchema;
+  KeyDiscoveryResult frozen = FindKeys(t, opts);
+  KeyDiscoveryResult oracle = OracleFindKeys(t, opts);
+  EXPECT_EQ(FormatResult(t, frozen), FormatResult(t, oracle));
+  EXPECT_EQ(frozen.stats.nodes_visited, oracle.stats.nodes_visited);
+  EXPECT_EQ(frozen.stats.merges_performed, oracle.stats.merges_performed);
+  EXPECT_EQ(frozen.stats.futility_prunes, oracle.stats.futility_prunes);
+  EXPECT_EQ(frozen.stats.singleton_traversal_prunes,
+            oracle.stats.singleton_traversal_prunes);
 }
 
 TEST(PaperExample, DuplicateEntityMeansNoKeys) {

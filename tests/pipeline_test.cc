@@ -1,8 +1,7 @@
-// Tests for the staged profiling pipeline (core/pipeline.h): the default
-// plan must reproduce FindKeys byte-for-byte in serial and parallel
-// traversal modes, shared-tree runs must match fresh runs and leave the
-// injected tree reusable, and per-stage metrics must cover the executed
-// stages.
+// Tests for the staged profiling pipeline (core/pipeline.h): a session
+// must reproduce FindKeys and the pointer-tree oracle byte for byte,
+// shared-tree runs must match fresh runs and leave the injected tree
+// reusable, and per-stage metrics must cover the executed stages.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +14,7 @@
 #include "core/pipeline.h"
 #include "core/prefix_tree.h"
 #include "datagen/synthetic.h"
+#include "oracle/non_key_finder.h"
 
 namespace gordian {
 namespace {
@@ -45,10 +45,9 @@ void ExpectSameReport(const Table& table, const KeyDiscoveryResult& a,
   }
 }
 
-TEST(PipelineTest, DefaultPlanMatchesFindKeysSerial) {
+TEST(PipelineTest, SessionMatchesFindKeys) {
   Table t = MakeTable(3000, 17);
   GordianOptions opt;
-  opt.traversal_threads = -1;  // pin serial regardless of GORDIAN_THREADS
   KeyDiscoveryResult baseline = FindKeys(t, opt);
 
   ProfileSession session(opt);
@@ -60,25 +59,22 @@ TEST(PipelineTest, DefaultPlanMatchesFindKeysSerial) {
   EXPECT_EQ(baseline.stats.final_non_keys, piped.stats.final_non_keys);
 }
 
-TEST(PipelineTest, ParallelTraversalMatchesSerial) {
+TEST(PipelineTest, SessionMatchesOracle) {
   Table t = MakeTable(3000, 23);
-  GordianOptions serial;
-  serial.traversal_threads = -1;
-  KeyDiscoveryResult baseline = FindKeys(t, serial);
+  KeyDiscoveryResult oracle = OracleFindKeys(t);
 
-  GordianOptions par;
-  par.traversal_threads = 8;
-  ProfileSession session(par);
+  ProfileSession session(GordianOptions{});
   KeyDiscoveryResult piped;
   ASSERT_TRUE(session.Run(t, &piped).ok());
-  ExpectSameReport(t, baseline, piped);
+  ExpectSameReport(t, oracle, piped);
+  EXPECT_EQ(oracle.stats.nodes_visited, piped.stats.nodes_visited);
+  EXPECT_EQ(oracle.stats.merges_performed, piped.stats.merges_performed);
 }
 
 TEST(PipelineTest, SharedTreeRunMatchesFreshRunAndTreeStaysReusable) {
   Table t = MakeTable(2500, 31);
   GordianOptions opt;
-  opt.traversal_threads = -1;
-  KeyDiscoveryResult baseline = FindKeys(t, opt);
+  KeyDiscoveryResult baseline = OracleFindKeys(t, opt);
 
   ProfileSession builder(opt);
   KeyDiscoveryResult first;
@@ -101,31 +97,37 @@ TEST(PipelineTest, SharedTreeRunMatchesFreshRunAndTreeStaysReusable) {
   }
 }
 
-TEST(PipelineTest, SharedTreeRunMatchesUnderParallelTraversal) {
+TEST(PipelineTest, SharedFrozenTreeRunMatchesAndStaysReusable) {
+  // The tree-cache-hit shape: both the pointer tree and its frozen layout
+  // are injected, so the run skips the build and the freeze.
   Table t = MakeTable(2500, 37);
-  GordianOptions serial;
-  serial.traversal_threads = -1;
-  KeyDiscoveryResult baseline = FindKeys(t, serial);
+  GordianOptions opt;
+  KeyDiscoveryResult baseline = OracleFindKeys(t, opt);
 
-  ProfileSession builder(serial);
+  ProfileSession builder(opt);
   KeyDiscoveryResult first;
   ASSERT_TRUE(builder.Run(t, &first).ok());
   std::unique_ptr<PrefixTree> tree = builder.TakeTree();
+  std::unique_ptr<FrozenTree> frozen = builder.TakeFrozenTree();
   ASSERT_NE(tree, nullptr);
+  ASSERT_NE(frozen, nullptr);
 
-  GordianOptions par;
-  par.traversal_threads = 8;
-  ProfileSession reuser(par);
-  reuser.set_shared_tree(tree.get());
-  KeyDiscoveryResult reused;
-  ASSERT_TRUE(reuser.Run(t, &reused).ok());
-  ExpectSameReport(t, baseline, reused);
+  for (int round = 0; round < 2; ++round) {
+    ProfileSession reuser(opt);
+    reuser.set_shared_tree(tree.get());
+    reuser.set_shared_frozen_tree(frozen.get());
+    KeyDiscoveryResult reused;
+    ASSERT_TRUE(reuser.Run(t, &reused).ok());
+    ExpectSameReport(t, baseline, reused);
+    EXPECT_EQ(reused.stats.freeze_seconds, 0.0);
+    EXPECT_EQ(reuser.TakeFrozenTree(), nullptr);  // froze nothing
+    EXPECT_TRUE(frozen->AllRefsAreOne());
+  }
 }
 
 TEST(PipelineTest, SampledRunMatchesFindKeys) {
   Table t = MakeTable(4000, 41);
   GordianOptions opt;
-  opt.traversal_threads = -1;
   opt.sample_rows = 500;
   opt.sample_seed = 7;
   KeyDiscoveryResult baseline = FindKeys(t, opt);
@@ -135,6 +137,7 @@ TEST(PipelineTest, SampledRunMatchesFindKeys) {
   KeyDiscoveryResult piped;
   ASSERT_TRUE(session.Run(t, &piped).ok());
   ExpectSameReport(t, baseline, piped);
+  ExpectSameReport(t, OracleFindKeys(t, opt), piped);
 }
 
 TEST(PipelineTest, NullExclusionRunMatchesFindKeys) {
@@ -148,7 +151,6 @@ TEST(PipelineTest, NullExclusionRunMatchesFindKeys) {
   Table t = b.Build();
 
   GordianOptions opt;
-  opt.traversal_threads = -1;
   opt.null_semantics = GordianOptions::NullSemantics::kExcludeNullableColumns;
   KeyDiscoveryResult baseline = FindKeys(t, opt);
 
@@ -156,6 +158,7 @@ TEST(PipelineTest, NullExclusionRunMatchesFindKeys) {
   KeyDiscoveryResult piped;
   ASSERT_TRUE(session.Run(t, &piped).ok());
   ExpectSameReport(t, baseline, piped);
+  ExpectSameReport(t, OracleFindKeys(t, opt), piped);
 }
 
 TEST(PipelineTest, DuplicateEntitiesConcludeAfterTreeBuild) {
@@ -175,6 +178,34 @@ TEST(PipelineTest, DuplicateEntitiesConcludeAfterTreeBuild) {
   for (const StageMetric& m : session.stage_metrics()) {
     EXPECT_NE(m.name, std::string("traverse"));
   }
+  ExpectSameReport(t, OracleFindKeys(t), r);
+}
+
+TEST(PipelineTest, TrivialTablesMatchOracle) {
+  // Single row, empty table, single column: the traversal either never
+  // runs or visits one leaf, and every path must still report like the
+  // oracle.
+  std::vector<Table> tables;
+  {
+    TableBuilder b(Schema(std::vector<std::string>{"a", "b", "c"}));
+    b.AddRow({Value(int64_t{1}), Value("x"), Value(2.0)});
+    tables.push_back(b.Build());
+  }
+  {
+    TableBuilder b(Schema(std::vector<std::string>{"a", "b"}));
+    tables.push_back(b.Build());
+  }
+  {
+    TableBuilder b(Schema(std::vector<std::string>{"only"}));
+    for (int64_t i = 0; i < 5; ++i) b.AddRow({Value(i)});
+    tables.push_back(b.Build());
+  }
+  for (const Table& t : tables) {
+    ProfileSession session(GordianOptions{});
+    KeyDiscoveryResult r;
+    ASSERT_TRUE(session.Run(t, &r).ok());
+    ExpectSameReport(t, OracleFindKeys(t), r);
+  }
 }
 
 TEST(PipelineTest, PreCancelledRunFinishesIncomplete) {
@@ -193,7 +224,6 @@ TEST(PipelineTest, PreCancelledRunFinishesIncomplete) {
 TEST(PipelineTest, StageMetricsCoverExecutedStages) {
   Table t = MakeTable(2000, 61);
   GordianOptions opt;
-  opt.traversal_threads = -1;
   ProfileSession session(opt);
   KeyDiscoveryResult r;
   ASSERT_TRUE(session.Run(t, &r).ok());
@@ -215,7 +245,6 @@ TEST(PipelineTest, SessionIsReusableAcrossTables) {
   Table a = MakeTable(1500, 67);
   Table b = MakeTable(1500, 71);
   GordianOptions opt;
-  opt.traversal_threads = -1;
   ProfileSession session(opt);
 
   KeyDiscoveryResult ra, rb, ra2;
@@ -225,14 +254,6 @@ TEST(PipelineTest, SessionIsReusableAcrossTables) {
   ExpectSameReport(a, ra, ra2);
   ExpectSameReport(a, FindKeys(a, opt), ra);
   ExpectSameReport(b, FindKeys(b, opt), rb);
-}
-
-TEST(PipelineTest, ResolveTraversalThreadsHonorsExplicitSetting) {
-  GordianOptions opt;
-  opt.traversal_threads = 4;
-  EXPECT_EQ(ResolveTraversalThreads(opt), 4);
-  opt.traversal_threads = -1;
-  EXPECT_EQ(ResolveTraversalThreads(opt), 0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the prefix tree (Algorithm 2) and node merging
-// (Algorithm 3), including the structures of the paper's Figures 6-8 and the
-// reference-counting discipline.
+// (Algorithm 3, the pointer-tree MergeNodes of tests/oracle/), including the
+// structures of the paper's Figures 6-8 and the reference-counting
+// discipline.
 
 #include "core/prefix_tree.h"
 
@@ -8,6 +9,8 @@
 
 #include <string>
 #include <vector>
+
+#include "oracle/merge_nodes.h"
 
 namespace gordian {
 namespace {

@@ -21,6 +21,7 @@
 #include "common/random.h"
 #include "core/foreign_key.h"
 #include "core/gordian.h"
+#include "oracle/non_key_finder.h"
 #include "service/profiling_service.h"
 #include "service/schema_profiler.h"
 #include "table/table.h"
@@ -245,11 +246,21 @@ TEST(SchemaEquivalence, ResidentAndSpilledTablesIdentical) {
 
     Random rng_opts(seed ^ 0xabcdef);
     ForeignKeyOptions options = FuzzFkOptions(&rng_opts);
+    const std::vector<ProfiledTable> profiled_spilled = ProfileAll(spilled);
     std::vector<ForeignKeyCandidate> a =
         DiscoverForeignKeys(ProfileAll(resident), options);
     std::vector<ForeignKeyCandidate> b =
-        DiscoverForeignKeys(ProfileAll(spilled), options);
+        DiscoverForeignKeys(profiled_spilled, options);
     EXPECT_EQ(CandidatesToString(a), CandidatesToString(b)) << "iter " << iter;
+
+    // The keys FK discovery builds on: the production traversal over
+    // spilled columns agrees with the pointer-tree oracle over resident
+    // ones.
+    for (size_t i = 0; i < resident.size(); ++i) {
+      EXPECT_EQ(profiled_spilled[i].keys,
+                OracleFindKeys(resident[i]).KeySets())
+          << "iter " << iter << " table " << i;
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 #include "core/gordian.h"
 #include "core/report.h"
 #include "core/streaming.h"
+#include "oracle/non_key_finder.h"
 #include "service/profiling_service.h"
 #include "service/table_artifacts.h"
 #include "table/csv.h"
@@ -63,12 +64,15 @@ std::string MakeCsv(const std::string& dir, int64_t rows, uint64_t seed) {
 
 // Profiling report with run-dependent stats zeroed, so equality is
 // byte-identical over everything discovery can observe.
-std::string CanonicalReport(const Table& t) {
+std::string CanonicalJson(const Table& t, KeyDiscoveryResult r) {
   DatabaseProfile p;
-  KeyDiscoveryResult r = FindKeys(t);
   r.stats = GordianStats{};
   p.tables.push_back({"t", &t, std::move(r)});
   return ProfileToJson(p);
+}
+
+std::string CanonicalReport(const Table& t) {
+  return CanonicalJson(t, FindKeys(t));
 }
 
 SpillPolicy Policy(const std::string& dir, int64_t budget) {
@@ -104,6 +108,10 @@ TEST(SpillEquivalence, CsvIngestMatchesResidentAcrossBudgets) {
 
       EXPECT_EQ(TableFingerprint(spilled), want_fp) << "budget " << budget;
       EXPECT_EQ(CanonicalReport(spilled), want_report) << "budget " << budget;
+      // The pointer-tree oracle, building its tree from the spilled
+      // columns, reports the same.
+      EXPECT_EQ(CanonicalJson(spilled, OracleFindKeys(spilled)), want_report)
+          << "budget " << budget;
 
       // The full distinct-count family over assorted projections.
       for (AttributeSet attrs :

@@ -1,18 +1,22 @@
 // Specification tests for the segment processing order (the paper's
-// Figure 9): with pruning disabled, NonKeyFinder must examine, for a single
-// slice over attributes X, Y, Z, the segments in the order
+// Figure 9): with pruning disabled, FrozenNonKeyFinder must examine, for a
+// single slice over attributes X, Y, Z, the segments in the order
 //   XYZ, XY, XZ, X, YZ, Y, Z
 // — each level's attribute is projected out only after everything beneath
 // it was explored, which is exactly what makes the covered-first pruning
-// opportunities of Section 3.4 possible.
+// opportunities of Section 3.4 possible. The pointer-tree oracle must emit
+// the identical event stream.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/non_key_finder.h"
+#include "core/frozen_tree.h"
 #include "core/prefix_tree.h"
+#include "oracle/non_key_finder.h"
 #include "table/table.h"
 
 namespace gordian {
@@ -35,11 +39,27 @@ class RecordingObserver : public TraversalObserver {
   std::vector<std::pair<std::string, int>> prunes;
 };
 
-RecordingObserver RunWithObserver(const Table& t, const GordianOptions& o) {
-  RecordingObserver obs;
+std::vector<int> SchemaOrder(const Table& t) {
   std::vector<int> order(t.num_columns());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  PrefixTree tree = PrefixTree::Build(t, order, o.tree_build);
+  return order;
+}
+
+RecordingObserver RunWithObserver(const Table& t, const GordianOptions& o) {
+  RecordingObserver obs;
+  PrefixTree tree = PrefixTree::Build(t, SchemaOrder(t), o.tree_build);
+  std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
+  GordianStats stats;
+  NonKeySet set(&stats);
+  FrozenNonKeyFinder finder(*frozen, o, &set, &stats, &obs);
+  EXPECT_TRUE(finder.Run());
+  return obs;
+}
+
+RecordingObserver RunOracleWithObserver(const Table& t,
+                                        const GordianOptions& o) {
+  RecordingObserver obs;
+  PrefixTree tree = PrefixTree::Build(t, SchemaOrder(t), o.tree_build);
   GordianStats stats;
   NonKeySet set(&stats);
   NonKeyFinder finder(tree, o, &set, &stats, &obs);
@@ -175,20 +195,46 @@ TEST(TraversalOrder, ObserverDoesNotChangeResults) {
   Table t = DenseThreeAttrTable();
   GordianOptions o;
   RecordingObserver obs;
-  std::vector<int> order = {0, 1, 2};
-  PrefixTree tree1 = PrefixTree::Build(t, order, o.tree_build);
+  PrefixTree tree = PrefixTree::Build(t, {0, 1, 2}, o.tree_build);
+  std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
   GordianStats s1;
   NonKeySet set1(&s1);
-  NonKeyFinder f1(tree1, o, &set1, &s1, &obs);
+  FrozenNonKeyFinder f1(*frozen, o, &set1, &s1, &obs);
   EXPECT_TRUE(f1.Run());
 
-  PrefixTree tree2 = PrefixTree::Build(t, order, o.tree_build);
   GordianStats s2;
   NonKeySet set2(&s2);
-  NonKeyFinder f2(tree2, o, &set2, &s2, nullptr);
+  FrozenNonKeyFinder f2(*frozen, o, &set2, &s2, nullptr);
   EXPECT_TRUE(f2.Run());
 
   EXPECT_EQ(set1.non_keys(), set2.non_keys());
+}
+
+// Every callback, in order, under every pruning combination: the frozen
+// finder replays the oracle's traversal decision for decision.
+void ExpectIdenticalEventStreams(const Table& t) {
+  for (int mask = 0; mask < 8; ++mask) {
+    GordianOptions o;
+    o.singleton_pruning = (mask & 1) != 0;
+    o.futility_pruning = (mask & 2) != 0;
+    o.single_entity_pruning = (mask & 4) != 0;
+    const RecordingObserver frozen = RunWithObserver(t, o);
+    const RecordingObserver oracle = RunOracleWithObserver(t, o);
+    EXPECT_EQ(frozen.segments, oracle.segments) << "mask " << mask;
+    EXPECT_EQ(frozen.non_keys, oracle.non_keys) << "mask " << mask;
+    EXPECT_EQ(frozen.merges, oracle.merges) << "mask " << mask;
+    EXPECT_EQ(frozen.prunes, oracle.prunes) << "mask " << mask;
+  }
+}
+
+TEST(TraversalOrder, FrozenAndOracleEmitIdenticalEventStreams) {
+  ExpectIdenticalEventStreams(DenseThreeAttrTable());
+  TableBuilder b(Schema(std::vector<std::string>{"a", "b", "c", "d"}));
+  for (int i = 0; i < 60; ++i) {
+    b.AddRow({Value(int64_t{i % 2}), Value(int64_t{i % 4}),
+              Value(int64_t{i % 5}), Value(int64_t{i / 3})});
+  }
+  ExpectIdenticalEventStreams(b.Build());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "core/pipeline.h"
 #include "core/prefix_tree.h"
 #include "datagen/synthetic.h"
+#include "oracle/non_key_finder.h"
 #include "service/profiling_service.h"
 #include "service/tree_cache.h"
 #include "table/fingerprint.h"
@@ -42,12 +43,11 @@ std::unique_ptr<PrefixTree> BuildTree(const Table& t,
 }
 
 // The byte footprint one cache entry for `tree` will occupy: the pool's
-// bytes plus (when freezing is on) the flat layout admitted alongside.
-// The budget-sensitive tests below size their caches in this unit.
+// bytes plus the flat layout admitted alongside. The budget-sensitive tests
+// below size their caches in this unit.
 int64_t EntryFootprint(const PrefixTree& tree) {
-  int64_t bytes = const_cast<PrefixTree&>(tree).pool().current_bytes();
-  if (FrozenTreesEnabled()) bytes += FrozenTree::Freeze(tree)->ApproxBytes();
-  return bytes;
+  return const_cast<PrefixTree&>(tree).pool().current_bytes() +
+         FrozenTree::Freeze(tree)->ApproxBytes();
 }
 
 TEST(TreeCacheKeyTest, DistinguishesTreeShapingOptions) {
@@ -207,12 +207,11 @@ TEST(TreeCacheTest, OversizedArtifactIsServedButNotAdmitted) {
   EXPECT_EQ(s.entries, 0);
 }
 
-TEST(TreeCacheTest, ProfileWithTreeCacheReusesTreeAndMatchesFindKeys) {
+TEST(TreeCacheTest, ProfileWithTreeCacheReusesTreeAndMatchesOracle) {
   Table t = MakeTable(2000, 11);
   GordianOptions opt;
-  opt.traversal_threads = -1;
   const uint64_t fp = TableFingerprint(t);
-  KeyDiscoveryResult baseline = FindKeys(t, opt);
+  KeyDiscoveryResult baseline = OracleFindKeys(t, opt);
 
   TreeArtifactCache cache;
   bool hit = true;
@@ -250,9 +249,7 @@ TEST(TreeCacheTest, ProfileWithTreeCacheReusesTreeAndMatchesFindKeys) {
 
 TEST(TreeCacheTest, ServiceJobsReuseTreesAcrossRepeatedProfiles) {
   Table t = MakeTable(2000, 13);
-  GordianOptions ref;
-  ref.traversal_threads = -1;
-  KeyDiscoveryResult baseline = FindKeys(t, ref);
+  KeyDiscoveryResult baseline = OracleFindKeys(t);
 
   ServiceOptions sopt;
   sopt.num_threads = 2;
@@ -292,9 +289,7 @@ TEST(TreeCacheTest, ConcurrentJobsOnIdenticalTablesStayCorrect) {
   Table a = MakeTable(1500, 17);
   Table b = MakeTable(1500, 17);
   ASSERT_EQ(TableFingerprint(a), TableFingerprint(b));
-  GordianOptions ref;
-  ref.traversal_threads = -1;
-  const std::string expected = FormatResult(a, FindKeys(a, ref));
+  const std::string expected = FormatResult(a, OracleFindKeys(a));
 
   ServiceOptions sopt;
   sopt.num_threads = 4;
