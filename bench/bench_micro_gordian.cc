@@ -317,8 +317,8 @@ void WriteAppendVsFullJson(std::ostream& os, int reps) {
   const int64_t base_sizes[] = {5000, 20000, 50000};
   const int64_t delta_sizes[] = {128, 512, 2048};
   Table pool = MakeUniformTable(3 * 2048, 917);
-  os << "   \"config\": \"append: IncrementalProfiler::Append (tree absorb "
-        "+ warm re-traversal); full: from-scratch FindKeys on the "
+  os << "   \"config\": \"append: IncrementalProfiler::Append (frozen-tree "
+        "absorb + warm re-traversal); full: from-scratch FindKeys on the "
         "concatenated table; best of reps\",\n"
      << "   \"dataset\": \"uniform_8attr_card32_unique_rows\",\n"
      << "   \"points\": [\n";

@@ -1,6 +1,7 @@
 #include "core/frozen_tree.h"
 
 #include <algorithm>
+#include <numeric>
 
 #if defined(__x86_64__) && !defined(GORDIAN_DISABLE_SIMD) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -133,10 +134,24 @@ const char* ActiveKernel() { return HaveAvx2() ? "avx2" : "scalar"; }
 
 }  // namespace frozen_simd
 
+namespace {
+
+int64_t LevelBytes(const FrozenTree::Level& lv) {
+  return static_cast<int64_t>(lv.cell_begin.capacity() * sizeof(uint32_t) +
+                              lv.code.capacity() * sizeof(uint32_t) +
+                              lv.count.capacity() * sizeof(int64_t) +
+                              lv.entity_total.capacity() * sizeof(int64_t) +
+                              lv.ref.capacity() * sizeof(int32_t) +
+                              sizeof(FrozenTree::Level));
+}
+
+}  // namespace
+
 std::unique_ptr<FrozenTree> FrozenTree::Freeze(const PrefixTree& tree) {
   std::unique_ptr<FrozenTree> out(new FrozenTree());
   out->attr_order_ = tree.attr_order();
   out->num_entities_ = tree.num_entities();
+  out->has_duplicate_entities_ = tree.has_duplicate_entities();
   const int depth = tree.num_levels();
   out->levels_.resize(static_cast<size_t>(depth));
 
@@ -174,19 +189,169 @@ std::unique_ptr<FrozenTree> FrozenTree::Freeze(const PrefixTree& tree) {
     lv.ref.assign(cur.size(), 1);
     out->node_count_ += static_cast<int64_t>(cur.size());
     out->cell_count_ += static_cast<int64_t>(cells);
-    out->approx_bytes_ +=
-        static_cast<int64_t>(lv.cell_begin.capacity() * sizeof(uint32_t) +
-                             lv.code.capacity() * sizeof(uint32_t) +
-                             lv.count.capacity() * sizeof(int64_t) +
-                             lv.entity_total.capacity() * sizeof(int64_t) +
-                             lv.ref.capacity() * sizeof(int32_t) +
-                             sizeof(Level));
+    out->approx_bytes_ += LevelBytes(lv);
     cur.swap(next);
     next.clear();
   }
   assert(out->node_count_ == tree.node_count());
   assert(out->cell_count_ == tree.cell_count());
   return out;
+}
+
+namespace {
+
+// Sorted delta rows [begin, end) that agree on every level above the one
+// being merged, and the node they reach there: old node `node`, or — when
+// `fresh` — a node the delta creates just before old node `node` (at the
+// end when `node` is the old node count). `runs_begin`/`runs_end` index
+// the group's AbsorbRuns once resolved.
+struct AbsorbGroup {
+  int64_t begin, end;
+  uint32_t node;
+  bool fresh;
+  size_t runs_begin = 0, runs_end = 0;
+};
+
+// The rows [begin, end) of a group that carry `code` at the level being
+// merged, and where that code lands: old cell `cell` when `hit`, otherwise
+// a new cell inserted just before old cell `cell`. Its children form the
+// next level's group: the child of old cell g is old node g there.
+struct AbsorbRun {
+  int64_t begin, end;
+  uint32_t code;
+  uint32_t cell;
+  bool hit;
+};
+
+}  // namespace
+
+int64_t FrozenTree::Absorb(const std::vector<const uint32_t*>& level_codes,
+                           int64_t num_rows, const std::atomic<bool>* cancel) {
+  const int depth = num_levels();
+  assert(depth > 0);
+  assert(static_cast<int>(level_codes.size()) == depth);
+  if (num_rows <= 0) return 0;
+
+  // Lexicographic order by level codes: rows sharing a prefix become
+  // contiguous, in the cell order the levels store them.
+  std::vector<int64_t> rows(static_cast<size_t>(num_rows));
+  std::iota(rows.begin(), rows.end(), int64_t{0});
+  std::sort(rows.begin(), rows.end(), [&](int64_t a, int64_t b) {
+    for (const uint32_t* codes : level_codes) {
+      if (codes[a] != codes[b]) return codes[a] < codes[b];
+    }
+    return false;
+  });
+  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return 0;
+
+  std::vector<AbsorbGroup> groups = {{0, num_rows, 0, false}};  // the root
+  std::vector<AbsorbGroup> next_groups;
+  std::vector<AbsorbRun> runs;
+  for (int l = 0; l < depth; ++l) {
+    Level& old = levels_[static_cast<size_t>(l)];
+    const uint32_t* codes = level_codes[static_cast<size_t>(l)];
+    const bool leaf = l == depth - 1;
+
+    // Resolve each group's distinct codes against the node it reaches.
+    runs.clear();
+    size_t new_cells = 0, new_nodes = 0;
+    for (AbsorbGroup& g : groups) {
+      g.runs_begin = runs.size();
+      uint32_t pos = old.cell_begin[g.node];
+      const uint32_t span_end = g.fresh ? pos : old.cell_begin[g.node + 1];
+      if (g.fresh) ++new_nodes;
+      for (int64_t r = g.begin; r < g.end;) {
+        const uint32_t code = codes[rows[static_cast<size_t>(r)]];
+        int64_t e = r + 1;
+        while (e < g.end && codes[rows[static_cast<size_t>(e)]] == code) ++e;
+        pos += static_cast<uint32_t>(frozen_simd::LowerBound(
+            old.code.data() + pos, span_end - pos, code));
+        const bool hit = pos < span_end && old.code[pos] == code;
+        if (!hit) ++new_cells;
+        if (leaf && (hit || e - r > 1)) has_duplicate_entities_ = true;
+        runs.push_back({r, e, code, pos, hit});
+        r = e;
+      }
+      g.runs_end = runs.size();
+    }
+
+    // Rewrite the level into exactly sized arrays.
+    const size_t num_nodes = old.num_nodes() + new_nodes;
+    const size_t num_cells = old.num_cells() + new_cells;
+    assert(num_cells < UINT32_MAX && "level too wide for uint32 cell offsets");
+    Level lv;
+    lv.cell_begin.reserve(num_nodes + 1);
+    lv.code.reserve(num_cells);
+    lv.count.reserve(num_cells);
+    lv.entity_total.reserve(num_nodes);
+    lv.max_code = old.max_code;
+    auto copy_cells = [&](uint32_t b, uint32_t e) {
+      lv.code.insert(lv.code.end(), old.code.begin() + b, old.code.begin() + e);
+      lv.count.insert(lv.count.end(), old.count.begin() + b,
+                      old.count.begin() + e);
+    };
+    // Old nodes [next_old, end) verbatim, their cell offsets shifted by
+    // the cells inserted before them.
+    uint32_t next_old = 0;
+    auto copy_nodes = [&](uint32_t end) {
+      assert(next_old <= end);
+      if (next_old == end) return;
+      const uint32_t first_cell = old.cell_begin[next_old];
+      const uint32_t shift = static_cast<uint32_t>(lv.code.size()) - first_cell;
+      const size_t at = lv.cell_begin.size();
+      lv.cell_begin.insert(lv.cell_begin.end(),
+                           old.cell_begin.begin() + next_old,
+                           old.cell_begin.begin() + end);
+      for (size_t k = at; k < lv.cell_begin.size(); ++k) {
+        lv.cell_begin[k] += shift;
+      }
+      copy_cells(first_cell, old.cell_begin[end]);
+      lv.entity_total.insert(lv.entity_total.end(),
+                             old.entity_total.begin() + next_old,
+                             old.entity_total.begin() + end);
+      next_old = end;
+    };
+    for (const AbsorbGroup& g : groups) {
+      copy_nodes(g.node);
+      lv.cell_begin.push_back(static_cast<uint32_t>(lv.code.size()));
+      int64_t total = g.end - g.begin;
+      uint32_t cell = old.cell_begin[g.node];
+      for (size_t k = g.runs_begin; k < g.runs_end; ++k) {
+        const AbsorbRun& run = runs[k];
+        const int64_t n = run.end - run.begin;
+        copy_cells(cell, run.cell);
+        lv.code.push_back(run.code);
+        lv.count.push_back(run.hit ? old.count[run.cell] + n : n);
+        if (!run.hit) lv.max_code = std::max(lv.max_code, run.code);
+        cell = run.hit ? run.cell + 1 : run.cell;
+      }
+      if (!g.fresh) {
+        copy_cells(cell, old.cell_begin[g.node + 1]);
+        total += old.entity_total[g.node];
+        ++next_old;
+      }
+      lv.entity_total.push_back(total);
+    }
+    copy_nodes(static_cast<uint32_t>(old.num_nodes()));
+    lv.cell_begin.push_back(static_cast<uint32_t>(lv.code.size()));
+    lv.ref.assign(num_nodes, 1);
+    assert(lv.num_nodes() == num_nodes && lv.num_cells() == num_cells);
+    node_count_ += static_cast<int64_t>(new_nodes);
+    cell_count_ += static_cast<int64_t>(new_cells);
+    approx_bytes_ += LevelBytes(lv) - LevelBytes(old);
+    // Swapped in now: the next level is anchored in this level's old
+    // cell indices (held by the runs), never in its arrays.
+    old = std::move(lv);
+
+    if (leaf) break;
+    next_groups.clear();
+    for (const AbsorbRun& run : runs) {
+      next_groups.push_back({run.begin, run.end, run.cell, !run.hit});
+    }
+    groups.swap(next_groups);
+  }
+  num_entities_ += num_rows;
+  return num_rows;
 }
 
 bool FrozenTree::AllRefsAreOne() const {

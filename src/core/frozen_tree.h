@@ -1,6 +1,7 @@
 #ifndef GORDIAN_CORE_FROZEN_TREE_H_
 #define GORDIAN_CORE_FROZEN_TREE_H_
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <deque>
@@ -40,9 +41,9 @@ const char* ActiveKernel();
 
 }  // namespace frozen_simd
 
-// A read-only flattening of a built PrefixTree for the traversal hot path:
-// per level, one contiguous sorted code span per node instead of per-node
-// heap vectors — struct-of-arrays, no pointers, one allocation per array.
+// A flattening of a built PrefixTree for the traversal hot path: per level,
+// one contiguous sorted code span per node instead of per-node heap vectors
+// — struct-of-arrays, no pointers, one allocation per array.
 //
 // Nodes are frozen in BFS order, so the tree needs no child table at all:
 // level l+1 holds exactly one node per cell of level l, in cell order, and
@@ -51,11 +52,12 @@ const char* ActiveKernel();
 // 1 after Build; sharing only ever arises from traversal merges, which are
 // pool nodes, never frozen ones.)
 //
-// The only mutable state is the per-node `ref` array: the traversal's merge
-// sharing temporarily raises reference counts exactly as it does on pointer
-// nodes, and restores them on unwind (aborted runs included), so a frozen
-// tree served by the TreeArtifactCache comes back bit-identical. Like the
-// pointer tree, a frozen tree can therefore serve only one run at a time.
+// Between traversals the tree grows only through Absorb (appended rows).
+// During one, the only mutable state is the per-node `ref` array: the
+// traversal's merge sharing temporarily raises reference counts exactly as
+// it does on pointer nodes, and restores them on unwind (aborted runs
+// included), so a frozen tree served by the TreeArtifactCache comes back
+// bit-identical. A frozen tree can therefore serve only one run at a time.
 class FrozenTree {
  public:
   struct Level {
@@ -82,10 +84,33 @@ class FrozenTree {
   // construction and merge-intermediate representation.
   static std::unique_ptr<FrozenTree> Freeze(const PrefixTree& tree);
 
+  // Inserts `num_rows` delta entities (Algorithm 2's insertion loop, run
+  // for a whole batch at once). `level_codes` holds one code pointer per
+  // tree level — already permuted by attr_order, each addressing `num_rows`
+  // codes for the delta only. Afterwards every array, count and flag equals
+  // what Freeze(PrefixTree::Build(base + delta)) would produce under the
+  // same attribute order, so a traversal may run immediately.
+  //
+  // The delta is sorted once and merged level by level: each level is
+  // rewritten into exactly sized arrays — untouched nodes bulk-copied,
+  // counts added where the delta hits, cells and child nodes inserted where
+  // it branches off — and swapped in before the next level is read, so at
+  // most one level is held twice. Requires every ref to be 1 (no traversal
+  // in progress).
+  //
+  // `cancel` is checked once, before any level is touched: a cancelled
+  // absorb returns 0 and leaves the tree unchanged. Otherwise returns
+  // `num_rows`.
+  int64_t Absorb(const std::vector<const uint32_t*>& level_codes,
+                 int64_t num_rows, const std::atomic<bool>* cancel = nullptr);
+
   int num_levels() const { return static_cast<int>(attr_order_.size()); }
   int attribute_at_level(int level) const { return attr_order_[level]; }
   const std::vector<int>& attr_order() const { return attr_order_; }
   int64_t num_entities() const { return num_entities_; }
+  // Some entity occurs more than once (Algorithm 2, lines 17-18): the data
+  // has no keys.
+  bool has_duplicate_entities() const { return has_duplicate_entities_; }
   int64_t node_count() const { return node_count_; }
   int64_t cell_count() const { return cell_count_; }
 
@@ -93,7 +118,7 @@ class FrozenTree {
   Level& level_mutable(int l) { return levels_[static_cast<size_t>(l)]; }
 
   // Heap footprint of the frozen arrays (exact: every array is allocated
-  // once at its final size).
+  // at its final size, by Freeze and by each Absorb).
   int64_t ApproxBytes() const { return approx_bytes_; }
   double BytesPerNode() const {
     return node_count_ == 0 ? 0
@@ -114,6 +139,7 @@ class FrozenTree {
   int64_t node_count_ = 0;
   int64_t cell_count_ = 0;
   int64_t approx_bytes_ = 0;
+  bool has_duplicate_entities_ = false;
 };
 
 // Observation hooks into the traversal, for debugging, tracing, and the

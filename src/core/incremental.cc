@@ -104,10 +104,9 @@ Table AppendState::Snapshot() const {
   return Table::FromColumns(schema_, std::move(dicts), codes_);
 }
 
-Status ReprofileTree(PrefixTree* tree, const GordianOptions& options,
+Status ReprofileTree(FrozenTree* tree, const GordianOptions& options,
                      int num_attributes, int64_t num_rows,
-                     KeyDiscoveryResult* result,
-                     std::unique_ptr<FrozenTree>* refrozen) {
+                     KeyDiscoveryResult* result) {
   if (options.sample_rows > 0) {
     return Status::InvalidArgument(
         "ReprofileTree: sampling requires the raw table");
@@ -119,13 +118,12 @@ Status ReprofileTree(PrefixTree* tree, const GordianOptions& options,
   }
   // Hand-seeded context: everything EncodeStage would have produced is
   // already pinned by the tree (the data lives in it), so the run starts at
-  // the tree-build stage — which, seeing an external tree, only re-checks
-  // duplicates/cancellation and re-freezes.
+  // the tree-build stage — which, seeing an injected tree, only re-checks
+  // duplicates and cancellation.
   ProfileContext ctx;
   ctx.options = options;
   ctx.attr_order = tree->attr_order();
-  ctx.tree = tree;
-  ctx.tree_external = true;
+  ctx.frozen = tree;
   ctx.result.stats.num_attributes = num_attributes;
   ctx.result.stats.rows_processed = num_rows;
   for (void (*stage)(ProfileContext*) :
@@ -133,7 +131,6 @@ Status ReprofileTree(PrefixTree* tree, const GordianOptions& options,
     stage(&ctx);
     if (ctx.finished) break;
   }
-  if (refrozen != nullptr) *refrozen = std::move(ctx.owned_frozen);
   *result = std::move(ctx.result);
   return Status::OK();
 }
@@ -159,8 +156,7 @@ Status IncrementalProfiler::Begin(const Table& base,
   ProfileSession session(options);
   s = session.Run(base, &p.report_);
   if (!s.ok()) return s;
-  p.tree_ = session.TakeTree();
-  p.frozen_ = session.TakeFrozenTree();
+  p.tree_ = session.TakeFrozenArtifact();
   if (p.tree_ != nullptr) p.tree_rows_ = base.num_rows();
   p.current_ = !p.report_.incomplete && p.tree_ != nullptr;
   if (p.current_) p.warm_seeds_ = p.report_.non_keys;
@@ -199,13 +195,11 @@ Status IncrementalProfiler::Refresh() {
     }
     const int64_t pending = state_.num_rows() - tree_rows_;
     const int64_t absorbed =
-        tree_->AbsorbBatch(level_codes, pending, options_.cancel_flag);
+        tree_->Absorb(level_codes, pending, options_.cancel_flag);
     tree_rows_ += absorbed;
-    if (absorbed > 0) frozen_.reset();  // the flat layout is now stale
     if (absorbed < pending) {
-      // Cancelled mid-absorb. The tree is a valid prefix tree of the rows
-      // absorbed so far; report that honestly and let the next Refresh
-      // resume from tree_rows_.
+      // Cancelled before the absorb touched the tree; report that honestly
+      // and let the next Refresh absorb the pending rows.
       report_ = KeyDiscoveryResult{};
       report_.stats.num_attributes = state_.num_columns();
       report_.stats.rows_processed = tree_rows_;
@@ -216,14 +210,13 @@ Status IncrementalProfiler::Refresh() {
     }
   }
 
-  frozen_.reset();
   GordianOptions opts = options_;
   if (warm_enabled_ && !warm_seeds_.empty()) {
     opts.warm_start_non_keys = &warm_seeds_;
   }
   KeyDiscoveryResult result;
   Status s = ReprofileTree(tree_.get(), opts, state_.num_columns(),
-                           state_.num_rows(), &result, &frozen_);
+                           state_.num_rows(), &result);
   if (!s.ok()) return s;
   report_ = std::move(result);
   current_ = !report_.incomplete;
@@ -242,8 +235,7 @@ Status IncrementalProfiler::RebuildFromScratch() {
   ProfileSession session(opts);
   Status s = session.Run(snapshot, &report_);
   if (!s.ok()) return s;
-  tree_ = session.TakeTree();
-  frozen_ = session.TakeFrozenTree();
+  tree_ = session.TakeFrozenArtifact();
   tree_rows_ = tree_ != nullptr ? state_.num_rows() : 0;
   current_ = !report_.incomplete && tree_ != nullptr;
   if (current_) warm_seeds_ = report_.non_keys;

@@ -10,7 +10,6 @@
 #include "core/frozen_tree.h"
 #include "core/gordian.h"
 #include "core/options.h"
-#include "core/prefix_tree.h"
 #include "table/fingerprint.h"
 #include "table/table.h"
 
@@ -21,10 +20,11 @@ namespace gordian {
 // The enabling observation is GORDIAN's monotonicity property: appending
 // rows can only create non-keys, never retract one. Three consequences are
 // exploited here:
-//   1. the prefix tree absorbs delta rows in place (PrefixTree::AbsorbBatch)
-//      instead of being rebuilt — the tree of base + delta is exactly the
+//   1. the frozen tree absorbs delta rows (FrozenTree::Absorb) instead of
+//      being rebuilt and refrozen — the tree of base + delta is exactly the
 //      base tree with the delta's paths inserted, provided the tree keeps
-//      the attribute order it was built under;
+//      the attribute order it was built under, so the sorted delta is
+//      merged into the flat arrays level by level;
 //   2. the prior run's non-keys are a sound warm-start seed
 //      (GordianOptions::warm_start_non_keys), letting the re-traversal
 //      futility-prune every region the delta cannot change;
@@ -89,27 +89,21 @@ class AppendState {
 };
 
 // Re-runs the post-encode stages of the profiling pipeline over an
-// already-built (and possibly just-absorbed) tree: duplicate-entity check,
-// freeze, traversal, key conversion, validation. The tree is treated as
+// already-built (and possibly just-absorbed) frozen tree: duplicate-entity
+// check, traversal, key conversion, validation. The tree is treated as
 // external — merge intermediates come from a private pool — but unlike a
 // cache-hit run there is no Table in sight: the tree IS the data.
 // `num_attributes` is the profiled table's column count
 // (== tree.num_levels()).
 //
-// The tree is re-frozen here (any prior frozen artifact is stale after an
-// absorb); the new artifact is returned through *refrozen (nullptr
-// allowed; it receives nullptr when the run concluded before freezing) and
-// the freeze wall clock is recorded in result->stats.freeze_seconds.
-//
 // `options.sample_rows` must be 0 and null semantics kNullEqualsNull — both
 // need the raw table and are rejected with InvalidArgument.
-Status ReprofileTree(PrefixTree* tree, const GordianOptions& options,
+Status ReprofileTree(FrozenTree* tree, const GordianOptions& options,
                      int num_attributes, int64_t num_rows,
-                     KeyDiscoveryResult* result,
-                     std::unique_ptr<FrozenTree>* refrozen);
+                     KeyDiscoveryResult* result);
 
 // Keys-current profiling of a growing table: owns the AppendState, the
-// absorbed prefix tree, and the latest report; every Append re-encodes just
+// absorbed frozen tree, and the latest report; every Append re-encodes just
 // the delta, absorbs it into the tree, and re-traverses with the previous
 // non-keys as a warm-start seed.
 //
@@ -118,10 +112,9 @@ Status ReprofileTree(PrefixTree* tree, const GordianOptions& options,
 //   prof.Append(batch1);   // report() now covers base + batch1
 //   prof.Append(batch2);   // ... and so on
 //
-// Cancellation (options.cancel_flag) is honoured mid-absorb: the tree is
-// always left in a valid state covering a prefix of the pending rows, the
-// report is marked incomplete, and the next Append (or Refresh) resumes
-// where the absorb stopped.
+// Cancellation (options.cancel_flag) is honoured before the absorb: a
+// cancelled absorb leaves the tree unchanged, the report is marked
+// incomplete, and the next Append (or Refresh) absorbs every pending row.
 class IncrementalProfiler {
  public:
   IncrementalProfiler() = default;
@@ -178,7 +171,7 @@ class IncrementalProfiler {
   uint64_t fingerprint() const { return state_.fingerprint(); }
   int64_t num_rows() const { return state_.num_rows(); }
   // Rows already inserted into the tree (== num_rows() unless an absorb was
-  // interrupted mid-batch).
+  // cancelled).
   int64_t tree_rows() const { return tree_rows_; }
   const AppendState& state() const { return state_; }
   const GordianStats& last_stats() const { return report_.stats; }
@@ -188,8 +181,7 @@ class IncrementalProfiler {
 
   GordianOptions options_;
   AppendState state_;
-  std::unique_ptr<PrefixTree> tree_;
-  std::unique_ptr<FrozenTree> frozen_;
+  std::unique_ptr<FrozenTree> tree_;
   KeyDiscoveryResult report_;
   std::vector<AttributeSet> warm_seeds_;
   int64_t tree_rows_ = 0;

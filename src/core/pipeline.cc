@@ -154,51 +154,57 @@ void EncodeStage(ProfileContext* ctx) {
 
 void TreeBuildStage(ProfileContext* ctx) {
   Stopwatch watch;
-  if (ctx->tree != nullptr) {
-    // A prebuilt tree was injected (TreeArtifactCache hit). It was built
-    // from identical data under identical options, so it is the tree this
-    // stage would have produced; assert the level order agrees.
-    assert(ctx->tree->attr_order() == ctx->attr_order &&
+  KeyDiscoveryResult& result = ctx->result;
+  bool duplicates;
+  int64_t tree_bytes;
+  if (ctx->frozen != nullptr) {
+    // A frozen tree was injected (TreeArtifactCache hit, or an absorbed
+    // tree being re-profiled). It holds exactly the data this stage would
+    // have built from; assert the level order agrees.
+    assert(ctx->frozen->attr_order() == ctx->attr_order &&
            "shared tree was built under a different attribute order");
+    result.stats.base_tree_nodes = ctx->frozen->node_count();
+    result.stats.base_tree_cells = ctx->frozen->cell_count();
+    duplicates = ctx->frozen->has_duplicate_entities();
+    tree_bytes = ctx->frozen->ApproxBytes();
   } else {
     ctx->owned_tree = std::make_unique<PrefixTree>(PrefixTree::Build(
         *ctx->data, ctx->attr_order, ctx->options.tree_build));
-    ctx->tree = ctx->owned_tree.get();
+    result.stats.base_tree_nodes = ctx->owned_tree->node_count();
+    result.stats.base_tree_cells = ctx->owned_tree->cell_count();
+    duplicates = ctx->owned_tree->has_duplicate_entities();
+    tree_bytes = ctx->owned_tree->pool().peak_bytes();
   }
-  PrefixTree& tree = *ctx->tree;
-  ctx->result.stats.build_seconds = watch.ElapsedSeconds();
-  ctx->result.stats.base_tree_nodes = tree.node_count();
-  ctx->result.stats.base_tree_cells = tree.cell_count();
+  result.stats.build_seconds = watch.ElapsedSeconds();
 
-  if (tree.has_duplicate_entities()) {
+  if (duplicates) {
     // Algorithm 2, lines 17-18: a repeated entity means no key exists.
-    ctx->result.no_keys = true;
-    ctx->result.non_keys.push_back(
-        AttributeSet::FirstN(static_cast<int>(ctx->result.stats.num_attributes)));
-    ctx->result.stats.peak_memory_bytes = tree.pool().peak_bytes();
+    result.no_keys = true;
+    result.non_keys.push_back(
+        AttributeSet::FirstN(static_cast<int>(result.stats.num_attributes)));
+    result.stats.peak_memory_bytes = tree_bytes;
     ctx->finished = true;
     return;
   }
 
   if (ctx->Cancelled()) {
-    ctx->result.incomplete = true;
-    ctx->result.incomplete_reason = AbortReason::kCancelled;
-    ctx->result.stats.peak_memory_bytes = tree.pool().peak_bytes();
+    result.incomplete = true;
+    result.incomplete_reason = AbortReason::kCancelled;
+    result.stats.peak_memory_bytes = tree_bytes;
     ctx->finished = true;
     return;
   }
 
   // The tree will not be mutated again (traversal only touches reference
   // counts), so this is the point where freezing pays: flatten once, let
-  // the traversal run the span kernels. A cache hit injects the prefrozen
-  // artifact instead and skips the pass entirely.
+  // the traversal run the span kernels.
   if (ctx->frozen == nullptr) {
     Stopwatch freeze_watch;
-    ctx->owned_frozen = FrozenTree::Freeze(tree);
+    ctx->owned_frozen = FrozenTree::Freeze(*ctx->owned_tree);
     ctx->frozen = ctx->owned_frozen.get();
-    ctx->result.stats.freeze_seconds = freeze_watch.ElapsedSeconds();
+    result.stats.freeze_seconds = freeze_watch.ElapsedSeconds();
   }
-  ctx->result.stats.frozen_tree_bytes = ctx->frozen->ApproxBytes();
+  result.stats.frozen_tree_bytes = ctx->frozen->ApproxBytes();
 }
 
 void TraverseStage(ProfileContext* ctx) {
@@ -220,11 +226,12 @@ void TraverseStage(ProfileContext* ctx) {
     }
     result.stats.warm_start_seeds += static_cast<int64_t>(warm_seeds->size());
   }
-  // Merge intermediates go to the run's own tree pool when the tree is this
-  // run's, and to the private pool when the tree — and therefore its pool —
-  // is a shared cache artifact that must come back untouched.
-  PrefixTree::NodePool& merge_pool =
-      ctx->tree_external ? ctx->external_merge_pool : ctx->tree->pool();
+  // Merge intermediates go to the pool of the tree this run built, so its
+  // peak covers the whole tree phase; a run over an injected tree has no
+  // pool of its own and uses the private one.
+  PrefixTree::NodePool& merge_pool = ctx->owned_tree != nullptr
+                                         ? ctx->owned_tree->pool()
+                                         : ctx->external_merge_pool;
   FrozenNonKeyFinder finder(*ctx->frozen, ctx->options, &non_key_set,
                             &result.stats);
   finder.SetMergePool(&merge_pool);
@@ -236,12 +243,9 @@ void TraverseStage(ProfileContext* ctx) {
 
   CanonicalizeNonKeys(&result.non_keys);
   result.stats.find_seconds = watch.ElapsedSeconds();
-  result.stats.peak_memory_bytes = ctx->tree->pool().peak_bytes() +
+  result.stats.peak_memory_bytes = merge_pool.peak_bytes() +
                                    non_key_set.ApproxBytes() +
                                    ctx->frozen->ApproxBytes();
-  if (ctx->tree_external) {
-    result.stats.peak_memory_bytes += ctx->external_merge_pool.peak_bytes();
-  }
   // A partial non-key set cannot certify keys: later stages must not run.
   if (result.incomplete) ctx->finished = true;
 }
@@ -273,13 +277,8 @@ Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
   ProfileContext ctx;
   ctx.input = &table;
   ctx.options = options_;
-  if (shared_tree_ != nullptr) {
-    ctx.tree = shared_tree_;
-    ctx.tree_external = true;
-    shared_tree_ = nullptr;  // one Run per injection
-    ctx.frozen = shared_frozen_;
-  }
-  shared_frozen_ = nullptr;
+  ctx.frozen = shared_frozen_;
+  shared_frozen_ = nullptr;  // one Run per injection
   metrics_.clear();
   built_tree_.reset();
   built_frozen_.reset();
@@ -302,8 +301,10 @@ Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
     if (m.name == "encode") {
       m.rows = ctx.result.stats.rows_processed;
       if (ctx.result.sampled) m.bytes = ctx.sample_storage.ApproxBytes();
-    } else if (m.name == "tree_build" && ctx.tree != nullptr) {
-      m.bytes = ctx.tree->pool().current_bytes();
+    } else if (m.name == "tree_build" && ctx.owned_tree != nullptr) {
+      m.bytes = ctx.owned_tree->pool().current_bytes();
+    } else if (m.name == "tree_build" && ctx.frozen != nullptr) {
+      m.bytes = ctx.frozen->ApproxBytes();
     } else if (m.name == "traverse") {
       m.bytes = ctx.result.stats.peak_memory_bytes;
     }
@@ -314,6 +315,19 @@ Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
   built_frozen_ = std::move(ctx.owned_frozen);
   *out = std::move(ctx.result);
   return Status::OK();
+}
+
+std::unique_ptr<FrozenTree> ProfileSession::TakeFrozenArtifact(
+    double* freeze_seconds) {
+  if (freeze_seconds != nullptr) *freeze_seconds = 0;
+  std::unique_ptr<PrefixTree> tree = std::move(built_tree_);
+  std::unique_ptr<FrozenTree> frozen = std::move(built_frozen_);
+  if (frozen == nullptr && tree != nullptr) {
+    Stopwatch watch;
+    frozen = FrozenTree::Freeze(*tree);
+    if (freeze_seconds != nullptr) *freeze_seconds = watch.ElapsedSeconds();
+  }
+  return frozen;
 }
 
 }  // namespace gordian

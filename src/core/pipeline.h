@@ -24,8 +24,8 @@ namespace gordian {
 //
 // FindKeys, StreamingProfiler::Finish, the profiling service, and the engine
 // advisor all run a ProfileSession; they differ only in how the context is
-// seeded (most importantly, whether a prebuilt prefix tree is injected from
-// the service's TreeArtifactCache, letting a job skip the build entirely).
+// seeded (most importantly, whether a frozen tree is injected from the
+// service's TreeArtifactCache, letting a job skip build and freeze).
 // ReprofileTree (core/incremental.h) seeds the context by hand and runs the
 // stages from TreeBuildStage on. Results are byte-identical across all of
 // these paths.
@@ -44,7 +44,7 @@ struct StageMetric {
 
 // Shared state threaded through the stages of one profiling run. Owns the
 // result under construction plus every intermediate the stages exchange.
-// Not copyable (it embeds a PrefixTree); lives on the session's stack.
+// Not copyable (it embeds a NodePool); lives on the session's stack.
 struct ProfileContext {
   // Inputs, set by ProfileSession::Run before the first stage.
   const Table* input = nullptr;
@@ -56,22 +56,16 @@ struct ProfileContext {
   Table sample_storage;
   std::vector<int> attr_order;
 
-  // TreeBuildStage outputs. `tree` points at `owned_tree` when this run
-  // built its own, or at an externally owned, previously built tree
-  // (injected via ProfileSession::set_shared_tree — a TreeArtifactCache
-  // hit). An external tree's NodePool must not be touched: traversal merge
-  // intermediates then come from `external_merge_pool` instead.
+  // TreeBuildStage outputs. `frozen` is either injected before the stage
+  // runs (ProfileSession::set_shared_frozen_tree — a TreeArtifactCache hit
+  // — or ReprofileTree's absorbed tree), or the stage builds `owned_tree`
+  // and freezes it into `owned_frozen`. TraverseStage runs
+  // FrozenNonKeyFinder over `frozen`; its merge intermediates go to the
+  // built tree's pool, or to `external_merge_pool` when nothing was built.
   std::unique_ptr<PrefixTree> owned_tree;
-  PrefixTree* tree = nullptr;
-  bool tree_external = false;
-  PrefixTree::NodePool external_merge_pool;
-
-  // Frozen counterpart of the tree fields: TreeBuildStage freezes the tree
-  // unless `frozen` was injected via ProfileSession::set_shared_frozen_tree
-  // alongside the shared pointer tree; TraverseStage runs
-  // FrozenNonKeyFinder over it.
   std::unique_ptr<FrozenTree> owned_frozen;
   FrozenTree* frozen = nullptr;
+  PrefixTree::NodePool external_merge_pool;
 
   // The result being assembled. A stage that concludes the run (duplicate
   // entities, cancellation, aborted traversal, null-projection hand-off)
@@ -94,9 +88,9 @@ struct ProfileContext {
 // lifts the results back — concluding the run.
 void EncodeStage(ProfileContext* ctx);
 
-// Algorithm 2: builds the prefix tree (unless an external tree was
-// injected), detects duplicate entities, checks cancellation, and freezes
-// the tree (unless a frozen artifact was injected).
+// Algorithm 2: builds the prefix tree and freezes it — unless a frozen tree
+// was injected, which stands in for both — then concludes the run on
+// duplicate entities or cancellation.
 void TreeBuildStage(ProfileContext* ctx);
 
 // Algorithm 4: FrozenNonKeyFinder over the frozen tree, warm-started from
@@ -124,20 +118,13 @@ class ProfileSession {
   explicit ProfileSession(const GordianOptions& options)
       : options_(options) {}
 
-  // Injects a prebuilt prefix tree for the next Run (a TreeArtifactCache
-  // hit): TreeBuildStage skips Build and traversal allocates merge
-  // intermediates from a private pool, leaving `tree` byte-identical to its
-  // pre-run state on return. The tree must match the table/options this
+  // Injects a prebuilt frozen tree for the next Run (a TreeArtifactCache
+  // hit): TreeBuildStage skips both Build and Freeze, and traversal
+  // allocates merge intermediates from a private pool. The tree's
+  // traversal-mutable reference counts are restored before Run returns, so
+  // it comes back byte-identical. It must match the table/options this
   // session profiles (same data, sample spec, attribute order, build mode)
-  // and must not be used concurrently by another run — traversal touches
-  // node reference counts. Cleared after Run.
-  void set_shared_tree(PrefixTree* tree) { shared_tree_ = tree; }
-
-  // Companion to set_shared_tree: injects the prefrozen artifact of the
-  // same cached tree, so the run skips the freeze pass too. Only meaningful
-  // together with set_shared_tree; the frozen tree's traversal-mutable
-  // reference counts are restored before Run returns, exactly like the
-  // pointer tree's. Cleared after Run.
+  // and must not be used concurrently by another run. Cleared after Run.
   void set_shared_frozen_tree(FrozenTree* frozen) { shared_frozen_ = frozen; }
 
   // Runs every stage in order (stopping early when a stage concludes the
@@ -148,20 +135,27 @@ class ProfileSession {
   // Per-stage wall/bytes of the last Run, in execution order.
   const std::vector<StageMetric>& stage_metrics() const { return metrics_; }
 
-  // The tree the last Run built, for callers that cache it (nullptr when
-  // the run used a shared tree, never built one, or was never run).
+  // The tree the last Run built (nullptr when the run used a shared tree,
+  // never built one, or was never run).
   std::unique_ptr<PrefixTree> TakeTree() { return std::move(built_tree_); }
 
   // The frozen flattening the last Run produced (nullptr when a prefrozen
-  // artifact was injected or the run concluded before freezing). Callers
-  // that cache the tree cache this alongside it.
+  // artifact was injected or the run concluded before freezing).
   std::unique_ptr<FrozenTree> TakeFrozenTree() {
     return std::move(built_frozen_);
   }
 
+  // For callers that keep only the frozen tree (the tree cache, the
+  // incremental profiler): the last Run's frozen tree, freezing the built
+  // tree first when the run stopped before freezing (duplicate entities,
+  // cancellation). Releases the pointer tree. nullptr when the run built
+  // no tree. *freeze_seconds (optional) receives the wall clock of that
+  // extra freeze, 0 when none was needed.
+  std::unique_ptr<FrozenTree> TakeFrozenArtifact(
+      double* freeze_seconds = nullptr);
+
  private:
   GordianOptions options_;
-  PrefixTree* shared_tree_ = nullptr;
   FrozenTree* shared_frozen_ = nullptr;
   std::vector<StageMetric> metrics_;
   std::unique_ptr<PrefixTree> built_tree_;

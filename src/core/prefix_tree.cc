@@ -87,75 +87,10 @@ PrefixTree PrefixTree::Build(const Table& table,
                         ? BuildInsertion(table, attr_order)
                         : BuildSorted(table, attr_order);
   // Fill the cell-count memo while the tree is still private to this
-  // thread: TreeArtifactCache serves built trees to concurrent readers, and
-  // a first-call lazy write would race against them.
+  // thread: a first-call lazy write would race against concurrent readers
+  // of a tree shared later.
   tree.cell_count();
   return tree;
-}
-
-int64_t PrefixTree::AbsorbBatch(
-    const std::vector<const uint32_t*>& level_codes, int64_t num_rows,
-    const std::atomic<bool>* cancel) {
-  assert(root_ != nullptr);
-  const int depth = num_levels();
-  assert(static_cast<int>(level_codes.size()) == depth);
-  NodePool& pool = *pool_;
-  int64_t new_cells = 0;
-  int64_t r = 0;
-  for (; r < num_rows; ++r) {
-    // Poll between rows only: a row is either fully inserted or not started,
-    // so an early stop always leaves a valid prefix tree of base + absorbed
-    // rows that a later call can extend.
-    if (cancel != nullptr && (r & 127) == 0 &&
-        cancel->load(std::memory_order_relaxed)) {
-      break;
-    }
-    Node* node = root_;
-    for (int l = 0; l < depth; ++l) {
-      assert(node->ref_count == 1 &&
-             "AbsorbBatch requires privately owned nodes");
-      uint32_t code = level_codes[l][r];
-      auto it = std::lower_bound(
-          node->cells.begin(), node->cells.end(), code,
-          [](const Cell& c, uint32_t v) { return c.code < v; });
-      if (it == node->cells.end() || it->code != code) {
-        Cell cell;
-        cell.code = code;
-        cell.count = 0;
-        cell.child =
-            (l + 1 < depth) ? pool.NewNode(l + 1 == depth - 1) : nullptr;
-        it = node->cells.insert(it, cell);
-        pool.SyncCellBytes(node);
-        ++new_cells;
-      }
-      ++it->count;
-      ++node->entity_total;
-      if (l == depth - 1) {
-        if (it->count > 1) has_duplicate_entities_ = true;
-      } else {
-        node = it->child;
-      }
-    }
-    ++num_entities_;
-  }
-  // Keep the memoized cell count exact. A tree that bypassed Build has no
-  // memo (-1); leave it unset so the lazy walk stays the source of truth.
-  if (new_cells > 0 &&
-      cell_count_cache_.load(std::memory_order_relaxed) >= 0) {
-    cell_count_cache_.fetch_add(new_cells, std::memory_order_relaxed);
-  }
-  return r;
-}
-
-int64_t PrefixTree::AbsorbRows(const Table& table, int64_t row_begin,
-                               const std::atomic<bool>* cancel) {
-  assert(row_begin >= 0 && row_begin <= table.num_rows());
-  std::vector<const uint32_t*> level_codes;
-  level_codes.reserve(attr_order_.size());
-  for (int c : attr_order_) {
-    level_codes.push_back(table.column_codes(c).data() + row_begin);
-  }
-  return AbsorbBatch(level_codes, table.num_rows() - row_begin, cancel);
 }
 
 PrefixTree PrefixTree::BuildSorted(const Table& table,

@@ -126,33 +126,6 @@ class PrefixTree {
   static PrefixTree Build(const Table& table, const std::vector<int>& attr_order,
                           GordianOptions::TreeBuild mode);
 
-  // Inserts `num_rows` delta entities into the existing tree (Algorithm 2's
-  // insertion loop replayed against the already-built root). `level_codes`
-  // holds one code pointer per tree level — already permuted by attr_order,
-  // each addressing `num_rows` codes for the delta only. Leaf counts,
-  // per-node entity totals, the duplicate-entity flag, num_entities() and
-  // the memoized cell count are all updated exactly; no other state is
-  // invalidated, so a traversal may run immediately afterwards.
-  //
-  // Every node reached must be privately owned (ref_count == 1) — true for
-  // any freshly built or cache-resident tree, whose traversals restore the
-  // reference counts they temporarily bump.
-  //
-  // `cancel` is polled between rows; on early stop the tree is a valid
-  // prefix tree of the base rows plus the absorbed prefix of the batch.
-  // Returns the number of rows absorbed so the caller can resume the
-  // remainder with a later call.
-  int64_t AbsorbBatch(const std::vector<const uint32_t*>& level_codes,
-                      int64_t num_rows,
-                      const std::atomic<bool>* cancel = nullptr);
-
-  // Convenience overload: absorbs rows [row_begin, table.num_rows()) of
-  // `table`, whose columns must be code-compatible with the dictionaries
-  // the tree was built over (i.e. the table is the base table plus appended
-  // rows encoded through the same first-seen dictionaries).
-  int64_t AbsorbRows(const Table& table, int64_t row_begin,
-                     const std::atomic<bool>* cancel = nullptr);
-
   Node* root() const { return root_; }
   NodePool& pool() { return *pool_; }
   int num_levels() const { return static_cast<int>(attr_order_.size()); }

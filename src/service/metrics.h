@@ -57,7 +57,8 @@ class ServiceMetrics {
   // One AppendAndReprofile call: the delta's row count, whether the batch
   // was absorbed into a leased cached tree (vs. a full rebuild fallback),
   // how many futility prunes the warm-start seeds earned in the
-  // re-traversal, and the wall clock of the re-freeze pass.
+  // re-traversal, and the wall clock of bringing the cached tree up to
+  // date (FrozenTree::Absorb; "refreeze" names the pass it replaced).
   void OnAppend(int64_t delta_rows, bool tree_absorbed,
                 int64_t warm_start_prunes, double refreeze_seconds) {
     appends_.fetch_add(1, kRelaxed);

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/stopwatch.h"
+
 namespace gordian {
 
 ProfilingService::ProfilingService(ServiceOptions options)
@@ -427,28 +429,26 @@ Status ProfilingService::AppendAndReprofile(uint64_t fingerprint,
     lease =
         cache->Acquire(MakeTreeCacheKey(old_fp, num_columns, chain->options));
   }
-  if (lease.valid() && lease.tree() != nullptr &&
-      lease.tree()->root() != nullptr) {
-    // Fast path: absorb the delta into the leased tree in place and rekey
+  if (lease.valid()) {
+    // Fast path: absorb the delta into the leased frozen tree and rekey
     // the cache entry to the new fingerprint. The exclusive lease is held
     // across both, so a concurrent Profile of the old fingerprint
     // busy-misses and builds privately — it can never observe the tree
     // mid-absorb.
-    PrefixTree* tree = lease.tree();
+    FrozenTree* tree = lease.frozen();
     std::vector<const uint32_t*> level_codes;
     level_codes.reserve(static_cast<size_t>(tree->num_levels()));
     for (int l = 0; l < tree->num_levels(); ++l) {
       level_codes.push_back(
           chain->state.codes(tree->attribute_at_level(l)).data() + old_rows);
     }
-    (void)tree->AbsorbBatch(level_codes, delta_rows);
-    std::unique_ptr<FrozenTree> refrozen;
+    Stopwatch absorb_watch;
+    (void)tree->Absorb(level_codes, delta_rows);
+    refreeze_seconds = absorb_watch.ElapsedSeconds();
     Status rs = ReprofileTree(tree, run_options, num_columns,
-                              chain->state.num_rows(), &result, &refrozen);
+                              chain->state.num_rows(), &result);
     if (!rs.ok()) return rs;
-    refreeze_seconds = result.stats.freeze_seconds;
-    cache->Rekey(lease, MakeTreeCacheKey(new_fp, num_columns, chain->options),
-                 std::move(refrozen));
+    cache->Rekey(lease, MakeTreeCacheKey(new_fp, num_columns, chain->options));
     lease.Release();
     tree_absorbed = true;
   } else {

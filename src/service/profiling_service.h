@@ -101,12 +101,13 @@ struct AppendOutcome {
   // next append in the chain, and the key the updated result was catalogued
   // under.
   uint64_t fingerprint = 0;
-  // True when the delta was absorbed into the cached prefix tree in place;
-  // false when the tree was unavailable (cache disabled, evicted, or leased
-  // by a concurrent run) and discovery rebuilt from a snapshot instead.
+  // True when the delta was absorbed into the cached frozen tree; false
+  // when the tree was unavailable (cache disabled, evicted, or leased by a
+  // concurrent run) and discovery rebuilt from a snapshot instead.
   bool tree_absorbed = false;
-  // Wall clock spent re-freezing the absorbed tree (0 when the rebuild
-  // path ran).
+  // Wall clock of bringing the cached frozen tree up to date: the
+  // FrozenTree::Absorb of the delta, which replaces the refreeze appends
+  // used to pay (0 when the rebuild path ran).
   double refreeze_seconds = 0;
   KeyDiscoveryResult result;
 };
@@ -192,8 +193,8 @@ class ProfilingService {
 
   // Appends `batch` to the chain currently headed by `fingerprint` and
   // brings its discovery result current, synchronously. The fast path
-  // acquires the chain's cached prefix tree under an exclusive lease,
-  // absorbs the delta in place, re-traverses warm-started from the prior
+  // acquires the chain's cached frozen tree under an exclusive lease,
+  // absorbs the delta into it, re-traverses warm-started from the prior
   // non-keys, and rekeys the cache entry to the new fingerprint — the lease
   // is held throughout, so a concurrent read-only Profile of the old
   // fingerprint busy-misses rather than observing a half-absorbed tree.

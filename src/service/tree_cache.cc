@@ -1,9 +1,9 @@
 #include "service/tree_cache.h"
 
+#include <cassert>
 #include <utility>
 
 #include "common/hashing.h"
-#include "common/stopwatch.h"
 
 namespace gordian {
 
@@ -38,21 +38,12 @@ TreeCacheKey MakeTreeCacheKey(uint64_t fingerprint, int num_columns,
 
 struct TreeArtifactCache::Lease::Entry {
   TreeCacheKey key;
-  std::unique_ptr<PrefixTree> tree;
-  // Prefrozen flat layout, kept beside the pointer tree (never instead of
-  // it: appends absorb into the pointer tree, and a hit's merge
-  // intermediates are pointer-tree nodes). Null only after a Rekey whose
-  // re-profile concluded before freezing; the next hit then freezes.
   std::unique_ptr<FrozenTree> frozen;
   int64_t bytes = 0;
   bool leased = false;
   bool resident = false;  // linked into the map/LRU list
   std::list<TreeCacheKey>::iterator lru_it;
 };
-
-PrefixTree* TreeArtifactCache::Lease::tree() const {
-  return entry_ == nullptr ? nullptr : entry_->tree.get();
-}
 
 FrozenTree* TreeArtifactCache::Lease::frozen() const {
   return entry_ == nullptr ? nullptr : entry_->frozen.get();
@@ -90,99 +81,58 @@ TreeArtifactCache::Lease TreeArtifactCache::Acquire(const TreeCacheKey& key) {
 }
 
 TreeArtifactCache::Lease TreeArtifactCache::Insert(
-    const TreeCacheKey& key, std::unique_ptr<PrefixTree> tree,
-    std::unique_ptr<FrozenTree> frozen) {
-  Lease lease;
+    const TreeCacheKey& key, std::unique_ptr<FrozenTree> frozen,
+    double freeze_seconds) {
+  assert(frozen != nullptr);
   auto entry = std::make_shared<Lease::Entry>();
   entry->key = key;
-
-  // Freeze-on-insert: pay the flattening once, outside the lock, so every
-  // hit serves the prefrozen artifact. Skipped when the inserting run
-  // already froze (it hands its artifact over).
-  double freeze_seconds = 0;
-  bool froze_here = false;
-  if (frozen == nullptr && tree->root() != nullptr) {
-    Stopwatch freeze_watch;
-    frozen = FrozenTree::Freeze(*tree);
-    freeze_seconds = freeze_watch.ElapsedSeconds();
-    froze_here = true;
-  }
-
-  entry->bytes = tree->pool().current_bytes();
-  if (frozen != nullptr) entry->bytes += frozen->ApproxBytes();
-  entry->tree = std::move(tree);
+  entry->bytes = frozen->ApproxBytes();
   entry->frozen = std::move(frozen);
   entry->leased = true;
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (froze_here) {
+    if (freeze_seconds > 0) {
       ++stats_.trees_frozen;
       stats_.freeze_seconds += freeze_seconds;
     }
-    if (entry->frozen != nullptr) {
-      stats_.frozen_bytes += entry->frozen->ApproxBytes();
-    }
-    auto it = entries_.find(key);
-    bool admit = entry->bytes <= byte_budget_;
-    if (it != entries_.end()) {
-      if (it->second->leased) {
-        // Another run holds the resident twin; keep this tree lease-only.
-        admit = false;
-      } else if (admit) {
-        // Replace the stale resident entry with the fresh build.
-        resident_bytes_ -= it->second->bytes;
-        lru_.erase(it->second->lru_it);
-        it->second->resident = false;
-        entries_.erase(it);
-        ++stats_.evictions;
-      }
-    }
-    if (admit) {
-      lru_.push_front(key);
-      entry->lru_it = lru_.begin();
-      entry->resident = true;
-      entries_.emplace(key, entry);
-      resident_bytes_ += entry->bytes;
-      ++stats_.insertions;
-      EvictToBudget();
-    } else {
-      ++stats_.rejected;
-    }
+    stats_.frozen_bytes += entry->bytes;
+    Admit(entry);
   }
 
+  Lease lease;
   lease.cache_ = this;
   lease.entry_ = std::move(entry);
   return lease;
 }
 
-void TreeArtifactCache::Rekey(Lease& lease, const TreeCacheKey& new_key,
-                              std::unique_ptr<FrozenTree> refrozen) {
+void TreeArtifactCache::Rekey(Lease& lease, const TreeCacheKey& new_key) {
   if (!lease.valid() || lease.cache_ != this) return;
   EntryPtr entry = lease.entry_;
   std::lock_guard<std::mutex> lock(mu_);
   // Unlink the old key's slot. The entry itself lives on through the lease.
   if (entry->resident) {
-    auto it = entries_.find(entry->key);
     resident_bytes_ -= entry->bytes;
     lru_.erase(entry->lru_it);
-    entries_.erase(it);
+    entries_.erase(entry->key);
     entry->resident = false;
   }
-  if (refrozen != nullptr) stats_.frozen_bytes += refrozen->ApproxBytes();
   entry->key = new_key;
-  entry->frozen = std::move(refrozen);
-  entry->bytes = entry->tree->pool().current_bytes();
-  if (entry->frozen != nullptr) entry->bytes += entry->frozen->ApproxBytes();
+  entry->bytes = entry->frozen->ApproxBytes();
+  stats_.frozen_bytes += entry->bytes;
   ++stats_.rekeys;
+  Admit(entry);
+}
 
-  // Re-admit under the new key, mirroring Insert's existing-entry handling.
-  auto it = entries_.find(new_key);
+void TreeArtifactCache::Admit(const EntryPtr& entry) {
+  auto it = entries_.find(entry->key);
   bool admit = entry->bytes <= byte_budget_;
   if (it != entries_.end()) {
     if (it->second->leased) {
+      // Another run holds the resident twin; keep this tree lease-only.
       admit = false;
     } else if (admit) {
+      // Replace the stale resident entry with the fresh one.
       resident_bytes_ -= it->second->bytes;
       lru_.erase(it->second->lru_it);
       it->second->resident = false;
@@ -190,17 +140,17 @@ void TreeArtifactCache::Rekey(Lease& lease, const TreeCacheKey& new_key,
       ++stats_.evictions;
     }
   }
-  if (admit) {
-    lru_.push_front(new_key);
-    entry->lru_it = lru_.begin();
-    entry->resident = true;
-    entries_.emplace(new_key, entry);
-    resident_bytes_ += entry->bytes;
-    ++stats_.insertions;
-    EvictToBudget();
-  } else {
+  if (!admit) {
     ++stats_.rejected;
+    return;
   }
+  lru_.push_front(entry->key);
+  entry->lru_it = lru_.begin();
+  entry->resident = true;
+  entries_.emplace(entry->key, entry);
+  resident_bytes_ += entry->bytes;
+  ++stats_.insertions;
+  EvictToBudget();
 }
 
 void TreeArtifactCache::ReleaseEntry(const EntryPtr& entry) {
@@ -271,28 +221,23 @@ KeyDiscoveryResult ProfileWithTreeCache(
   }
   if (lease.valid()) {
     if (tree_cache_hit != nullptr) *tree_cache_hit = true;
-    session.set_shared_tree(lease.tree());
-    // Serve the prefrozen artifact too, when the entry carries one: the run
-    // then skips both the build and the freeze pass.
-    if (lease.frozen() != nullptr) {
-      session.set_shared_frozen_tree(lease.frozen());
-    }
+    session.set_shared_frozen_tree(lease.frozen());
     (void)session.Run(table, &result);
   } else {
     (void)session.Run(table, &result);
-    std::unique_ptr<PrefixTree> built = session.TakeTree();
-    if (cache != nullptr && built != nullptr) {
-      // Any built tree is cacheable: it is a pure function of the key, and
-      // traversal (even an aborted one) fully unwinds its temporary node
-      // references, leaving the tree byte-identical to freshly built.
-      // Runs that never built a tree (null-projection hand-off, cancelled
-      // before the build stage) return null from TakeTree. Duplicate-entity
-      // trees are cacheable too — a rerun hits and re-derives no_keys.
-      // The run's frozen artifact is admitted alongside, so Insert does not
-      // refreeze (it freezes only trees whose run stopped before freezing).
+    // Any built tree is cacheable: it is a pure function of the key, and
+    // traversal (even an aborted one) fully unwinds its temporary node
+    // references. Runs that never built a tree (null-projection hand-off,
+    // cancelled before the build stage) have none to admit. Trees of runs
+    // that stopped before freezing (duplicate entities, cancellation) are
+    // frozen here — a rerun hits and re-derives no_keys.
+    double freeze_seconds = 0;
+    std::unique_ptr<FrozenTree> frozen =
+        session.TakeFrozenArtifact(&freeze_seconds);
+    if (cache != nullptr && frozen != nullptr) {
       lease = cache->Insert(
           MakeTreeCacheKey(fingerprint, table.num_columns(), options),
-          std::move(built), session.TakeFrozenTree());
+          std::move(frozen), freeze_seconds);
     }
   }
 

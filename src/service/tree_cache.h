@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "common/attribute_set.h"
+#include "core/frozen_tree.h"
 #include "core/pipeline.h"
-#include "core/prefix_tree.h"
 
 namespace gordian {
 
@@ -47,11 +47,12 @@ struct TreeCacheKeyHash {
 TreeCacheKey MakeTreeCacheKey(uint64_t fingerprint, int num_columns,
                               const GordianOptions& options);
 
-// Size-bounded, thread-safe cache of built PrefixTree artifacts, so
-// profiling jobs against an unchanged table skip BuildPrefixTree entirely.
-// Entries are ref-counted (shared_ptr plus an exclusive lease bit) and
-// evicted LRU under a byte budget measured by each tree's own NodePool
-// accounting.
+// Size-bounded, thread-safe cache of frozen prefix trees, so profiling jobs
+// against an unchanged table skip the tree build and freeze entirely, and
+// appends absorb their delta into the cached tree. Each entry holds one
+// FrozenTree; entries are ref-counted (shared_ptr plus an exclusive lease
+// bit) and evicted LRU under a byte budget measured by each tree's
+// ApproxBytes().
 //
 // Leases are exclusive: traversal temporarily mutates node reference counts
 // (merge sharing), so a tree can serve only one run at a time. A second
@@ -89,11 +90,9 @@ class TreeArtifactCache {
     }
 
     bool valid() const { return entry_ != nullptr; }
-    PrefixTree* tree() const;
-    // The prefrozen flat layout stored alongside the tree (nullptr only
-    // after a Rekey handed over none). Hits inject it via
-    // ProfileSession::set_shared_frozen_tree so the run skips the freeze
-    // pass as well as the build.
+    // The cached frozen tree (nullptr for an invalid lease). Hits inject it
+    // via ProfileSession::set_shared_frozen_tree, so the run skips both the
+    // build and the freeze; appends absorb into it.
     FrozenTree* frozen() const;
 
     // Drops the lease early (before destruction).
@@ -111,38 +110,32 @@ class TreeArtifactCache {
   // by another run (busy miss — the caller builds privately).
   Lease Acquire(const TreeCacheKey& key);
 
-  // Admits a freshly built tree under `key` and returns an exclusive lease
-  // over it. The entry's size is tree->pool().current_bytes() plus the
-  // frozen artifact's ApproxBytes; an artifact larger than the whole budget
-  // is not admitted, but the returned lease still owns it, so the inserting
-  // job proceeds either way. Replaces any existing (unleased) entry for the
-  // key; if the existing entry is leased, the new tree is kept lease-only
-  // and not admitted.
+  // Admits a frozen tree under `key` and returns an exclusive lease over
+  // it. The entry's size is frozen->ApproxBytes(); a tree larger than the
+  // whole budget is not admitted, but the returned lease still owns it, so
+  // the inserting job proceeds either way. Replaces any existing (unleased)
+  // entry for the key; if the existing entry is leased, the new tree is
+  // kept lease-only and not admitted.
   //
-  // `frozen` is the flat layout to serve alongside the tree. When null,
-  // Insert freezes the tree itself — the freeze is paid once here, and
-  // every subsequent hit serves the prefrozen artifact (freeze_seconds = 0
-  // on hits). Callers whose profiling run
-  // already froze the tree hand the artifact over instead
-  // (ProfileSession::TakeFrozenTree), making insertion free of refreezing.
-  Lease Insert(const TreeCacheKey& key, std::unique_ptr<PrefixTree> tree,
-               std::unique_ptr<FrozenTree> frozen = nullptr);
+  // `freeze_seconds` > 0 records that the caller froze the tree only to
+  // admit it (its run stopped before freezing; see
+  // ProfileSession::TakeFrozenArtifact): it is counted under
+  // Stats::trees_frozen and Stats::freeze_seconds.
+  Lease Insert(const TreeCacheKey& key, std::unique_ptr<FrozenTree> frozen,
+               double freeze_seconds = 0);
 
   // Lease upgrade for appends: re-registers `lease`'s entry under `new_key`
-  // (the fingerprint after a delta was absorbed into the leased tree),
-  // replaces its frozen artifact with `refrozen` (may be null — the
-  // re-profile concluded before freezing), and re-measures its bytes. The
-  // old key's resident slot is unlinked; the entry is re-admitted under the
-  // new key when it fits the budget, following Insert's existing-entry
-  // discipline (an unleased twin is replaced; a leased twin keeps this
-  // entry lease-only).
+  // (the fingerprint after a delta was absorbed into the leased tree) and
+  // re-measures its bytes. The old key's resident slot is unlinked; the
+  // entry is re-admitted under the new key when it fits the budget,
+  // following Insert's existing-entry discipline (an unleased twin is
+  // replaced; a leased twin keeps this entry lease-only).
   //
   // The lease stays valid and exclusive throughout, which is the
   // no-half-absorbed-tree guarantee: while the absorb ran, concurrent
   // Acquires of the old key busy-missed (entry leased); once rekeyed, the
   // old key is simply absent. No reader can ever lease the tree in between.
-  void Rekey(Lease& lease, const TreeCacheKey& new_key,
-             std::unique_ptr<FrozenTree> refrozen);
+  void Rekey(Lease& lease, const TreeCacheKey& new_key);
 
   bool Contains(const TreeCacheKey& key) const;
   void Clear();  // drops all unleased entries
@@ -158,10 +151,10 @@ class TreeArtifactCache {
     int64_t rekeys = 0;       // lease upgrades (absorbed appends)
     int64_t evictions = 0;
     int64_t entries = 0;      // resident now
-    int64_t bytes = 0;        // resident now, per NodePool accounting
-    int64_t trees_frozen = 0;     // freezes Insert performed itself
+    int64_t bytes = 0;        // resident now: sum of their ApproxBytes()
+    int64_t trees_frozen = 0;     // trees frozen only to be admitted
     double freeze_seconds = 0;    // wall clock of those freezes
-    int64_t frozen_bytes = 0;     // flat-layout bytes admitted (lifetime)
+    int64_t frozen_bytes = 0;     // bytes admitted by Insert/Rekey (lifetime)
 
     double hit_rate() const {
       int64_t lookups = hits + misses + busy_misses;
@@ -176,6 +169,9 @@ class TreeArtifactCache {
   using EntryPtr = std::shared_ptr<Lease::Entry>;
 
   void ReleaseEntry(const EntryPtr& entry);
+  // Links `entry` in under its key when it fits the budget, replacing an
+  // unleased twin; a leased twin keeps it lease-only. Caller holds mu_.
+  void Admit(const EntryPtr& entry);
   // Evicts unleased entries, least recently used first, until resident
   // bytes fit the budget. Caller holds mu_.
   void EvictToBudget();
@@ -193,9 +189,9 @@ class TreeArtifactCache {
 
 // The acquire → run → insert composition every tree-cache-aware caller
 // (profiling service, index advisor, benches) shares: leases a cached tree
-// when available, runs a ProfileSession over `table` (injecting the tree
-// and its frozen layout on a hit), and admits the freshly built tree on a
-// miss. With `cache` null this is exactly FindKeys. `tree_cache_hit`
+// when available, runs a ProfileSession over `table` (injecting the frozen
+// tree on a hit), and on a miss admits the run's frozen tree, dropping its
+// pointer tree. With `cache` null this is exactly FindKeys. `tree_cache_hit`
 // (optional) reports whether the run skipped tree building;
 // `stage_metrics` (optional) receives the session's per-stage wall/bytes.
 KeyDiscoveryResult ProfileWithTreeCache(

@@ -1,19 +1,26 @@
 // Tests for the frozen prefix-tree (core/frozen_tree.h): flat-layout
-// invariants after Freeze, byte-identical equivalence of the frozen
-// traversal against the pointer-tree oracle (complete and aborted runs,
-// work counters included), SIMD kernel agreement with the scalar
-// reference, and the tree-cache integration that serves prefrozen
-// artifacts on hits.
+// invariants after Freeze, the absorb layout fuzz (every absorbed batch
+// leaves arrays equal to a fresh Freeze of the concatenated rows),
+// byte-identical equivalence of the frozen traversal against the
+// pointer-tree oracle (complete and aborted runs, work counters included),
+// SIMD kernel agreement with the scalar reference, and the tree-cache
+// integration that serves prefrozen artifacts on hits.
+//
+// The absorb fuzz's iteration count honours GORDIAN_FUZZ_ITERS (CI's
+// incremental-fuzz leg raises it).
 
 #include "core/frozen_tree.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,6 +124,197 @@ TEST(FrozenTreeLayoutTest, FreezePreservesStructure) {
   }
   EXPECT_EQ(total_nodes, frozen->node_count());
   EXPECT_EQ(total_cells, frozen->cell_count());
+}
+
+// ---------------------------------------------------------------------------
+// Absorb layout fuzz: FrozenTree::Absorb against Freeze(Build(concat)).
+
+int FuzzIters() {
+  const char* env = std::getenv("GORDIAN_FUZZ_ITERS");
+  if (env != nullptr && *env != '\0') {
+    int n = std::atoi(env);
+    if (n > 0) return n;
+  }
+  return 3;
+}
+
+using Rows = std::vector<std::vector<int64_t>>;
+
+// The first `n` rows as a table. TableBuilder assigns codes in first-seen
+// order, so every prefix of `rows` shares its codes with the whole.
+Table RowsTable(const Rows& rows, size_t n, int width) {
+  std::vector<std::string> names;
+  for (int c = 0; c < width; ++c) names.push_back("c" + std::to_string(c));
+  TableBuilder b{Schema(names)};
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<Value> row;
+    for (int64_t v : rows[r]) row.emplace_back(v);
+    b.AddRow(row);
+  }
+  return b.Build();
+}
+
+std::unique_ptr<FrozenTree> FreezeRows(const Rows& rows, size_t n, int width,
+                                       const std::vector<int>& order) {
+  return FrozenTree::Freeze(PrefixTree::Build(
+      RowsTable(rows, n, width), order, GordianOptions::TreeBuild::kSorted));
+}
+
+void ExpectSameLayout(const FrozenTree& got, const FrozenTree& want) {
+  ASSERT_EQ(got.num_levels(), want.num_levels());
+  EXPECT_EQ(got.attr_order(), want.attr_order());
+  EXPECT_EQ(got.num_entities(), want.num_entities());
+  EXPECT_EQ(got.node_count(), want.node_count());
+  EXPECT_EQ(got.cell_count(), want.cell_count());
+  EXPECT_EQ(got.ApproxBytes(), want.ApproxBytes());
+  EXPECT_EQ(got.has_duplicate_entities(), want.has_duplicate_entities());
+  for (int l = 0; l < got.num_levels(); ++l) {
+    const FrozenTree::Level& a = got.level(l);
+    const FrozenTree::Level& b = want.level(l);
+    EXPECT_TRUE(a.cell_begin == b.cell_begin) << "cell_begin, level " << l;
+    EXPECT_TRUE(a.code == b.code) << "code, level " << l;
+    EXPECT_TRUE(a.count == b.count) << "count, level " << l;
+    EXPECT_TRUE(a.entity_total == b.entity_total) << "entity_total, level "
+                                                  << l;
+    EXPECT_TRUE(a.ref == b.ref) << "ref, level " << l;
+    EXPECT_EQ(a.max_code, b.max_code) << "level " << l;
+  }
+}
+
+// Every level array, byte for byte, plus the scalar state.
+void ExpectUnchanged(const FrozenTree& tree,
+                     const std::vector<FrozenTree::Level>& levels,
+                     int64_t entities, int64_t bytes) {
+  EXPECT_EQ(tree.num_entities(), entities);
+  EXPECT_EQ(tree.ApproxBytes(), bytes);
+  ASSERT_EQ(static_cast<size_t>(tree.num_levels()), levels.size());
+  for (int l = 0; l < tree.num_levels(); ++l) {
+    const FrozenTree::Level& a = tree.level(l);
+    const FrozenTree::Level& b = levels[static_cast<size_t>(l)];
+    EXPECT_TRUE(a.cell_begin == b.cell_begin && a.code == b.code &&
+                a.count == b.count && a.entity_total == b.entity_total &&
+                a.ref == b.ref && a.max_code == b.max_code)
+        << "level " << l;
+  }
+}
+
+TEST(FrozenAbsorbTest, LayoutMatchesFreezeOfConcatenation) {
+  std::mt19937_64 rng(20261017);
+  const int iters = FuzzIters();
+  for (int iter = 0; iter < iters; ++iter) {
+    for (int width = 1; width <= 6; ++width) {
+      const int64_t card = 1 + static_cast<int64_t>(rng() % 8);  // 1..8
+      // Every third shape starts from an empty base.
+      const size_t base_rows = (iter + width) % 3 == 0 ? 0 : rng() % 300;
+      std::vector<int> order(static_cast<size_t>(width));
+      std::iota(order.begin(), order.end(), 0);
+      std::shuffle(order.begin(), order.end(), rng);
+      SCOPED_TRACE("iter=" + std::to_string(iter) +
+                   " width=" + std::to_string(width) +
+                   " card=" + std::to_string(card) +
+                   " base=" + std::to_string(base_rows));
+
+      // Rows are distinct unless a duplicate is injected on purpose, so the
+      // duplicate flag must flip exactly at the injection. A domain too
+      // small for a fresh row (cardinality 1) yields fewer rows instead.
+      Rows rows;
+      std::set<std::vector<int64_t>> seen;
+      auto add_fresh_row = [&](int64_t domain) {
+        for (int attempt = 0; attempt < 32; ++attempt) {
+          std::vector<int64_t> row(static_cast<size_t>(width));
+          for (int64_t& v : row) v = static_cast<int64_t>(rng() % domain);
+          if (seen.insert(row).second) {
+            rows.push_back(std::move(row));
+            return;
+          }
+        }
+      };
+      for (size_t r = 0; r < base_rows; ++r) add_fresh_row(card);
+      const size_t base_end = rows.size();
+
+      // Batch sizes 0, 1, small, medium and (first iteration) 4096, in a
+      // random order. Deltas draw from a slightly wider domain, so they add
+      // codes that the base never had; the first batch's last row takes a
+      // new root value. One shape in three repeats an earlier row in a
+      // delta, one in three repeats a row within a delta.
+      std::vector<size_t> sizes = {0, 1, 2 + rng() % 63, 1 + rng() % 300};
+      if (iter == 0) sizes.push_back(4096);
+      std::shuffle(sizes.begin(), sizes.end(), rng);
+      const int dup_mode = static_cast<int>(rng() % 3);
+      SCOPED_TRACE("dup_mode=" + std::to_string(dup_mode));
+      size_t dup_batch = sizes.size();  // none injected
+      std::vector<size_t> ends;
+      for (size_t b = 0; b < sizes.size(); ++b) {
+        const size_t first = rows.size();
+        for (size_t r = 0; r < sizes[b]; ++r) {
+          add_fresh_row(card + static_cast<int64_t>(b % 3));
+        }
+        if (b == 0 && rows.size() > first) {
+          rows.back()[static_cast<size_t>(order[0])] = card + 5;
+        }
+        if (dup_batch == sizes.size() && rows.size() > first) {
+          if (dup_mode == 1 && first > 0) {
+            std::vector<int64_t> earlier = rows[rng() % first];
+            rows.push_back(std::move(earlier));
+            dup_batch = b;
+          } else if (dup_mode == 2) {
+            std::vector<int64_t> same = rows.back();
+            rows.push_back(std::move(same));
+            dup_batch = b;
+          }
+        }
+        ends.push_back(rows.size());
+      }
+
+      const Table all = RowsTable(rows, rows.size(), width);
+      std::unique_ptr<FrozenTree> tree =
+          FreezeRows(rows, base_end, width, order);
+      size_t done = base_end;
+      for (size_t b = 0; b < ends.size(); ++b) {
+        std::vector<const uint32_t*> level_codes;
+        for (int c : order) {
+          level_codes.push_back(all.column_codes(c).data() + done);
+        }
+        const int64_t n = static_cast<int64_t>(ends[b] - done);
+        ASSERT_EQ(tree->Absorb(level_codes, n), n);
+        done = ends[b];
+        ExpectSameLayout(*tree, *FreezeRows(rows, done, width, order));
+        EXPECT_EQ(tree->has_duplicate_entities(), b >= dup_batch);
+        EXPECT_TRUE(tree->AllRefsAreOne());
+      }
+    }
+  }
+}
+
+TEST(FrozenAbsorbTest, PreRaisedCancelLeavesArraysUntouched) {
+  std::mt19937_64 rng(83);
+  const int width = 5;
+  Rows rows(1500, std::vector<int64_t>(width));
+  for (auto& row : rows) {
+    for (int64_t& v : row) v = static_cast<int64_t>(rng() % 12);
+  }
+  const std::vector<int> order = {3, 0, 4, 1, 2};
+  const size_t base_rows = 1000;
+  std::unique_ptr<FrozenTree> tree = FreezeRows(rows, base_rows, width, order);
+  std::vector<FrozenTree::Level> before;
+  for (int l = 0; l < tree->num_levels(); ++l) before.push_back(tree->level(l));
+  const int64_t entities = tree->num_entities();
+  const int64_t bytes = tree->ApproxBytes();
+
+  const Table all = RowsTable(rows, rows.size(), width);
+  std::vector<const uint32_t*> level_codes;
+  for (int c : order) {
+    level_codes.push_back(all.column_codes(c).data() + base_rows);
+  }
+  const int64_t delta = static_cast<int64_t>(rows.size() - base_rows);
+  std::atomic<bool> cancel{true};
+  EXPECT_EQ(tree->Absorb(level_codes, delta, &cancel), 0);
+  ExpectUnchanged(*tree, before, entities, bytes);
+
+  // Once the flag drops, the same delta absorbs in full.
+  cancel.store(false);
+  EXPECT_EQ(tree->Absorb(level_codes, delta, &cancel), delta);
+  ExpectSameLayout(*tree, *FreezeRows(rows, rows.size(), width, order));
 }
 
 TEST(FrozenTraversalTest, MatchesOracle) {
@@ -257,17 +455,31 @@ TEST(FrozenTreeCacheTest, HitServesPrefrozenArtifact) {
   EXPECT_EQ(second.stats.freeze_seconds, 0.0);
   ExpectSameReport(t, first, second);
 
-  // Inserting a raw tree (no artifact handed over) makes the cache freeze
-  // it so later hits are still served frozen.
-  std::vector<int> order(static_cast<size_t>(t.num_columns()));
-  std::iota(order.begin(), order.end(), 0);
-  auto raw = std::make_unique<PrefixTree>(
-      PrefixTree::Build(t, order, GordianOptions::TreeBuild::kSorted));
-  TreeCacheKey other_key = MakeTreeCacheKey(fp + 1, t.num_columns(), opt);
-  TreeArtifactCache::Lease lease = cache.Insert(other_key, std::move(raw));
-  EXPECT_NE(lease.frozen(), nullptr);
+  // A run that stops before freezing (duplicate entities) hands over only
+  // its built tree: ProfileWithTreeCache freezes it for admission, so later
+  // hits are still served frozen.
+  SyntheticSpec dup_spec = UniformSpec(2, 200, 2, 0.0, 53);
+  dup_spec.ensure_unique_rows = false;
+  Table dup;
+  ASSERT_TRUE(GenerateSynthetic(dup_spec, &dup).ok());
+  const uint64_t dup_fp = TableFingerprint(dup);
+  KeyDiscoveryResult dup_first =
+      ProfileWithTreeCache(dup, opt, dup_fp, &cache, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_TRUE(dup_first.no_keys);
   EXPECT_EQ(cache.GetStats().trees_frozen, 1);
   EXPECT_GT(cache.GetStats().freeze_seconds, 0.0);
+  {
+    TreeArtifactCache::Lease lease =
+        cache.Acquire(MakeTreeCacheKey(dup_fp, dup.num_columns(), opt));
+    ASSERT_TRUE(lease.valid());
+    EXPECT_NE(lease.frozen(), nullptr);
+    EXPECT_TRUE(lease.frozen()->has_duplicate_entities());
+  }
+  KeyDiscoveryResult dup_hit =
+      ProfileWithTreeCache(dup, opt, dup_fp, &cache, &hit);
+  EXPECT_TRUE(hit);
+  ExpectSameReport(dup, dup_first, dup_hit);
 }
 
 // Regression for the cell_count data race: the memo used to be a plain

@@ -467,6 +467,94 @@ TEST(ServiceAppend, AppendAndReprofileChainsAndCatalogs) {
             Status::Code::kInvalidArgument);
 }
 
+// An append that repeats a base row makes the data keyless; the absorbed
+// tree must carry the duplicate flag through the rekey so the chain keeps
+// reporting no_keys on the next append.
+TEST(ServiceAppend, DuplicateRowMakesChainKeylessAndItStaysSo) {
+  uint64_t state = 57;
+  const Schema schema = MakeSchema(4);
+  RowBatch base_batch = MakeBatch(4, 150, 0, &state);
+  // Column 0 alone is not unique here, but the base has no repeated entity.
+  const Table base = Concat(schema, {base_batch});
+  ASSERT_FALSE(Oracle(base).no_keys);
+
+  RowBatch repeat = MakeBatch(4, 20, 150, &state);
+  std::vector<Value> base_row;
+  for (int c = 0; c < 4; ++c) base_row.push_back(base.value(37, c));
+  repeat.AppendRow(base_row);
+  std::vector<RowBatch> batches = {base_batch, repeat,
+                                   MakeBatch(4, 30, 171, &state)};
+
+  ServiceOptions soptions;
+  soptions.num_threads = 1;
+  ProfilingService service(soptions);
+  uint64_t head = 0;
+  ASSERT_TRUE(service.RegisterAppendable("t", base, {}, &head).ok());
+  std::vector<RowBatch> prefix = {base_batch};
+  for (size_t b = 1; b < batches.size(); ++b) {
+    AppendOutcome out;
+    ASSERT_TRUE(service.AppendAndReprofile(head, batches[b], &out).ok());
+    prefix.push_back(batches[b]);
+    const Table concat = Concat(schema, prefix);
+    EXPECT_TRUE(out.tree_absorbed);
+    EXPECT_TRUE(out.result.no_keys) << "append " << b;
+    EXPECT_EQ(Canon(concat, out.result), Canon(concat, Oracle(concat)));
+    head = out.fingerprint;
+  }
+}
+
+// After an append the cache entry lives on under the new fingerprint: a
+// plain profile of the grown table hits it without freezing anything, and
+// resident bytes are exactly the resident trees' ApproxBytes().
+TEST(ServiceAppend, AppendedTreeServesHitsAndBytesStayExact) {
+  uint64_t state = 77;
+  const Schema schema = MakeSchema(3);
+  std::vector<RowBatch> batches = {MakeBatch(3, 240, 0, &state),
+                                   MakeBatch(3, 60, 240, &state)};
+  const Table base = Concat(schema, {batches[0]});
+  const Table concat = Concat(schema, batches);
+
+  ServiceOptions soptions;
+  soptions.num_threads = 1;
+  ProfilingService service(soptions);
+  TreeArtifactCache* cache = service.tree_cache();
+  ASSERT_NE(cache, nullptr);
+  uint64_t fp = 0;
+  ASSERT_TRUE(service.RegisterAppendable("t", base, {}, &fp).ok());
+  AppendOutcome out;
+  ASSERT_TRUE(service.AppendAndReprofile(fp, batches[1], &out).ok());
+  ASSERT_TRUE(out.tree_absorbed);
+  EXPECT_GT(out.refreeze_seconds, 0.0);
+  EXPECT_FALSE(cache->Contains(MakeTreeCacheKey(fp, 3, {})));
+
+  const TreeArtifactCache::Stats before = cache->GetStats();
+  ProfileJobOptions job;
+  job.use_catalog = false;  // force discovery, not a catalog hit
+  ProfileOutcome hit = service.Wait(service.SubmitTable("grown", &concat, job));
+  ASSERT_EQ(hit.info.state, JobState::kSucceeded);
+  EXPECT_TRUE(hit.tree_cache_hit);
+  EXPECT_EQ(Canon(concat, hit.result), Canon(concat, Oracle(concat)));
+  const TreeArtifactCache::Stats after = cache->GetStats();
+  EXPECT_EQ(after.trees_frozen, before.trees_frozen);
+  EXPECT_EQ(after.freeze_seconds, before.freeze_seconds);
+  EXPECT_EQ(after.hits, before.hits + 1);
+
+  // A second, unrelated table adds a second resident entry.
+  const Table other = Concat(schema, {MakeBatch(3, 90, 0, &state)});
+  ASSERT_EQ(service.Wait(service.SubmitTable("other", &other, job)).info.state,
+            JobState::kSucceeded);
+  int64_t resident = 0;
+  for (const Table* t : {&concat, &other}) {
+    TreeArtifactCache::Lease lease =
+        cache->Acquire(MakeTreeCacheKey(TableFingerprint(*t), 3, {}));
+    ASSERT_TRUE(lease.valid());
+    resident += lease.frozen()->ApproxBytes();
+  }
+  const TreeArtifactCache::Stats stats = cache->GetStats();
+  EXPECT_EQ(stats.entries, 2);
+  EXPECT_EQ(stats.bytes, resident);
+}
+
 // The lease regression: a read-only Profile of the same fingerprint racing
 // an AppendAndReprofile must never see a half-absorbed tree. Exercised here
 // (and under TSan in CI) by racing the two paths over identical content.

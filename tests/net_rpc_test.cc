@@ -304,10 +304,15 @@ TEST_F(RouterTest, HealthAggregatesTheFleet) {
 }
 
 TEST_F(RouterTest, QuotaShedsAndRecovers) {
+  // One token per two seconds: the burst phase below (a few small RPCs)
+  // never lasts a refill period, even on a loaded host, so the greedy
+  // client's bucket is still empty when its one-shot and its first
+  // retrying request arrive. The retrying client's 40 attempts x 100 ms
+  // retry-after outlast that period about twice over.
   RouterOptions options;
-  options.quota_tokens_per_second = 20;
+  options.quota_tokens_per_second = 0.5;
   options.quota_burst = 2;
-  options.retry_after_millis = 30;
+  options.retry_after_millis = 100;
   StartFleet(options);
 
   Table table = MakeTable(100, 30);
@@ -336,7 +341,7 @@ TEST_F(RouterTest, QuotaShedsAndRecovers) {
 
   // ...and the greedy client succeeds once it waits out the retry-after.
   RemoteProfileOptions retrying = opts;
-  retrying.max_attempts = 8;
+  retrying.max_attempts = 40;
   RemoteOutcome eventually;
   EXPECT_TRUE(client.Profile("t", table, retrying, &eventually).ok());
   EXPECT_GE(eventually.sheds, 1);

@@ -1,6 +1,6 @@
 // Tests for the staged profiling pipeline (core/pipeline.h): a session
 // must reproduce FindKeys and the pointer-tree oracle byte for byte,
-// shared-tree runs must match fresh runs and leave the injected tree
+// shared frozen-tree runs must match fresh runs and leave the injected tree
 // reusable, and per-stage metrics must cover the executed stages.
 
 #include <gtest/gtest.h>
@@ -79,27 +79,27 @@ TEST(PipelineTest, SharedTreeRunMatchesFreshRunAndTreeStaysReusable) {
   ProfileSession builder(opt);
   KeyDiscoveryResult first;
   ASSERT_TRUE(builder.Run(t, &first).ok());
-  std::unique_ptr<PrefixTree> tree = builder.TakeTree();
+  std::unique_ptr<FrozenTree> tree = builder.TakeFrozenArtifact();
   ASSERT_NE(tree, nullptr);
-  const int64_t pristine_bytes = tree->pool().current_bytes();
+  const int64_t pristine_bytes = tree->ApproxBytes();
 
   // Traversal temporarily mutates node refcounts on the shared tree; after
   // each run the tree must come back byte-identical, so it can serve an
   // unbounded sequence of runs.
   for (int round = 0; round < 3; ++round) {
     ProfileSession reuser(opt);
-    reuser.set_shared_tree(tree.get());
+    reuser.set_shared_frozen_tree(tree.get());
     KeyDiscoveryResult reused;
     ASSERT_TRUE(reuser.Run(t, &reused).ok());
     ExpectSameReport(t, baseline, reused);
-    EXPECT_EQ(tree->pool().current_bytes(), pristine_bytes);
+    EXPECT_EQ(tree->ApproxBytes(), pristine_bytes);
     EXPECT_EQ(reuser.TakeTree(), nullptr);  // run built nothing
   }
 }
 
 TEST(PipelineTest, SharedFrozenTreeRunMatchesAndStaysReusable) {
-  // The tree-cache-hit shape: both the pointer tree and its frozen layout
-  // are injected, so the run skips the build and the freeze.
+  // The tree-cache-hit shape: the frozen tree is injected, so the run skips
+  // the build and the freeze.
   Table t = MakeTable(2500, 37);
   GordianOptions opt;
   KeyDiscoveryResult baseline = OracleFindKeys(t, opt);
@@ -114,7 +114,6 @@ TEST(PipelineTest, SharedFrozenTreeRunMatchesAndStaysReusable) {
 
   for (int round = 0; round < 2; ++round) {
     ProfileSession reuser(opt);
-    reuser.set_shared_tree(tree.get());
     reuser.set_shared_frozen_tree(frozen.get());
     KeyDiscoveryResult reused;
     ASSERT_TRUE(reuser.Run(t, &reused).ok());

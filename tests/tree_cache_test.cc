@@ -9,9 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "core/frozen_tree.h"
 #include "core/gordian.h"
 #include "core/pipeline.h"
-#include "core/prefix_tree.h"
 #include "datagen/synthetic.h"
 #include "oracle/non_key_finder.h"
 #include "service/profiling_service.h"
@@ -31,24 +31,20 @@ Table MakeTable(int64_t rows, uint64_t seed, int columns = 5) {
   return t;
 }
 
-// Builds the prefix tree the default plan would build for (table, options).
-std::unique_ptr<PrefixTree> BuildTree(const Table& t,
+// Builds the frozen tree the default plan would build for (table, options).
+std::unique_ptr<FrozenTree> BuildTree(const Table& t,
                                       const GordianOptions& opt) {
   ProfileSession session(opt);
   KeyDiscoveryResult r;
   EXPECT_TRUE(session.Run(t, &r).ok());
-  std::unique_ptr<PrefixTree> tree = session.TakeTree();
+  std::unique_ptr<FrozenTree> tree = session.TakeFrozenArtifact();
   EXPECT_NE(tree, nullptr);
   return tree;
 }
 
-// The byte footprint one cache entry for `tree` will occupy: the pool's
-// bytes plus the flat layout admitted alongside. The budget-sensitive tests
-// below size their caches in this unit.
-int64_t EntryFootprint(const PrefixTree& tree) {
-  return const_cast<PrefixTree&>(tree).pool().current_bytes() +
-         FrozenTree::Freeze(tree)->ApproxBytes();
-}
+// The byte footprint one cache entry for `tree` will occupy. The
+// budget-sensitive tests below size their caches in this unit.
+int64_t EntryFootprint(const FrozenTree& tree) { return tree.ApproxBytes(); }
 
 TEST(TreeCacheKeyTest, DistinguishesTreeShapingOptions) {
   GordianOptions base;
@@ -93,7 +89,7 @@ TEST(TreeCacheTest, MissInsertHitLifecycle) {
   {
     TreeArtifactCache::Lease lease = cache.Insert(key, BuildTree(t, opt));
     ASSERT_TRUE(lease.valid());
-    EXPECT_NE(lease.tree(), nullptr);
+    EXPECT_NE(lease.frozen(), nullptr);
 
     // While leased, a second acquire is a busy miss.
     EXPECT_FALSE(cache.Acquire(key).valid());
@@ -120,9 +116,9 @@ TEST(TreeCacheTest, MissInsertHitLifecycle) {
 TEST(TreeCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   Table t = MakeTable(1200, 5);
   GordianOptions opt;
-  std::unique_ptr<PrefixTree> t1 = BuildTree(t, opt);
-  std::unique_ptr<PrefixTree> t2 = BuildTree(t, opt);
-  std::unique_ptr<PrefixTree> t3 = BuildTree(t, opt);
+  std::unique_ptr<FrozenTree> t1 = BuildTree(t, opt);
+  std::unique_ptr<FrozenTree> t2 = BuildTree(t, opt);
+  std::unique_ptr<FrozenTree> t3 = BuildTree(t, opt);
   const int64_t one = EntryFootprint(*t1);
   ASSERT_GT(one, 0);
 
@@ -153,8 +149,8 @@ TEST(TreeCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
 TEST(TreeCacheTest, LeasedEntriesAreNeverEvicted) {
   Table t = MakeTable(1200, 7);
   GordianOptions opt;
-  std::unique_ptr<PrefixTree> t1 = BuildTree(t, opt);
-  std::unique_ptr<PrefixTree> t2 = BuildTree(t, opt);
+  std::unique_ptr<FrozenTree> t1 = BuildTree(t, opt);
+  std::unique_ptr<FrozenTree> t2 = BuildTree(t, opt);
   const int64_t one = EntryFootprint(*t1);
 
   // Budget fits only one tree.
@@ -189,15 +185,15 @@ TEST(TreeCacheTest, LeasedEntriesAreNeverEvicted) {
 TEST(TreeCacheTest, OversizedArtifactIsServedButNotAdmitted) {
   Table t = MakeTable(1200, 9);
   GordianOptions opt;
-  std::unique_ptr<PrefixTree> tree = BuildTree(t, opt);
-  PrefixTree* raw = tree.get();
+  std::unique_ptr<FrozenTree> tree = BuildTree(t, opt);
+  FrozenTree* raw = tree.get();
 
   TreeArtifactCache cache(/*byte_budget=*/1);
   TreeCacheKey key = MakeTreeCacheKey(1, t.num_columns(), opt);
   TreeArtifactCache::Lease lease = cache.Insert(key, std::move(tree));
   // The inserting job still gets its tree...
   ASSERT_TRUE(lease.valid());
-  EXPECT_EQ(lease.tree(), raw);
+  EXPECT_EQ(lease.frozen(), raw);
   lease.Release();
   // ...but the cache never admits it.
   EXPECT_FALSE(cache.Contains(key));
