@@ -1,9 +1,8 @@
 #include "core/fd.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace gordian {
 
@@ -51,6 +50,93 @@ void EnumerateSubsets(const AttributeSet& space, int max_size,
   }
 }
 
+// Dense group ids of the table's rows under one determinant X: two rows
+// share an id iff they agree on every attribute of X. The first column's
+// codes are the ids; each further column folds in by relabelling the
+// packed (id, code) pair to a new dense id.
+class LhsGroups {
+ public:
+  explicit LhsGroups(const Table& table)
+      : table_(table), dense_ids_(table.num_rows()) {}
+
+  // Groups the rows by `lhs` (non-empty) and returns the group count,
+  // |distinct(X)|, exactly.
+  int64_t Group(const AttributeSet& lhs) {
+    const int first = lhs.First();
+    ids_ = table_.column_codes(first).data();
+    id_space_ = table_.dictionary(first).size();
+    int64_t groups = table_.ColumnCardinality(first);
+    for (int a = lhs.Next(first); a >= 0; a = lhs.Next(a)) {
+      groups = FoldIn(table_.column_codes(a).data());
+    }
+    return groups;
+  }
+
+  // X -> A iff every group of the last Group call sees one code of `rhs`.
+  // One pass over the rows, stopping at the first conflict.
+  bool Determines(int rhs) {
+    const uint32_t* codes = table_.column_codes(rhs).data();
+    first_seen_.assign(id_space_, kUnseen);
+    const int64_t rows = table_.num_rows();
+    for (int64_t r = 0; r < rows; ++r) {
+      uint32_t& seen = first_seen_[ids_[r]];
+      if (seen == kUnseen) {
+        seen = codes[r];
+      } else if (seen != codes[r]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  // No dictionary code is UINT32_MAX, and no dense id either (ids count
+  // groups, which are at most the rows, uint32-addressed like the codes),
+  // so it marks both an unseen group and an empty slot.
+  static constexpr uint32_t kUnseen = UINT32_MAX;
+
+  // Replaces every row's id by a dense id of its (id, code) pair, through
+  // an open-addressing table kept at most half full. Returns the number of
+  // distinct pairs.
+  uint32_t FoldIn(const uint32_t* codes) {
+    const int64_t rows = table_.num_rows();
+    size_t capacity = 2;
+    int shift = 63;
+    while (capacity < static_cast<size_t>(2 * rows)) {
+      capacity <<= 1;
+      --shift;
+    }
+    slot_keys_.resize(capacity);
+    slot_ids_.assign(capacity, kUnseen);
+    uint32_t count = 0;
+    for (int64_t r = 0; r < rows; ++r) {
+      const uint64_t key = (uint64_t{ids_[r]} << 32) | codes[r];
+      size_t slot = static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift);
+      while (slot_ids_[slot] != kUnseen && slot_keys_[slot] != key) {
+        slot = (slot + 1) & (capacity - 1);
+      }
+      if (slot_ids_[slot] == kUnseen) {
+        slot_keys_[slot] = key;
+        slot_ids_[slot] = count++;
+      }
+      // Row r's old id is read before its new one is written, so folding
+      // in place over dense_ids_ is safe.
+      dense_ids_[r] = slot_ids_[slot];
+    }
+    ids_ = dense_ids_.data();
+    id_space_ = count;
+    return count;
+  }
+
+  const Table& table_;
+  const uint32_t* ids_ = nullptr;  // one group id per row
+  size_t id_space_ = 0;            // every id is below this
+  std::vector<uint32_t> dense_ids_;
+  std::vector<uint64_t> slot_keys_;
+  std::vector<uint32_t> slot_ids_;
+  std::vector<uint32_t> first_seen_;
+};
+
 }  // namespace
 
 bool FdCandidateLess(const FdCandidate& a, const FdCandidate& b) {
@@ -87,18 +173,13 @@ std::vector<FdCandidate> DiscoverFds(const Table& table,
     }
   }
 
-  // Verify: X -> A iff distinct(X ∪ {A}) == distinct(X). Distinct counts
-  // for repeated LHSs are memoized; the cardinality prune skips pairs where
-  // A alone has more distinct values than X (A cannot be a function of X).
-  std::unordered_map<AttributeSet, int64_t, AttributeSetHash> distinct_memo;
-  auto distinct_of = [&](const AttributeSet& s) {
-    auto it = distinct_memo.find(s);
-    if (it != distinct_memo.end()) return it->second;
-    int64_t d = table.DistinctCountFast(s);
-    distinct_memo.emplace(s, d);
-    return d;
-  };
-
+  // Verify each candidate on the dense group ids of its LHS, computed once
+  // per LHS (all RHSs of one LHS are contiguous in enumeration order). The
+  // cardinality prune skips pairs where A alone has more distinct values
+  // than X (A cannot be a function of X).
+  LhsGroups groups(table);
+  AttributeSet grouped;  // LHS `groups` holds; empty before the first
+  int64_t lhs_distinct = 0;
   int64_t verifications = 0;
   const double rows = static_cast<double>(table.num_rows());
   for (const auto& [lhs, rhs] : candidates) {
@@ -106,13 +187,14 @@ std::vector<FdCandidate> DiscoverFds(const Table& table,
         verifications >= options.max_verifications) {
       break;
     }
-    int64_t lhs_distinct = distinct_of(lhs);
+    if (lhs != grouped) {
+      lhs_distinct = groups.Group(lhs);
+      grouped = lhs;
+    }
     if (lhs_distinct >= table.num_rows()) continue;  // X unique -> trivial
     if (table.ColumnCardinality(rhs) > lhs_distinct) continue;  // prune
     ++verifications;
-    AttributeSet both = lhs;
-    both.Set(rhs);
-    if (distinct_of(both) != lhs_distinct) continue;  // FD does not hold
+    if (!groups.Determines(rhs)) continue;  // FD does not hold
     FdCandidate fd;
     fd.lhs = lhs;
     fd.rhs = rhs;

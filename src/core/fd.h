@@ -16,8 +16,10 @@ namespace gordian {
 // superkey and the FD trivial; were X ∪ {A} not inside a non-key it would
 // contain a key, again making X a superkey). So candidates are enumerated as
 // subsets of the discovered non-keys instead of the full 2^d lattice, then
-// verified exactly by one distinct-count comparison each:
-// X -> A  iff  |distinct(X ∪ {A})| = |distinct(X)|.
+// verified exactly on dense group ids: the rows are grouped by X once per
+// determinant, and X -> A holds iff one pass over the rows sees a single A
+// value per group. The pass stops at the first row that disagrees with its
+// group.
 //
 // Candidates are ranked by redundancy = 1 - |distinct(X)| / rows — the
 // fraction of rows that repeat an X-value and are therefore determined "for
@@ -41,8 +43,8 @@ struct FdOptions {
   // Keep only the top-k ranked FDs per table. <= 0 keeps all verified FDs.
   int top_k = 10;
 
-  // Hard cap on exact verifications (distinct-count pairs) per table, a
-  // guard against adversarially wide non-keys. Candidates are enumerated in
+  // Hard cap on exact verifications (row passes) per table, a guard
+  // against adversarially wide non-keys. Candidates are enumerated in
   // the documented deterministic order, so the cap cuts a stable prefix.
   // <= 0 removes the cap.
   int64_t max_verifications = 10000;

@@ -15,7 +15,7 @@ namespace gordian {
 namespace {
 
 // Non-keys are reported in this canonical order (cardinality, then bitset
-// order — the same ordering MinimizeSets uses for keys): the discovered
+// order — the same ordering NonKeysToKeys returns keys in): the discovered
 // antichain's *content* is fixed by the data, but its insertion order
 // depends on the attribute order and on warm-start seeding.
 void CanonicalizeNonKeys(std::vector<AttributeSet>* non_keys) {

@@ -77,6 +77,9 @@ Status SchemaProfiler::Profile(
   }
   report->key_seconds = watch.ElapsedSeconds();
 
+  // FD and FK jobs never leave this call, so each record is forgotten as
+  // soon as its Wait returns; the scheduler would otherwise keep one per
+  // unit for its lifetime.
   JobScheduler& scheduler = service_->scheduler();
 
   // Stage 2: ranked FDs, one job per table. Jobs touch only their own
@@ -94,7 +97,10 @@ Status SchemaProfiler::Profile(
         entry->fds = DiscoverFds(*entry->table, entry->result, fd_options);
       }));
     }
-    for (JobId id : fd_jobs) scheduler.Wait(id);
+    for (JobId id : fd_jobs) {
+      scheduler.Wait(id);
+      scheduler.Forget(id);
+    }
     report->fd_seconds = watch.ElapsedSeconds();
   }
 
@@ -134,7 +140,10 @@ Status SchemaProfiler::Profile(
                 fk_options);
           }));
     }
-    for (JobId id : fk_jobs) scheduler.Wait(id);
+    for (JobId id : fk_jobs) {
+      scheduler.Wait(id);
+      scheduler.Forget(id);
+    }
     for (std::vector<ForeignKeyCandidate>& slot : slots) {
       report->foreign_keys.insert(report->foreign_keys.end(), slot.begin(),
                                   slot.end());

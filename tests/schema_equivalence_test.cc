@@ -4,7 +4,10 @@
 // byte-for-byte:
 //   - dictionary-first vs legacy value-materializing FK verification;
 //   - SchemaProfiler at 1 worker thread vs a full pool;
-//   - resident vs spilled (CodeColumn under a tiny budget) base tables.
+//   - resident vs spilled (CodeColumn under a tiny budget) base tables;
+//   - DiscoverFds vs the distinct-count oracle (oracle/fd.h), resident and
+//     spilled, with every verdict on small tables also checked against the
+//     pairwise definition of a functional dependency.
 // Iteration count honours GORDIAN_FUZZ_ITERS (CI's nightly-style leg
 // raises it: GORDIAN_FUZZ_ITERS=20 ctest -L schema).
 
@@ -13,14 +16,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/fault_fs.h"
 #include "common/random.h"
+#include "core/fd.h"
 #include "core/foreign_key.h"
 #include "core/gordian.h"
+#include "oracle/fd.h"
 #include "oracle/non_key_finder.h"
 #include "service/profiling_service.h"
 #include "service/schema_profiler.h"
@@ -261,6 +267,187 @@ TEST(SchemaEquivalence, ResidentAndSpilledTablesIdentical) {
                 OracleFindKeys(resident[i]).KeySets())
           << "iter " << iter << " table " << i;
     }
+  }
+}
+
+// Serializer for the FD checks: every field, redundancy as a hex float so
+// equal strings mean bit-equal doubles.
+std::string FdsToString(const std::vector<FdCandidate>& fds) {
+  std::string out;
+  char buf[96];
+  for (const FdCandidate& fd : fds) {
+    std::snprintf(buf, sizeof(buf), "->%d distinct=%lld redundancy=%a\n",
+                  fd.rhs, static_cast<long long>(fd.lhs_distinct),
+                  fd.redundancy);
+    out += fd.lhs.ToString() + buf;
+  }
+  return out;
+}
+
+// DiscoverFds against the distinct-count oracle over the whole option grid:
+// LHS widths 1-3, top_k {0, 1, 10}, verification caps {0, 1, 7, 10000}.
+void ExpectFdsMatchOracle(const Table& table, const KeyDiscoveryResult& result,
+                          const std::string& where) {
+  for (int max_lhs_size = 1; max_lhs_size <= 3; ++max_lhs_size) {
+    for (int top_k : {0, 1, 10}) {
+      for (int64_t cap : {0, 1, 7, 10000}) {
+        FdOptions options;
+        options.max_lhs_size = max_lhs_size;
+        options.top_k = top_k;
+        options.max_verifications = cap;
+        EXPECT_EQ(FdsToString(DiscoverFds(table, result, options)),
+                  FdsToString(OracleDiscoverFds(table, result, options)))
+            << where << " max_lhs_size=" << max_lhs_size
+            << " top_k=" << top_k << " max_verifications=" << cap;
+      }
+    }
+  }
+}
+
+// X -> A by definition: no two rows agree on X and differ on A.
+bool HoldsPairwise(const Table& table, const AttributeSet& lhs, int rhs) {
+  for (int64_t r1 = 0; r1 < table.num_rows(); ++r1) {
+    for (int64_t r2 = r1 + 1; r2 < table.num_rows(); ++r2) {
+      bool agree = true;
+      lhs.ForEach([&](int a) {
+        if (table.code(r1, a) != table.code(r2, a)) agree = false;
+      });
+      if (agree && table.code(r1, rhs) != table.code(r2, rhs)) return false;
+    }
+  }
+  return true;
+}
+
+// Every candidate's verdict on a small table, from the definition: with no
+// cap and no top-k cut, DiscoverFds must report exactly the X -> A with
+// |X| <= max_lhs_size and non-unique X that hold pairwise (any such X ∪ {A}
+// is a non-key, so a complete result always offers it as a candidate), each
+// with its exact distinct count.
+void ExpectVerdictsPairwise(const Table& table,
+                            const KeyDiscoveryResult& result,
+                            const std::string& where) {
+  ASSERT_LE(table.num_rows(), 64) << where;
+  const int d = table.num_columns();
+  for (int max_lhs_size = 1; max_lhs_size <= 3; ++max_lhs_size) {
+    FdOptions options;
+    options.max_lhs_size = max_lhs_size;
+    options.top_k = 0;
+    options.max_verifications = 0;
+    std::set<std::pair<AttributeSet, int>> found;
+    for (const FdCandidate& fd : DiscoverFds(table, result, options)) {
+      found.insert({fd.lhs, fd.rhs});
+      EXPECT_EQ(fd.lhs_distinct, table.DistinctCount(fd.lhs)) << where;
+    }
+    for (uint64_t mask = 1; mask < (uint64_t{1} << d); ++mask) {
+      AttributeSet lhs;
+      for (int a = 0; a < d; ++a) {
+        if (mask & (uint64_t{1} << a)) lhs.Set(a);
+      }
+      if (lhs.Count() > max_lhs_size) continue;
+      const bool unique = table.IsUnique(lhs);
+      for (int rhs = 0; rhs < d; ++rhs) {
+        if (lhs.Test(rhs)) continue;
+        const bool expected = !unique && HoldsPairwise(table, lhs, rhs);
+        EXPECT_EQ(found.count({lhs, rhs}) > 0, expected)
+            << where << " " << lhs.ToString() << " -> " << rhs
+            << " max_lhs_size=" << max_lhs_size;
+      }
+    }
+  }
+}
+
+// `table` with its first row appended again, so no attribute set is a key.
+Table WithRepeatedRow(const Table& table) {
+  TableBuilder b(table.schema());
+  std::vector<Value> row(table.num_columns());
+  for (int64_t r = 0; r <= table.num_rows(); ++r) {
+    const int64_t src = r < table.num_rows() ? r : 0;
+    for (int c = 0; c < table.num_columns(); ++c) {
+      row[c] = table.value(src, c);
+    }
+    b.AddRow(row);
+  }
+  return b.Build();
+}
+
+int NullColumns(const Table& table) {
+  int n = 0;
+  for (int c = 0; c < table.num_columns(); ++c) {
+    for (int64_t r = 0; r < table.num_rows(); ++r) {
+      if (table.value(r, c).is_null()) {
+        ++n;
+        break;
+      }
+    }
+  }
+  return n;
+}
+
+TEST(SchemaEquivalence, FdsMatchDistinctCountOracle) {
+  const int iters = FuzzIters();
+  int null_columns = 0;
+  for (int iter = 0; iter < iters; ++iter) {
+    Random rng(0x5eed0004 + iter * 977);
+    // Default-sized tables, then tables small enough for the pairwise
+    // check.
+    std::vector<Table> tables = RandomSchema(&rng, SpillPolicy());
+    const size_t num_default = tables.size();
+    for (Table& t : RandomSchema(&rng, SpillPolicy(), 4, 60)) {
+      tables.push_back(std::move(t));
+    }
+    for (size_t i = 0; i < tables.size(); ++i) {
+      const std::string where =
+          "iter " + std::to_string(iter) + " table " + std::to_string(i);
+      const Table& t = tables[i];
+      null_columns += NullColumns(t);
+      const KeyDiscoveryResult result = FindKeys(t);
+      ASSERT_FALSE(result.incomplete) << where;
+      ExpectFdsMatchOracle(t, result, where);
+
+      const Table repeated = WithRepeatedRow(t);
+      const KeyDiscoveryResult no_keys = FindKeys(repeated);
+      EXPECT_TRUE(no_keys.no_keys) << where;
+      ExpectFdsMatchOracle(repeated, no_keys, where + " repeated row");
+
+      KeyDiscoveryResult incomplete = result;
+      incomplete.incomplete = true;
+      EXPECT_TRUE(DiscoverFds(t, incomplete).empty()) << where;
+      ExpectFdsMatchOracle(t, incomplete, where + " incomplete");
+
+      // A result with neither keys nor non-keys offers the whole schema,
+      // unique `id` included, so the unique-LHS prune fires too.
+      ExpectFdsMatchOracle(t, KeyDiscoveryResult(), where + " empty result");
+
+      if (i >= num_default) {
+        ExpectVerdictsPairwise(t, result, where);
+        ExpectVerdictsPairwise(repeated, no_keys, where + " repeated row");
+      }
+    }
+  }
+  // Seed 0x5eed0004 plants NULLs, so even a single iteration covers them.
+  EXPECT_GT(null_columns, 0);
+}
+
+TEST(SchemaEquivalence, FdsOnSpilledTablesMatchOracle) {
+  const int iters = FuzzIters();
+  const std::string dir = ::testing::TempDir() + "gordian_fd_spill";
+  ASSERT_TRUE(DefaultFileSystem()->CreateDir(dir).ok());
+  for (int iter = 0; iter < iters; ++iter) {
+    SpillPolicy spill;
+    spill.memory_budget_bytes = 1 << 10;  // force everything out
+    spill.spill_dir = dir;
+    spill.chunk_rows = 512;
+    Random rng(0x5eed0005 + iter * 977);
+    std::vector<Table> spilled = RandomSchema(&rng, spill, 4200, 6000);
+    bool any_spilled = false;
+    for (size_t i = 0; i < spilled.size(); ++i) {
+      const Table& t = spilled[i];
+      if (t.spilled_column_count() > 0) any_spilled = true;
+      ExpectFdsMatchOracle(t, FindKeys(t),
+                           "iter " + std::to_string(iter) + " table " +
+                               std::to_string(i));
+    }
+    EXPECT_TRUE(any_spilled) << "iter " << iter;
   }
 }
 

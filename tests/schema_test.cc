@@ -1,7 +1,8 @@
 // Tests for the schema-wide discovery layer: SchemaProfiler ground-truth
 // recovery over the multi-table generators, schema_report.json persistence
-// (including the injected-fault path), ranked FD discovery, the SQL NULL
-// semantics of foreign-key coverage, and the schema-wide advisor overload.
+// (including the injected-fault path), the release of FD and FK job
+// records, ranked FD discovery, the SQL NULL semantics of foreign-key
+// coverage, and the schema-wide advisor overload.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "datagen/tpch_lite.h"
 #include "engine/advisor.h"
 #include "engine/row_store.h"
+#include "service/job_scheduler.h"
 #include "service/profiling_service.h"
 #include "service/schema_profiler.h"
 #include "table/table.h"
@@ -159,6 +161,33 @@ TEST(SchemaProfiler, PersistenceFaultStillPopulatesReport) {
   ASSERT_EQ(report.tables.size(), db.size());
   EXPECT_EQ(RecoveredCount(report, TpchLiteForeignKeys()),
             static_cast<int>(TpchLiteForeignKeys().size()));
+}
+
+// FD and FK jobs never leave Profile, so their scheduler records are
+// dropped as soon as they are waited on. Of the jobs submitted between two
+// bracketing no-ops, only the key-stage jobs (one per table) stay: the
+// ProfilingService keeps those for its own Wait/Poll.
+TEST(SchemaProfiler, ForgetsFdAndFkJobRecords) {
+  std::vector<NamedTable> db = GenerateTpchLite(/*scale=*/0.002, /*seed=*/31);
+  ProfilingService service;
+  JobScheduler& scheduler = service.scheduler();
+  const auto noop = [](const JobContext&) {};
+  const JobId before = scheduler.Submit(noop);
+  scheduler.Wait(before);
+
+  SchemaProfiler profiler(&service);
+  SchemaReport report;
+  ASSERT_TRUE(profiler.Profile(Views(db), PermissiveOptions(), &report).ok());
+  const JobId after = scheduler.Submit(noop);
+  scheduler.Wait(after);
+
+  // Keys, then one FD job per table, then at least one FK unit.
+  ASSERT_GT(after - before - 1, static_cast<JobId>(2 * db.size()));
+  int valid = 0;
+  for (JobId id = before + 1; id < after; ++id) {
+    if (scheduler.Poll(id).valid) ++valid;
+  }
+  EXPECT_EQ(valid, static_cast<int>(db.size()));
 }
 
 // A table with a planted FD (team -> league) and no keys at all: every
