@@ -1,10 +1,8 @@
 // bench_schema: schema-wide discovery over the two multi-table generators
 // with known referential structure — tpch_lite and baseball_like. Measures
-// (1) FK verification wall time, dictionary-first vs the legacy
-// value-materializing path, (2) whether the two paths produce byte-identical
-// candidate lists, and (3) precision/recall of the discovered foreign keys
-// against the generators' built-in ground truth. Results land in
-// BENCH_schema.json (overridable via GORDIAN_BENCH_SCHEMA_JSON).
+// (1) FK verification wall time and (2) precision/recall of the discovered
+// foreign keys against the generators' built-in ground truth. Results land
+// in BENCH_schema.json (overridable via GORDIAN_BENCH_SCHEMA_JSON).
 //
 // Usage: bench_schema [--tpch_scale=0.01] [--baseball_scale=0.25]
 //                     [--threads=N] [--repeats=3]
@@ -28,7 +26,6 @@
 
 namespace {
 
-using gordian::bench::FormatRatio;
 using gordian::bench::FormatSeconds;
 using gordian::bench::SeriesPrinter;
 
@@ -100,32 +97,12 @@ GroundTruthEval Evaluate(const std::vector<gordian::SchemaGroundTruthFk>& truth,
   return eval;
 }
 
-// Serialization for the byte-equality check between the two paths.
-std::string CandidatesToString(
-    const std::vector<gordian::ForeignKeyCandidate>& candidates) {
-  std::string out;
-  char buf[160];
-  for (const gordian::ForeignKeyCandidate& fk : candidates) {
-    std::string cols;
-    for (int c : fk.foreign_key_columns) cols += std::to_string(c) + ",";
-    std::snprintf(buf, sizeof(buf), "%d[%s]->%d%s cov=%.12f ref=%.12f n=%lld\n",
-                  fk.referencing_table, cols.c_str(), fk.referenced_table,
-                  fk.referenced_key.ToString().c_str(), fk.coverage,
-                  fk.referenced_coverage,
-                  static_cast<long long>(fk.distinct_fk_tuples));
-    out += buf;
-  }
-  return out;
-}
-
 struct DatasetResult {
   std::string name;
   int tables = 0;
   int64_t total_rows = 0;
   double key_seconds = 0;
-  double dict_seconds = 0;
-  double legacy_seconds = 0;
-  bool identical = false;
+  double fk_seconds = 0;
   GroundTruthEval eval;
 };
 
@@ -139,8 +116,8 @@ DatasetResult RunDataset(const std::string& name,
   out.name = name;
   out.tables = static_cast<int>(db.size());
 
-  // Keys per table (serial FindKeys: this section times the FK paths, not
-  // the key stage, and both paths must start from identical key sets).
+  // Keys per table (serial FindKeys: this section times FK verification,
+  // not the key stage).
   Stopwatch watch;
   std::vector<ProfiledTable> profiled;
   for (const NamedTable& nt : db) {
@@ -155,39 +132,22 @@ DatasetResult RunDataset(const std::string& name,
   options.max_arity = 1;  // the ground-truth FKs are all single-column
   options.min_referenced_coverage = min_ref_coverage;
 
-  // Dictionary-first, best of `repeats`.
-  std::vector<ForeignKeyCandidate> dict_candidates;
-  out.dict_seconds = 1e30;
+  // Best of `repeats`.
+  std::vector<ForeignKeyCandidate> candidates;
+  out.fk_seconds = 1e30;
   for (int r = 0; r < repeats; ++r) {
     watch.Restart();
-    options.dictionary_first = true;
-    dict_candidates = DiscoverForeignKeys(profiled, options);
-    out.dict_seconds = std::min(out.dict_seconds, watch.ElapsedSeconds());
+    candidates = DiscoverForeignKeys(profiled, options);
+    out.fk_seconds = std::min(out.fk_seconds, watch.ElapsedSeconds());
   }
-
-  // Legacy value-materializing oracle, best of `repeats`.
-  std::vector<ForeignKeyCandidate> legacy_candidates;
-  out.legacy_seconds = 1e30;
-  for (int r = 0; r < repeats; ++r) {
-    watch.Restart();
-    options.dictionary_first = false;
-    legacy_candidates = DiscoverForeignKeys(profiled, options);
-    out.legacy_seconds = std::min(out.legacy_seconds, watch.ElapsedSeconds());
-  }
-
-  out.identical = CandidatesToString(dict_candidates) ==
-                  CandidatesToString(legacy_candidates);
-  out.eval = Evaluate(truth, dict_candidates, profiled);
+  out.eval = Evaluate(truth, candidates, profiled);
   return out;
 }
 
 void PrintDataset(const DatasetResult& r) {
-  SeriesPrinter p({"path", "fk seconds", "speedup", "identical"});
-  p.AddRow({"legacy (value-materializing)", FormatSeconds(r.legacy_seconds),
-            "1.00", "-"});
-  p.AddRow({"dictionary-first", FormatSeconds(r.dict_seconds),
-            FormatRatio(r.legacy_seconds / r.dict_seconds),
-            r.identical ? "yes" : "NO"});
+  SeriesPrinter p({"stage", "seconds"});
+  p.AddRow({"key discovery", FormatSeconds(r.key_seconds)});
+  p.AddRow({"fk verification", FormatSeconds(r.fk_seconds)});
   p.Print();
   std::printf("  ground truth: %d/%d recovered (recall %.3f), "
               "%d/%d candidates genuine (precision %.3f)\n",
@@ -202,14 +162,7 @@ std::string DatasetJson(const DatasetResult& r) {
   out += "      \"total_rows\": " + std::to_string(r.total_rows) + ",\n";
   out += "      \"key_discovery_seconds\": " + std::to_string(r.key_seconds) +
          ",\n";
-  out += "      \"fk_dictionary_first_seconds\": " +
-         std::to_string(r.dict_seconds) + ",\n";
-  out += "      \"fk_legacy_seconds\": " + std::to_string(r.legacy_seconds) +
-         ",\n";
-  out += "      \"dict_speedup\": " +
-         std::to_string(r.legacy_seconds / r.dict_seconds) + ",\n";
-  out += std::string("      \"paths_identical\": ") +
-         (r.identical ? "true" : "false") + ",\n";
+  out += "      \"fk_seconds\": " + std::to_string(r.fk_seconds) + ",\n";
   out += "      \"ground_truth_fks\": " + std::to_string(r.eval.truth_total) +
          ",\n";
   out += "      \"recovered\": " + std::to_string(r.eval.truth_found) + ",\n";
@@ -239,8 +192,8 @@ int main(int argc, char** argv) {
   const double min_ref_coverage = flags.GetDouble("min_ref_coverage", 0.05);
 
   bench::Banner("schema discovery",
-                "FK verification: dictionary-first vs legacy, and "
-                "precision/recall vs generator ground truth");
+                "FK verification time and precision/recall vs generator "
+                "ground truth");
 
   std::printf("\ntpch_lite (scale %.3f):\n", tpch_scale);
   DatasetResult tpch =

@@ -3,20 +3,9 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "common/hashing.h"
-
 namespace gordian {
 
 namespace {
-
-// Value tuples must be compared across tables, whose dictionaries assign
-// codes independently — so fingerprints are built from the decoded Values.
-Fingerprint128 TupleFingerprint(const Table& t, int64_t row,
-                                const std::vector<int>& cols) {
-  Fingerprint128 fp;
-  for (int c : cols) fp.Update(t.value(row, c).Hash());
-  return fp;
-}
 
 std::vector<int> ToCols(const AttributeSet& attrs) {
   std::vector<int> cols;
@@ -24,8 +13,8 @@ std::vector<int> ToCols(const AttributeSet& attrs) {
   return cols;
 }
 
-// Dominant value type of a column, judged from its dictionary (NULLs are
-// ignored; ties resolve to the first seen).
+// The type of the column's first non-NULL dictionary entry; kNull when the
+// dictionary holds nothing else.
 ValueType ColumnType(const Table& t, int col) {
   const Dictionary& d = t.dictionary(col);
   for (uint32_t code = 0; code < d.size(); ++code) {
@@ -42,24 +31,6 @@ bool TypesCompatible(const Table& a, const std::vector<int>& a_cols,
   return true;
 }
 
-bool RowHasNull(const Table& t, int64_t row, const std::vector<int>& cols) {
-  for (int c : cols) {
-    if (t.value(row, c).is_null()) return true;
-  }
-  return false;
-}
-
-// The dictionary's code for NULL, or UINT32_MAX when the column never saw
-// one. A dictionary stores at most one NULL entry.
-uint32_t NullCodeOf(const Dictionary& d) {
-  for (uint32_t code = 0; code < d.size(); ++code) {
-    if (d.Decode(code).is_null()) return code;
-  }
-  return UINT32_MAX;
-}
-
-// --- dictionary-first path ----------------------------------------------
-
 // Per-column facts derivable without decoding rows into Values: which
 // dictionary codes actually occur in the rows (a sample or column view may
 // carry a parent dictionary with absent values), how many distinct NULL-free
@@ -67,7 +38,6 @@ uint32_t NullCodeOf(const Dictionary& d) {
 // spilled columns are read through their mmap a chunk at a time, never
 // materialized.
 struct ColumnArtifact {
-  ValueType type = ValueType::kNull;
   uint32_t null_code = UINT32_MAX;
   std::vector<uint8_t> present;   // indexed by dictionary code
   int64_t present_total = 0;      // distinct codes occurring in rows
@@ -77,8 +47,7 @@ struct ColumnArtifact {
 ColumnArtifact BuildColumnArtifact(const Table& t, int col) {
   ColumnArtifact a;
   const Dictionary& d = t.dictionary(col);
-  a.type = ColumnType(t, col);
-  a.null_code = NullCodeOf(d);
+  a.null_code = d.Lookup(Value::Null());
   a.present.assign(d.size(), 0);
   const CodeColumn& codes = t.column_codes(col);
   for (int64_t ch = 0; ch < codes.num_chunks(); ++ch) {
@@ -164,8 +133,8 @@ void EmitIfQualified(int fi, int ki, const std::vector<int>& fcols,
   out->push_back(std::move(cand));
 }
 
-// All candidate column tuples of `ft` with the key's arity, in the fixed
-// enumeration order both paths share.
+// All candidate column tuples of `ft` with the key's arity: ordered tuples
+// of distinct columns, first column outermost.
 std::vector<std::vector<int>> EnumerateCandidates(const Table& ft,
                                                   size_t arity) {
   std::vector<std::vector<int>> candidates;
@@ -181,13 +150,20 @@ std::vector<std::vector<int>> EnumerateCandidates(const Table& ft,
   return candidates;
 }
 
-void VerifyDictionaryFirst(const std::vector<ProfiledTable>& tables, int fi,
-                           int ki, const AttributeSet& key,
-                           const std::vector<int>& kcols,
-                           const ForeignKeyOptions& options,
-                           std::vector<ForeignKeyCandidate>* out) {
-  const Table& ft = *tables[fi].table;
-  const Table& kt = *tables[ki].table;
+}  // namespace
+
+std::vector<ForeignKeyCandidate> VerifyForeignKeysAgainstKey(
+    const std::vector<ProfiledTable>& tables, int referencing_table,
+    int referenced_table, const AttributeSet& key,
+    const ForeignKeyOptions& options) {
+  std::vector<ForeignKeyCandidate> out;
+  const std::vector<int> kcols = ToCols(key);
+  if (kcols.empty() || static_cast<int>(kcols.size()) > options.max_arity ||
+      kcols.size() > 2) {
+    return out;
+  }
+  const Table& ft = *tables[referencing_table].table;
+  const Table& kt = *tables[referenced_table].table;
   const bool strict = options.min_coverage >= 1.0;
 
   ArtifactSet fk_arts(ft);
@@ -209,8 +185,7 @@ void VerifyDictionaryFirst(const std::vector<ProfiledTable>& tables, int fi,
     for (int64_t ch = 0; ch < k1.num_chunks(); ++ch) {
       CodeColumn::Span span = k1.Scan(ch);
       for (int64_t i = 0; i < span.count; ++i) {
-        key_pairs.insert(
-            PackPair(span.data[i], d2[span.begin + i]));
+        key_pairs.insert(PackPair(span.data[i], d2[span.begin + i]));
       }
     }
   }
@@ -231,11 +206,9 @@ void VerifyDictionaryFirst(const std::vector<ProfiledTable>& tables, int fi,
   };
 
   for (const std::vector<int>& fcols : EnumerateCandidates(ft, kcols.size())) {
-    if (fi == ki && fcols == kcols) continue;  // the key referencing itself
-    if (options.require_type_compatibility &&
-        !TypesCompatible(ft, fcols, kt, kcols)) {
-      continue;
-    }
+    // The key referencing itself.
+    if (referencing_table == referenced_table && fcols == kcols) continue;
+    if (!TypesCompatible(ft, fcols, kt, kcols)) continue;
 
     if (kcols.size() == 1) {
       // Arity 1 is decided entirely from dictionaries + presence: coverage
@@ -257,8 +230,9 @@ void VerifyDictionaryFirst(const std::vector<ProfiledTable>& tables, int fi,
         }
       }
       if (!viable) continue;
-      EmitIfQualified(fi, ki, fcols, key, covered, fa.present_nonnull,
-                      ka.present_total, options, out);
+      EmitIfQualified(referencing_table, referenced_table, fcols, key,
+                      covered, fa.present_nonnull, ka.present_total, options,
+                      &out);
       continue;
     }
 
@@ -320,101 +294,9 @@ void VerifyDictionaryFirst(const std::vector<ProfiledTable>& tables, int fi,
       }
     }
     if (!viable) continue;
-    EmitIfQualified(fi, ki, fcols, key, covered,
+    EmitIfQualified(referencing_table, referenced_table, fcols, key, covered,
                     static_cast<int64_t>(seen.size()),
-                    static_cast<int64_t>(key_pairs.size()), options, out);
-  }
-}
-
-// --- legacy value-materializing path (the equivalence oracle) ------------
-
-void VerifyLegacy(const std::vector<ProfiledTable>& tables, int fi, int ki,
-                  const AttributeSet& key, const std::vector<int>& kcols,
-                  const ForeignKeyOptions& options,
-                  std::vector<ForeignKeyCandidate>* out) {
-  const Table& ft = *tables[fi].table;
-  const Table& kt = *tables[ki].table;
-
-  // The referenced key's tuple set, once per call.
-  std::unordered_set<Fingerprint128, Fingerprint128Hash> key_tuples;
-  key_tuples.reserve(static_cast<size_t>(kt.num_rows()));
-  for (int64_t r = 0; r < kt.num_rows(); ++r) {
-    key_tuples.insert(TupleFingerprint(kt, r, kcols));
-  }
-
-  for (const std::vector<int>& fcols : EnumerateCandidates(ft, kcols.size())) {
-    if (fi == ki && fcols == kcols) continue;
-    if (options.require_type_compatibility &&
-        !TypesCompatible(ft, fcols, kt, kcols)) {
-      continue;
-    }
-
-    std::unordered_set<Fingerprint128, Fingerprint128Hash> fk_tuples;
-    int64_t covered = 0;
-    bool viable = true;
-    for (int64_t r = 0; r < ft.num_rows(); ++r) {
-      if (RowHasNull(ft, r, fcols)) continue;  // SQL FK NULL semantics
-      Fingerprint128 fp = TupleFingerprint(ft, r, fcols);
-      if (fk_tuples.insert(fp).second) {
-        if (key_tuples.count(fp) > 0) {
-          ++covered;
-        } else if (options.min_coverage >= 1.0) {
-          viable = false;  // strict inclusion already broken
-          break;
-        }
-      }
-    }
-    if (!viable) continue;
-    EmitIfQualified(fi, ki, fcols, key, covered,
-                    static_cast<int64_t>(fk_tuples.size()),
-                    static_cast<int64_t>(key_tuples.size()), options, out);
-  }
-}
-
-}  // namespace
-
-double InclusionCoverage(const Table& fk_table, const AttributeSet& fk_cols,
-                         const Table& key_table,
-                         const AttributeSet& key_cols) {
-  std::vector<int> fcols = ToCols(fk_cols);
-  std::vector<int> kcols = ToCols(key_cols);
-  if (fcols.size() != kcols.size() || fcols.empty()) return 0;
-
-  std::unordered_set<Fingerprint128, Fingerprint128Hash> key_tuples;
-  key_tuples.reserve(static_cast<size_t>(key_table.num_rows()));
-  for (int64_t r = 0; r < key_table.num_rows(); ++r) {
-    key_tuples.insert(TupleFingerprint(key_table, r, kcols));
-  }
-
-  std::unordered_set<Fingerprint128, Fingerprint128Hash> fk_tuples;
-  int64_t covered = 0;
-  for (int64_t r = 0; r < fk_table.num_rows(); ++r) {
-    if (RowHasNull(fk_table, r, fcols)) continue;
-    Fingerprint128 fp = TupleFingerprint(fk_table, r, fcols);
-    if (fk_tuples.insert(fp).second) {
-      if (key_tuples.count(fp) > 0) ++covered;
-    }
-  }
-  if (fk_tuples.empty()) return 0;
-  return static_cast<double>(covered) / static_cast<double>(fk_tuples.size());
-}
-
-std::vector<ForeignKeyCandidate> VerifyForeignKeysAgainstKey(
-    const std::vector<ProfiledTable>& tables, int referencing_table,
-    int referenced_table, const AttributeSet& key,
-    const ForeignKeyOptions& options) {
-  std::vector<ForeignKeyCandidate> out;
-  std::vector<int> kcols = ToCols(key);
-  if (kcols.empty() || static_cast<int>(kcols.size()) > options.max_arity ||
-      kcols.size() > 2) {
-    return out;
-  }
-  if (options.dictionary_first) {
-    VerifyDictionaryFirst(tables, referencing_table, referenced_table, key,
-                          kcols, options, &out);
-  } else {
-    VerifyLegacy(tables, referencing_table, referenced_table, key, kcols,
-                 options, &out);
+                    static_cast<int64_t>(key_pairs.size()), options, &out);
   }
   return out;
 }

@@ -32,9 +32,13 @@ namespace gordian {
 // survivors are verified in code space — referencing codes are translated
 // through a dictionary-to-dictionary mapping and probed against the
 // referenced key's code tuples, streaming CodeColumn chunks so spilled
-// tables verify without residency. The original value-materializing path is
-// kept behind ForeignKeyOptions::dictionary_first = false as the
-// equivalence oracle: both paths produce identical candidate lists.
+// tables verify without residency. A value-materializing reference
+// (tests/oracle/foreign_key.h) decodes every tuple instead; tests pin the
+// two to identical candidate lists.
+//
+// Value types must match position-wise: a column's type is that of the
+// first non-NULL entry in its dictionary, so a numeric FK never references
+// a string key.
 
 struct ForeignKeyCandidate {
   int referencing_table = 0;  // index into the input table list
@@ -57,27 +61,19 @@ struct ForeignKeyOptions {
   // Candidates below this coverage are dropped. 1.0 = strict inclusion only.
   double min_coverage = 1.0;
 
-  // Only single-column and two-column foreign keys are searched by default;
-  // wider FKs are rare and the candidate space grows as d^arity.
+  // Widest foreign key searched. Only arities 1 and 2 are ever verified:
+  // 1 restricts the search to single-column keys, and any value above 2
+  // acts as 2 (wider FKs are rare and the candidate space grows as
+  // d^arity).
   int max_arity = 2;
 
   // Skip referencing column sets whose distinct count is below this (tiny
   // domains like flags produce meaningless inclusions).
   int64_t min_distinct_values = 20;
 
-  // Names must be paired with equal value types; a numeric FK never
-  // references a string key.
-  bool require_type_compatibility = true;
-
   // Candidates referencing less than this fraction of the key's values are
   // dropped (see ForeignKeyCandidate::referenced_coverage). 0 keeps all.
   double min_referenced_coverage = 0.0;
-
-  // Verification path. True (default): dictionary-first — prune by
-  // dictionary comparison, verify survivors over translated codes. False:
-  // the legacy path that decodes every row back into Values and hashes
-  // them; kept as the equivalence oracle (identical candidates either way).
-  bool dictionary_first = true;
 };
 
 // One profiled table: its data plus the keys GORDIAN discovered for it.
@@ -116,12 +112,6 @@ std::vector<ForeignKeyCandidate> VerifyForeignKeysAgainstKey(
 bool ForeignKeyCandidateLess(const ForeignKeyCandidate& a,
                              const ForeignKeyCandidate& b);
 void SortForeignKeyCandidates(std::vector<ForeignKeyCandidate>* candidates);
-
-// Coverage of the inclusion fk_cols(fk_table) <= key_cols(key_table):
-// fraction of the referencing table's distinct NULL-free fk tuples that
-// occur among the referenced table's key tuples. Exposed for tests.
-double InclusionCoverage(const Table& fk_table, const AttributeSet& fk_cols,
-                         const Table& key_table, const AttributeSet& key_cols);
 
 }  // namespace gordian
 

@@ -53,35 +53,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-std::vector<ProfiledTable> DatabaseProfile::AsProfiledTables() const {
-  std::vector<ProfiledTable> out;
-  out.reserve(tables.size());
-  for (const Entry& e : tables) {
-    out.push_back({e.name, e.table, e.result.KeySets()});
-  }
-  return out;
-}
-
-DatabaseProfile ProfileDatabase(
-    const std::vector<std::pair<std::string, const Table*>>& tables,
-    const GordianOptions& options, bool discover_foreign_keys,
-    const ForeignKeyOptions& fk_options) {
-  DatabaseProfile profile;
-  for (const auto& [name, table] : tables) {
-    DatabaseProfile::Entry e;
-    e.name = name;
-    e.table = table;
-    e.result = FindKeys(*table, options);
-    if (e.result.sampled) ValidateKeys(*table, &e.result);
-    profile.tables.push_back(std::move(e));
-  }
-  if (discover_foreign_keys) {
-    profile.foreign_keys =
-        DiscoverForeignKeys(profile.AsProfiledTables(), fk_options);
-  }
-  return profile;
-}
-
 std::string ProfileToJson(const DatabaseProfile& profile) {
   std::string out = "{\n  \"tables\": [\n";
   for (size_t i = 0; i < profile.tables.size(); ++i) {

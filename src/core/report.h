@@ -25,18 +25,7 @@ struct DatabaseProfile {
   };
   std::vector<Entry> tables;
   std::vector<ForeignKeyCandidate> foreign_keys;
-
-  // Convenience view matching DiscoverForeignKeys' input.
-  std::vector<ProfiledTable> AsProfiledTables() const;
 };
-
-// Runs FindKeys on every table (and, when `discover_foreign_keys` is set,
-// DiscoverForeignKeys across them) and assembles the profile. The tables
-// referenced must outlive the profile.
-DatabaseProfile ProfileDatabase(
-    const std::vector<std::pair<std::string, const Table*>>& tables,
-    const GordianOptions& options = {}, bool discover_foreign_keys = false,
-    const ForeignKeyOptions& fk_options = {});
 
 // JSON rendering of a profile: one object per table with rows/attributes,
 // keys (attribute names, estimated/exact strengths), maximal non-keys,

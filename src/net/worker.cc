@@ -190,6 +190,8 @@ void WorkerDaemon::HandleProfile(const Frame& request, Frame* response) {
 
   JobId id = service_->SubmitTable(req.table_name, &table, job);
   ProfileOutcome outcome = service_->Wait(id);
+  // The record points at this request's table, which dies with the handler.
+  service_->Forget(id);
   if (outcome.info.state == JobState::kFailed) {
     FailResponse(response, Status::IOError("profiling failed: " +
                                            outcome.info.error));

@@ -141,8 +141,9 @@ JobId ProfilingService::SubmitTable(const std::string& name,
     if (it != inflight_.end()) {
       // Coalesce onto a live job for the same table; a stale entry (its job
       // already terminal) is dropped and this submission runs fresh.
-      if (!IsTerminal(scheduler_.Poll(it->second).state)) {
+      if (!SchedulerDone(it->second)) {
         rec->alias_of = it->second;
+        ++records_.at(it->second)->aliases;
         JobId id = next_alias_id_--;
         records_.emplace(id, std::move(rec));
         metrics_.OnCoalesced();
@@ -344,6 +345,30 @@ ProfileOutcome ProfilingService::Wait(JobId id) {
 }
 
 void ProfilingService::WaitAll() { scheduler_.WaitAll(); }
+
+bool ProfilingService::SchedulerDone(JobId id) const {
+  const JobInfo info = scheduler_.Poll(id);
+  return !info.valid || IsTerminal(info.state);
+}
+
+bool ProfilingService::Forget(JobId id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = records_.find(id);
+  if (it == records_.end()) return false;
+  Record& rec = *it->second;
+  if (rec.alias_of != 0) {
+    if (!SchedulerDone(rec.alias_of)) return false;
+    --records_.at(rec.alias_of)->aliases;
+    records_.erase(it);
+    return true;
+  }
+  if (rec.aliases > 0 || !SchedulerDone(id)) return false;
+  auto in = inflight_.find(rec.table);
+  if (in != inflight_.end() && in->second == id) inflight_.erase(in);
+  records_.erase(it);
+  scheduler_.Forget(id);
+  return true;
+}
 
 Status ProfilingService::RegisterAppendable(const std::string& name,
                                             const Table& table,

@@ -34,10 +34,10 @@ struct ServiceOptions {
   // e.g. a catalog preloaded with ReadCatalogFile.
   KeyCatalog* catalog = nullptr;
 
-  // Byte budget for the prefix-tree artifact cache (LRU over built trees,
-  // measured by NodePool accounting): jobs re-profiling an unchanged table
-  // under different budgets/options skip BuildPrefixTree. 0 disables the
-  // cache.
+  // Byte budget for the prefix-tree artifact cache (LRU over frozen trees,
+  // measured by FrozenTree::ApproxBytes()): jobs re-profiling an unchanged
+  // table under different budgets/options skip the tree build. 0 disables
+  // the cache.
   int64_t tree_cache_bytes = TreeArtifactCache::kDefaultByteBudget;
 
   // When non-empty, the catalog is durably backed by this directory through
@@ -178,6 +178,13 @@ class ProfilingService {
   // Blocks until every accepted job is terminal.
   void WaitAll();
 
+  // Drops the record of a terminal job, after which its id polls invalid.
+  // Returns false for unknown or non-terminal jobs, and for a primary job
+  // while a coalesced submission still refers to it: forget the aliases
+  // first. A primary's scheduler record goes with it. No other thread may
+  // be waiting on the job (or on one of its aliases) when it is forgotten.
+  bool Forget(JobId id);
+
   // Registers `table` as the base of an appendable chain and profiles it
   // synchronously (through the tree cache, so the base tree is resident for
   // the first append to absorb into). The chain's handle — the table's
@@ -252,6 +259,7 @@ class ProfilingService {
     std::string name;
     const Table* table = nullptr;  // table jobs only
     JobId alias_of = 0;            // != 0 for coalesced submissions
+    int aliases = 0;  // live coalesced records referring to this primary
     // Written by the worker before the job turns terminal; read only
     // through Wait (the scheduler's completion handshake orders the two).
     bool started = false;  // body entered; false for cancelled-while-queued
@@ -281,6 +289,10 @@ class ProfilingService {
                  const ProfileJobOptions& options, const JobContext& ctx);
   static GordianOptions EffectiveOptions(const ProfileJobOptions& options,
                                          const JobContext& ctx);
+
+  // True once the scheduler job is terminal, or unknown there: the
+  // scheduler only forgets terminal jobs.
+  bool SchedulerDone(JobId id) const;
 
   // Worker-side hook after a successful catalog Put: wakes the background
   // flusher once enough puts have accumulated.
@@ -314,7 +326,7 @@ class ProfilingService {
   // Table pointer -> primary job id, for coalescing. Entries are validated
   // lazily at the next submission of the same table (a stale entry whose
   // job is terminal is simply replaced), so no cleanup hook runs on the
-  // worker side.
+  // worker side; Forget erases the entry of the job it drops.
   std::unordered_map<const Table*, JobId> inflight_;
   // Coalesced submissions get ids from a separate negative space so they
   // can never collide with scheduler-issued ids.

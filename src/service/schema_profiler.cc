@@ -75,11 +75,15 @@ Status SchemaProfiler::Profile(
     entry.tree_cache_hit = outcome.tree_cache_hit;
     entry.result = std::move(outcome.result);
   }
+  // No job id leaves this call, so every record is forgotten once waited
+  // on; the service would otherwise keep one per job for its lifetime.
+  // Key jobs go in reverse submission order, so a repeated table's alias
+  // goes before its primary.
+  for (auto it = key_jobs.rbegin(); it != key_jobs.rend(); ++it) {
+    service_->Forget(*it);
+  }
   report->key_seconds = watch.ElapsedSeconds();
 
-  // FD and FK jobs never leave this call, so each record is forgotten as
-  // soon as its Wait returns; the scheduler would otherwise keep one per
-  // unit for its lifetime.
   JobScheduler& scheduler = service_->scheduler();
 
   // Stage 2: ranked FDs, one job per table. Jobs touch only their own

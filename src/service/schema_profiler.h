@@ -28,8 +28,8 @@ namespace gordian {
 // Stage 3's units land in preallocated slots in enumeration order and the
 // concatenation is sorted with SortForeignKeyCandidates, so the report is
 // byte-identical to a serial DiscoverForeignKeys run at any thread count.
-// Stage 2 and 3 jobs are forgotten as soon as they are waited on; only the
-// stage 1 jobs stay in the scheduler, held by the ProfilingService.
+// Every job is forgotten as soon as it is waited on: stage 1 jobs through
+// ProfilingService::Forget, stage 2 and 3 jobs in the scheduler.
 
 struct SchemaProfileOptions {
   // Per-table key-discovery knobs (catalog/tree-cache reuse included).

@@ -267,7 +267,7 @@ TableBuilder::TableBuilder(Schema schema, SpillPolicy policy)
   spill_prefix_ = "tbl-" + std::to_string(seq.fetch_add(1));
 }
 
-uint32_t TableBuilder::NullCodeOf(int c) const {
+uint32_t TableBuilder::NullCode(int c) const {
   return table_.columns_[c].dict->Lookup(Value::Null());
 }
 
@@ -304,7 +304,7 @@ void TableBuilder::EncodeColumnBatch(const RowBatch& batch, int c) {
   dict->EncodeBatch(batch.column(c), &bc.codes);
   Status s = bc.writer->Append(bc.codes.data(),
                                static_cast<int64_t>(bc.codes.size()),
-                               NullCodeOf(c));
+                               NullCode(c));
   if (s.ok()) {
     bc.codes.clear();
     return;
@@ -351,7 +351,7 @@ void TableBuilder::MaybeSpill() {
                                                       policy_.chunk_rows);
     Status s = writer->Append(bc.codes.data(),
                               static_cast<int64_t>(bc.codes.size()),
-                              NullCodeOf(c));
+                              NullCode(c));
     if (!s.ok()) {
       // The codes are still intact in bc.codes; stay resident and stop
       // trying to spill (the directory is unhealthy).
@@ -373,7 +373,7 @@ void TableBuilder::AddRow(const std::vector<Value>& row) {
       bc.codes.push_back(code);
       continue;
     }
-    Status s = bc.writer->Append(&code, 1, NullCodeOf(c));
+    Status s = bc.writer->Append(&code, 1, NullCode(c));
     if (!s.ok()) {
       bc.pending_status = s;
       bc.codes.clear();
@@ -450,7 +450,7 @@ Status TableBuilder::Build(Table* out) {
       continue;
     }
     uint32_t dict_size = cd.dict->size();
-    Status s = bc.writer->Finish(dict_size, NullCodeOf(static_cast<int>(c)));
+    Status s = bc.writer->Finish(dict_size, NullCode(static_cast<int>(c)));
     if (s.ok()) {
       CodeColumn col;
       s = CodeColumn::OpenSpilled(fs, bc.writer->path(), dict_size, &col);

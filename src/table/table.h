@@ -205,7 +205,7 @@ class TableBuilder {
   void EncodeColumnBatch(const RowBatch& batch, int c);
   void MaybeSpill();
   void MergeColumnStatuses();
-  uint32_t NullCodeOf(int c) const;
+  uint32_t NullCode(int c) const;
 
   Table table_;
   std::vector<BuildColumn> cols_;

@@ -9,6 +9,7 @@
 
 #include "core/gordian.h"
 #include "datagen/tpch_lite.h"
+#include "oracle/foreign_key.h"
 
 namespace gordian {
 namespace {
@@ -236,6 +237,45 @@ TEST(DiscoverForeignKeys, CompositeForeignKeyPairing) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(DiscoverForeignKeys, MaxArityAboveTwoActsAsTwo) {
+  // The referenced table's only key is (x, y, z): every pair repeats. The
+  // referencing table holds a full copy of those triples next to its own
+  // key, so a three-column search would find (a, b, c) -> (x, y, z).
+  TableBuilder kb(Schema(std::vector<std::string>{"x", "y", "z"}));
+  TableBuilder fb(Schema(std::vector<std::string>{"id", "a", "b", "c"}));
+  for (int64_t i = 0; i < 64; ++i) {
+    kb.AddRow({Value(i / 16), Value(i / 4 % 4), Value(i % 4)});
+    fb.AddRow({Value(i), Value(i / 16), Value(i / 4 % 4), Value(i % 4)});
+  }
+  Table keyed = kb.Build(), refs = fb.Build();
+  std::vector<ProfiledTable> tables;
+  tables.push_back({"keyed", &keyed, FindKeys(keyed).KeySets()});
+  tables.push_back({"refs", &refs, FindKeys(refs).KeySets()});
+  const AttributeSet xyz{0, 1, 2};
+  ASSERT_EQ(tables[0].keys, std::vector<AttributeSet>{xyz});
+
+  ForeignKeyOptions two;
+  two.min_distinct_values = 1;
+  ForeignKeyOptions three = two;
+  three.max_arity = 3;
+  EXPECT_TRUE(VerifyForeignKeysAgainstKey(tables, 1, 0, xyz, three).empty());
+
+  const std::vector<ForeignKeyCandidate> a = DiscoverForeignKeys(tables, two);
+  const std::vector<ForeignKeyCandidate> b = DiscoverForeignKeys(tables, three);
+  ASSERT_FALSE(a.empty());  // the single-column references into refs.id
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].referencing_table, b[i].referencing_table);
+    EXPECT_EQ(a[i].foreign_key_columns, b[i].foreign_key_columns);
+    EXPECT_EQ(a[i].referenced_table, b[i].referenced_table);
+    EXPECT_EQ(a[i].referenced_key, b[i].referenced_key);
+    EXPECT_EQ(a[i].coverage, b[i].coverage);
+    EXPECT_EQ(a[i].referenced_coverage, b[i].referenced_coverage);
+    EXPECT_EQ(a[i].distinct_fk_tuples, b[i].distinct_fk_tuples);
+    EXPECT_NE(a[i].referenced_table, 0);
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "net/router.h"
 #include "net/socket.h"
 #include "net/worker.h"
+#include "service/job_scheduler.h"
 #include "service/key_catalog.h"
 #include "service/profiling_service.h"
 #include "table/fingerprint.h"
@@ -153,6 +154,11 @@ TEST(Worker, RemoteProfileMatchesLocalRun) {
   WorkerOptions options;
   WorkerDaemon worker(options);
   ASSERT_TRUE(worker.Start().ok());
+  // No-op jobs bracket the requests' ids in the worker's scheduler.
+  JobScheduler& scheduler = worker.service().scheduler();
+  const auto noop = [](const JobContext&) {};
+  const JobId before = scheduler.Submit(noop);
+  scheduler.Wait(before);
 
   Table table = MakeTable(300, 1);
   ProfileClient client("127.0.0.1", worker.port());
@@ -173,6 +179,14 @@ TEST(Worker, RemoteProfileMatchesLocalRun) {
       client.Profile("t", table, RemoteProfileOptions{}, &again).ok());
   EXPECT_TRUE(again.cache_hit);
   ExpectSameResult(again.result, baseline.result);
+
+  // One job per request, and each record went with its handler.
+  const JobId after = scheduler.Submit(noop);
+  scheduler.Wait(after);
+  EXPECT_EQ(after - before, 3);
+  for (JobId id = before + 1; id < after; ++id) {
+    EXPECT_FALSE(scheduler.Poll(id).valid) << id;
+  }
   worker.Stop();
 }
 

@@ -1,14 +1,41 @@
-// Tests for the profiling report module: JSON output, DOT ER diagrams, and
-// the ProfileDatabase driver.
+// Tests for the profiling report module: JSON output and DOT ER diagrams
+// over a DatabaseProfile assembled from FindKeys and DiscoverForeignKeys.
 
 #include "core/report.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/foreign_key.h"
+#include "core/gordian.h"
 #include "datagen/tpch_lite.h"
 
 namespace gordian {
 namespace {
+
+// A profile the way a caller assembles one: FindKeys per table (validated
+// against the full table when sampled), then DiscoverForeignKeys across
+// the tables when `with_fks` is set.
+DatabaseProfile ProfileTables(
+    const std::vector<std::pair<std::string, const Table*>>& tables,
+    const GordianOptions& options = {}, bool with_fks = false,
+    const ForeignKeyOptions& fk_options = {}) {
+  DatabaseProfile profile;
+  std::vector<ProfiledTable> profiled;
+  for (const auto& [name, table] : tables) {
+    DatabaseProfile::Entry e{name, table, FindKeys(*table, options)};
+    if (e.result.sampled) ValidateKeys(*table, &e.result);
+    profiled.push_back({name, table, e.result.KeySets()});
+    profile.tables.push_back(std::move(e));
+  }
+  if (with_fks) {
+    profile.foreign_keys = DiscoverForeignKeys(profiled, fk_options);
+  }
+  return profile;
+}
 
 struct TwoTables {
   Table customers;
@@ -30,8 +57,8 @@ TwoTables MakeTwoTables() {
 DatabaseProfile MakeProfile(const TwoTables& tt, bool with_fks) {
   ForeignKeyOptions fk;
   fk.min_distinct_values = 10;
-  return ProfileDatabase({{"customers", &tt.customers}, {"orders", &tt.orders}},
-                         GordianOptions{}, with_fks, fk);
+  return ProfileTables({{"customers", &tt.customers}, {"orders", &tt.orders}},
+                       GordianOptions{}, with_fks, fk);
 }
 
 TEST(JsonEscape, EscapesControlAndSpecialCharacters) {
@@ -42,7 +69,7 @@ TEST(JsonEscape, EscapesControlAndSpecialCharacters) {
   EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
-TEST(ProfileDatabase, ProfilesEveryTableAndFindsForeignKeys) {
+TEST(DatabaseProfile, ProfilesEveryTableAndFindsForeignKeys) {
   TwoTables tt = MakeTwoTables();
   DatabaseProfile p = MakeProfile(tt, /*with_fks=*/true);
   ASSERT_EQ(p.tables.size(), 2u);
@@ -100,10 +127,10 @@ TEST(ProfileToJson, MarksSampledAndValidatedRuns) {
   ASSERT_NE(orders, nullptr);
   GordianOptions o;
   o.sample_rows = orders->num_rows() / 4;
-  DatabaseProfile p = ProfileDatabase({{"orders", orders}}, o);
+  DatabaseProfile p = ProfileTables({{"orders", orders}}, o);
   std::string json = ProfileToJson(p);
   EXPECT_NE(json.find("\"sampled\": true"), std::string::npos);
-  // Validation happened inside ProfileDatabase: exact strengths present.
+  // The sampled run was validated: exact strengths present.
   EXPECT_NE(json.find("\"strength\":"), std::string::npos);
 }
 
@@ -140,7 +167,7 @@ TEST(ProfileToDot, EscapesRecordCharactersInColumnNames) {
   b.AddRow({Value(int64_t{1}), Value(int64_t{2})});
   b.AddRow({Value(int64_t{3}), Value(int64_t{4})});
   Table t = b.Build();
-  DatabaseProfile p = ProfileDatabase({{"t", &t}});
+  DatabaseProfile p = ProfileTables({{"t", &t}});
   std::string dot = ProfileToDot(p);
   EXPECT_NE(dot.find("weird\\|name"), std::string::npos);
 }

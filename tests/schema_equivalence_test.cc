@@ -1,8 +1,10 @@
 // Equivalence fuzz suite for the schema-wide discovery layer. Random
-// schemas (random column types, cardinalities, NULL rates, planted
-// references) are profiled along independent paths that must agree
-// byte-for-byte:
-//   - dictionary-first vs legacy value-materializing FK verification;
+// schemas (random column types, cardinalities, NULL rates, composite keys,
+// planted one- and two-column references) are profiled along independent
+// paths that must agree byte-for-byte:
+//   - DiscoverForeignKeys vs the value-materializing oracle
+//     (oracle/foreign_key.h), resident and spilled, with the two-column
+//     candidates compared counted so that arity stays covered;
 //   - SchemaProfiler at 1 worker thread vs a full pool;
 //   - resident vs spilled (CodeColumn under a tiny budget) base tables;
 //   - DiscoverFds vs the distinct-count oracle (oracle/fd.h), resident and
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +30,7 @@
 #include "core/foreign_key.h"
 #include "core/gordian.h"
 #include "oracle/fd.h"
+#include "oracle/foreign_key.h"
 #include "oracle/non_key_finder.h"
 #include "service/profiling_service.h"
 #include "service/schema_profiler.h"
@@ -44,10 +48,15 @@ int FuzzIters() {
   return 3;
 }
 
-// A random schema: 2-4 tables, each with an id column plus 1-4 payload
-// columns of random type/cardinality/NULL rate. Some payload columns are
-// planted references into an earlier table's id domain (with a random
-// dangling/NULL fraction), so the FK stage has genuine work to do.
+// A random schema: 2-4 tables, each with an id column, sometimes a
+// composite key, plus 1-4 payload plans of random type/cardinality/NULL
+// rate. Some payload columns are planted references into an earlier
+// table's id domain (with a random dangling/NULL fraction), so the FK stage
+// has genuine work to do. The composite key is two int columns whose pair
+// is unique while neither column alone is; a later table may plant a
+// column pair referencing it, with NULL components (beside which the other
+// component may name no key value at all) and, unless the plan is clean,
+// dangling pairs, so two-column FKs get verified too.
 // Row counts come from [min_rows, max_rows]: the spill oracle needs tables
 // past the builder's 4096-row budget-recheck cadence, the others stay small.
 std::vector<Table> RandomSchema(Random* rng, const SpillPolicy& spill,
@@ -55,38 +64,93 @@ std::vector<Table> RandomSchema(Random* rng, const SpillPolicy& spill,
                                 int64_t max_rows = 300) {
   const int num_tables = static_cast<int>(rng->UniformRange(2, 4));
   std::vector<int64_t> id_domain;  // rows of table i == its id domain size
+  // Table i's composite key is (r / width, r % width) for row r; 0 = none.
+  std::vector<int64_t> key_width;
   std::vector<Table> tables;
   for (int t = 0; t < num_tables; ++t) {
     const int64_t rows = rng->UniformRange(min_rows, max_rows);
     id_domain.push_back(rows);
-    const int payload = static_cast<int>(rng->UniformRange(1, 4));
-    std::vector<std::string> names = {"id"};
-    for (int c = 0; c < payload; ++c) {
-      names.push_back("p" + std::to_string(c));
+    const int64_t width = rng->UniformRange(2, std::max<int64_t>(2, rows / 2));
+    key_width.push_back(rng->Bernoulli(0.6) ? width : 0);
+    std::vector<int> composite_tables;
+    for (int e = 0; e < t; ++e) {
+      if (key_width[e] > 0) composite_tables.push_back(e);
     }
-    TableBuilder b(Schema(names), spill);
+    std::vector<std::string> names = {"id"};
+    if (key_width[t] > 0) {
+      names.push_back("k0");
+      names.push_back("k1");
+    }
 
-    // Per-column generators, decided up front.
+    // Per-plan generators, decided up front.
     struct ColPlan {
-      int kind;         // 0 int, 1 string, 2 double, 3 reference
+      int kind;         // 0 int, 1 string, 2 double, 3 reference, 4 pair
       int64_t card;     // value domain
       double null_rate;
-      int ref_table;    // kind 3 only
+      int ref_table;    // kinds 3 and 4
+      bool clean;       // kind 4: no NULL-free dangling pairs
+      bool null_in_b;   // kind 4: which column takes the NULLs
     };
+    const int payload = static_cast<int>(rng->UniformRange(1, 4));
     std::vector<ColPlan> plans;
     for (int c = 0; c < payload; ++c) {
       ColPlan p;
       p.kind = static_cast<int>(rng->UniformRange(0, t > 0 ? 3 : 2));
+      if (!composite_tables.empty() && rng->Bernoulli(0.4)) p.kind = 4;
       p.card = rng->UniformRange(2, 60);
       p.null_rate = rng->Bernoulli(0.4) ? rng->NextDouble() * 0.3 : 0.0;
       p.ref_table = t > 0 ? static_cast<int>(rng->Uniform(t)) : 0;
+      p.clean = rng->Bernoulli(0.5);
+      p.null_in_b = rng->Bernoulli(0.5);
+      if (p.kind == 4) {
+        p.ref_table = composite_tables[rng->Uniform(composite_tables.size())];
+        names.push_back("p" + std::to_string(c) + "a");
+        names.push_back("p" + std::to_string(c) + "b");
+      } else {
+        names.push_back("p" + std::to_string(c));
+      }
       plans.push_back(p);
     }
+    TableBuilder b(Schema(names), spill);
 
     for (int64_t r = 0; r < rows; ++r) {
       std::vector<Value> row;
       row.push_back(Value(r));  // unique id
+      if (key_width[t] > 0) {
+        row.push_back(Value(r / key_width[t]));
+        row.push_back(Value(r % key_width[t]));
+      }
       for (const ColPlan& p : plans) {
+        if (p.kind == 4) {
+          // A referenced row's key pair, then NULLs and dangling values.
+          const int64_t w = key_width[p.ref_table];
+          const int64_t s = static_cast<int64_t>(
+              rng->Uniform(static_cast<uint64_t>(id_domain[p.ref_table])));
+          // Key values run k0 in [0, rows / w] and k1 in [0, w).
+          const int64_t k0_absent = id_domain[p.ref_table] / w + 1;
+          Value va(s / w), vb(s % w);
+          if (rng->Bernoulli(p.null_rate)) {
+            // A NULL in the plan's NULL column; the other component may
+            // then name no key value.
+            const bool dangle = rng->Bernoulli(0.5);
+            if (p.null_in_b) {
+              vb = Value();
+              if (dangle) va = Value(k0_absent);
+            } else {
+              va = Value();
+              if (dangle) vb = Value(w + rng->UniformRange(0, 3));
+            }
+          } else if (!p.clean && rng->Bernoulli(0.05)) {
+            if (rng->Bernoulli(0.5)) {
+              va = Value(k0_absent);
+            } else {
+              vb = Value(w + rng->UniformRange(0, 3));
+            }
+          }
+          row.push_back(std::move(va));
+          row.push_back(std::move(vb));
+          continue;
+        }
         Value v;  // NULL unless overwritten below
         if (!rng->Bernoulli(p.null_rate)) {
           switch (p.kind) {
@@ -169,27 +233,55 @@ ForeignKeyOptions FuzzFkOptions(Random* rng) {
   options.min_coverage = rng->Bernoulli(0.5) ? 1.0 : rng->NextDouble();
   options.min_referenced_coverage = rng->Bernoulli(0.5) ? 0.0
                                                         : rng->NextDouble();
-  options.max_arity = static_cast<int>(rng->UniformRange(1, 2));
+  options.max_arity = static_cast<int>(rng->UniformRange(1, 3));
   return options;
+}
+
+// The fuzzed options plus two two-column passes with every threshold
+// dropped, one strict and one at coverage 0 (which emits every
+// type-compatible candidate), so each oracle comparison reaches arity 2
+// whenever a table has a two-column key.
+std::vector<ForeignKeyOptions> OracleOptions(const ForeignKeyOptions& fuzzed) {
+  ForeignKeyOptions strict;
+  strict.max_arity = 2;
+  strict.min_distinct_values = 1;
+  strict.min_coverage = 1.0;
+  strict.min_referenced_coverage = 0.0;
+  ForeignKeyOptions loose = strict;
+  loose.min_coverage = 0.0;
+  return {fuzzed, strict, loose};
+}
+
+// Compares DiscoverForeignKeys with the oracle under each OracleOptions
+// pass and returns how many two-column candidates were compared.
+int ExpectFksMatchOracle(const std::vector<ProfiledTable>& profiled,
+                         const ForeignKeyOptions& fuzzed,
+                         const std::string& where) {
+  int arity2 = 0;
+  for (const ForeignKeyOptions& options : OracleOptions(fuzzed)) {
+    const std::vector<ForeignKeyCandidate> oracle =
+        OracleDiscoverForeignKeys(profiled, options);
+    EXPECT_EQ(CandidatesToString(DiscoverForeignKeys(profiled, options)),
+              CandidatesToString(oracle))
+        << where << " min_coverage=" << options.min_coverage
+        << " max_arity=" << options.max_arity;
+    for (const ForeignKeyCandidate& fk : oracle) {
+      if (fk.foreign_key_columns.size() == 2) ++arity2;
+    }
+  }
+  return arity2;
 }
 
 TEST(SchemaEquivalence, DictionaryFirstMatchesLegacy) {
   const int iters = FuzzIters();
+  int arity2 = 0;
   for (int iter = 0; iter < iters; ++iter) {
     Random rng(0x5eed0001 + iter * 977);
     std::vector<Table> tables = RandomSchema(&rng, SpillPolicy());
-    std::vector<ProfiledTable> profiled = ProfileAll(tables);
-    ForeignKeyOptions options = FuzzFkOptions(&rng);
-
-    options.dictionary_first = true;
-    std::vector<ForeignKeyCandidate> dict =
-        DiscoverForeignKeys(profiled, options);
-    options.dictionary_first = false;
-    std::vector<ForeignKeyCandidate> legacy =
-        DiscoverForeignKeys(profiled, options);
-    EXPECT_EQ(CandidatesToString(dict), CandidatesToString(legacy))
-        << "iter " << iter;
+    arity2 += ExpectFksMatchOracle(ProfileAll(tables), FuzzFkOptions(&rng),
+                                   "iter " + std::to_string(iter));
   }
+  EXPECT_GT(arity2, 0);
 }
 
 TEST(SchemaEquivalence, SerialAndParallelReportsIdentical) {
@@ -229,6 +321,7 @@ TEST(SchemaEquivalence, SerialAndParallelReportsIdentical) {
 
 TEST(SchemaEquivalence, ResidentAndSpilledTablesIdentical) {
   const int iters = FuzzIters();
+  int arity2 = 0;
   const std::string dir = ::testing::TempDir() + "gordian_schema_spill";
   ASSERT_TRUE(DefaultFileSystem()->CreateDir(dir).ok());
   for (int iter = 0; iter < iters; ++iter) {
@@ -258,6 +351,9 @@ TEST(SchemaEquivalence, ResidentAndSpilledTablesIdentical) {
     std::vector<ForeignKeyCandidate> b =
         DiscoverForeignKeys(profiled_spilled, options);
     EXPECT_EQ(CandidatesToString(a), CandidatesToString(b)) << "iter " << iter;
+    // The oracle reads Values through the spilled columns.
+    arity2 += ExpectFksMatchOracle(profiled_spilled, options,
+                                   "spilled iter " + std::to_string(iter));
 
     // The keys FK discovery builds on: the production traversal over
     // spilled columns agrees with the pointer-tree oracle over resident
@@ -268,6 +364,7 @@ TEST(SchemaEquivalence, ResidentAndSpilledTablesIdentical) {
           << "iter " << iter << " table " << i;
     }
   }
+  EXPECT_GT(arity2, 0);
 }
 
 // Serializer for the FD checks: every field, redundancy as a hex float so

@@ -1,8 +1,8 @@
 // Tests for the schema-wide discovery layer: SchemaProfiler ground-truth
 // recovery over the multi-table generators, schema_report.json persistence
-// (including the injected-fault path), the release of FD and FK job
-// records, ranked FD discovery, the SQL NULL semantics of foreign-key
-// coverage, and the schema-wide advisor overload.
+// (including the injected-fault path), the release of every job record,
+// ranked FD discovery, the SQL NULL semantics of foreign-key coverage
+// (library against the oracle), and the schema-wide advisor overload.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "datagen/tpch_lite.h"
 #include "engine/advisor.h"
 #include "engine/row_store.h"
+#include "oracle/foreign_key.h"
 #include "service/job_scheduler.h"
 #include "service/profiling_service.h"
 #include "service/schema_profiler.h"
@@ -163,10 +164,9 @@ TEST(SchemaProfiler, PersistenceFaultStillPopulatesReport) {
             static_cast<int>(TpchLiteForeignKeys().size()));
 }
 
-// FD and FK jobs never leave Profile, so their scheduler records are
-// dropped as soon as they are waited on. Of the jobs submitted between two
-// bracketing no-ops, only the key-stage jobs (one per table) stay: the
-// ProfilingService keeps those for its own Wait/Poll.
+// No job id leaves Profile, so every record is dropped as soon as it is
+// waited on: key jobs through ProfilingService::Forget, FD and FK jobs in
+// the scheduler. No job submitted between two bracketing no-ops stays.
 TEST(SchemaProfiler, ForgetsFdAndFkJobRecords) {
   std::vector<NamedTable> db = GenerateTpchLite(/*scale=*/0.002, /*seed=*/31);
   ProfilingService service;
@@ -187,7 +187,7 @@ TEST(SchemaProfiler, ForgetsFdAndFkJobRecords) {
   for (JobId id = before + 1; id < after; ++id) {
     if (scheduler.Poll(id).valid) ++valid;
   }
-  EXPECT_EQ(valid, static_cast<int>(db.size()));
+  EXPECT_EQ(valid, 0);
 }
 
 // A table with a planted FD (team -> league) and no keys at all: every
@@ -270,10 +270,10 @@ TEST(DiscoverFds, IncompleteResultYieldsNothing) {
   EXPECT_TRUE(DiscoverFds(t, result).empty());
 }
 
-// Satellite (b): SQL FK semantics — referencing tuples with a NULL
-// component do not count against coverage. 40 customers; 100 orders of
-// which 20 have a NULL customer reference; with `dangling` one more order
-// references a customer that does not exist.
+// SQL FK semantics: referencing tuples with a NULL component do not count
+// against coverage. 40 customers; 100 orders of which 20 have a NULL
+// customer reference; with `dangling` one more order references a customer
+// that does not exist.
 struct NullFkFixture {
   Table customers;
   Table orders;
@@ -302,50 +302,104 @@ NullFkFixture MakeNullFkFixture(bool dangling) {
   return f;
 }
 
-std::vector<ForeignKeyCandidate> VerifyWithPath(const NullFkFixture& f,
-                                                bool dictionary_first,
-                                                double min_coverage) {
+// Every case runs the library's verifier and the value-materializing
+// oracle (oracle/foreign_key.h) and expects the same figures from both.
+using FkVerifier = std::vector<ForeignKeyCandidate> (*)(
+    const std::vector<ProfiledTable>&, int, int, const AttributeSet&,
+    const ForeignKeyOptions&);
+const std::pair<const char*, FkVerifier> kVerifiers[] = {
+    {"library", &VerifyForeignKeysAgainstKey},
+    {"oracle", &OracleVerifyForeignKeysAgainstKey},
+};
+
+// orders -> customers{cust_id}.
+std::vector<ForeignKeyCandidate> VerifyOrders(FkVerifier verify,
+                                              const NullFkFixture& f,
+                                              double min_coverage) {
   ForeignKeyOptions options;
-  options.dictionary_first = dictionary_first;
   options.min_distinct_values = 10;
   options.min_coverage = min_coverage;
-  return VerifyForeignKeysAgainstKey(f.tables, /*referencing_table=*/1,
-                                     /*referenced_table=*/0, AttributeSet{0},
-                                     options);
+  return verify(f.tables, /*referencing_table=*/1, /*referenced_table=*/0,
+                AttributeSet{0}, options);
 }
 
 TEST(ForeignKeyNullSemantics, NullTuplesExcludedFromDenominator) {
   NullFkFixture f = MakeNullFkFixture(/*dangling=*/false);
-  for (bool dict : {true, false}) {
-    std::vector<ForeignKeyCandidate> fks = VerifyWithPath(f, dict, 1.0);
+  for (const auto& [path, verify] : kVerifiers) {
+    std::vector<ForeignKeyCandidate> fks = VerifyOrders(verify, f, 1.0);
     bool found = false;
     for (const ForeignKeyCandidate& fk : fks) {
       if (fk.foreign_key_columns == std::vector<int>{1}) {
         found = true;
         // 40 distinct non-NULL values, all covered. Were the NULL counted,
         // coverage would be 40/41 and strict mode would reject the FK.
-        EXPECT_DOUBLE_EQ(fk.coverage, 1.0);
-        EXPECT_EQ(fk.distinct_fk_tuples, 40);
+        EXPECT_DOUBLE_EQ(fk.coverage, 1.0) << path;
+        EXPECT_EQ(fk.distinct_fk_tuples, 40) << path;
       }
     }
-    EXPECT_TRUE(found) << (dict ? "dictionary-first" : "legacy");
+    EXPECT_TRUE(found) << path;
   }
 }
 
 TEST(ForeignKeyNullSemantics, DanglingValueStillCountsBothPaths) {
   NullFkFixture f = MakeNullFkFixture(/*dangling=*/true);
-  for (bool dict : {true, false}) {
-    std::vector<ForeignKeyCandidate> fks = VerifyWithPath(f, dict, 0.5);
+  for (const auto& [path, verify] : kVerifiers) {
+    std::vector<ForeignKeyCandidate> fks = VerifyOrders(verify, f, 0.5);
     bool found = false;
     for (const ForeignKeyCandidate& fk : fks) {
       if (fk.foreign_key_columns == std::vector<int>{1}) {
         found = true;
         // 41 distinct non-NULL values (40 genuine + 999), 40 covered.
-        EXPECT_DOUBLE_EQ(fk.coverage, 40.0 / 41.0);
-        EXPECT_EQ(fk.distinct_fk_tuples, 41);
+        EXPECT_DOUBLE_EQ(fk.coverage, 40.0 / 41.0) << path;
+        EXPECT_EQ(fk.distinct_fk_tuples, 41) << path;
       }
     }
-    EXPECT_TRUE(found) << (dict ? "dictionary-first" : "legacy");
+    EXPECT_TRUE(found) << path;
+  }
+}
+
+// Two-column references into the composite key (x, y). 80 rows reference
+// existing pairs; 20 more carry a = 999, which is no x at all, but always
+// next to a NULL b. Those tuples assert nothing, so (a, b) stays a strict
+// inclusion: the per-column prune of a must not fire while b holds NULLs,
+// and the NULL-bearing tuples stay out of the denominator.
+TEST(ForeignKeyNullSemantics, AbsentValueBesideNullPartnerKeepsPair) {
+  TableBuilder kb(Schema(std::vector<std::string>{"x", "y", "payload"}));
+  for (int64_t x = 0; x < 10; ++x) {
+    for (int64_t y = 0; y < 10; ++y) {
+      kb.AddRow({Value(x), Value(y), Value(x * 100 + y)});
+    }
+  }
+  Table keyed = kb.Build();
+  TableBuilder rb(Schema(std::vector<std::string>{"a", "b"}));
+  for (int64_t i = 0; i < 100; ++i) {
+    if (i < 80) {
+      rb.AddRow({Value(i / 10), Value(i % 10)});
+    } else {
+      rb.AddRow({Value(static_cast<int64_t>(999)), Value::Null()});
+    }
+  }
+  Table refs = rb.Build();
+  std::vector<ProfiledTable> tables;
+  tables.push_back({"keyed", &keyed, FindKeys(keyed).KeySets()});
+  tables.push_back({"refs", &refs, FindKeys(refs).KeySets()});
+
+  for (double min_coverage : {1.0, 0.0}) {
+    ForeignKeyOptions options;
+    options.min_distinct_values = 10;
+    options.min_coverage = min_coverage;
+    for (const auto& [path, verify] : kVerifiers) {
+      bool found = false;
+      for (const ForeignKeyCandidate& fk :
+           verify(tables, 1, 0, AttributeSet{0, 1}, options)) {
+        if (fk.foreign_key_columns == std::vector<int>{0, 1}) {
+          found = true;
+          EXPECT_DOUBLE_EQ(fk.coverage, 1.0) << path;
+          EXPECT_EQ(fk.distinct_fk_tuples, 80) << path;
+        }
+      }
+      EXPECT_TRUE(found) << path << " min_coverage=" << min_coverage;
+    }
   }
 }
 

@@ -304,6 +304,26 @@ TEST(ProfilingService, SameTableObjectInFlightCoalesces) {
   EXPECT_EQ(m.jobs_submitted, 3);
   // Only two discoveries actually ran.
   EXPECT_EQ(m.jobs_completed, 2);
+
+  // Forgetting: the primary is refused while its alias lives, then both go.
+  EXPECT_FALSE(service.Forget(first));
+  EXPECT_TRUE(service.Forget(second));
+  EXPECT_TRUE(service.Forget(first));
+  EXPECT_FALSE(service.Forget(first));
+  EXPECT_FALSE(service.Poll(first).valid);
+  EXPECT_FALSE(service.Poll(second).valid);
+  EXPECT_FALSE(service.scheduler().Poll(first).valid);
+
+  // The same table then runs a fresh job instead of aliasing a dead one,
+  // also when its primary was forgotten behind the service's back.
+  JobId fresh = service.SubmitTable("t", &t);
+  EXPECT_GT(fresh, 0);
+  ProfileOutcome f = service.Wait(fresh);
+  EXPECT_FALSE(f.coalesced);
+  ExpectSameResult(f.result, a.result);
+  EXPECT_TRUE(service.scheduler().Forget(fresh));
+  EXPECT_GT(service.SubmitTable("t", &t), 0);
+  service.WaitAll();
 }
 
 TEST(ProfilingService, CancelQueuedJobReturnsIncompleteAndLeavesNoTrace) {
