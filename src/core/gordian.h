@@ -57,6 +57,23 @@ struct KeyDiscoveryResult {
   }
 };
 
+class ByteReader;
+class ByteWriter;
+
+// The key and non-key lists of a result in the one byte layout that the
+// catalog files (GRDC, GRDS) and the RPC payloads (net/wire.h) share: a u32
+// key count; per key an attribute list, then the estimated and exact
+// strengths as IEEE-754 bit patterns; a u32 non-key count; per non-key an
+// attribute list. An attribute list is a u8 count followed by strictly
+// ascending u8 positions.
+void EncodeKeyLists(const KeyDiscoveryResult& result, ByteWriter* out);
+
+// Decodes into result->keys and result->non_keys. A position at or above
+// `num_attributes`, a list out of order, truncation, and a count above 2^20
+// or beyond the bytes left (common/byte_codec.h) are InvalidArgument.
+Status DecodeKeyLists(ByteReader* in, int num_attributes,
+                      KeyDiscoveryResult* result);
+
 // Runs GORDIAN on `table`: builds the prefix tree, finds all non-redundant
 // non-keys (Algorithm 4 with the configured prunings), and converts them to
 // the exact set of minimal composite keys (Algorithm 6). When

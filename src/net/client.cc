@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <thread>
 
+#include "net/frame.h"
 #include "table/fingerprint.h"
 #include "table/serialize.h"
 
@@ -28,12 +28,7 @@ Status ProfileClient::Profile(const std::string& table_name,
   req.use_tree_cache = options.use_tree_cache;
   req.sample_rows = options.sample_rows;
   req.sample_seed = options.sample_seed;
-  {
-    std::ostringstream os;
-    Status s = WriteTable(table, os);
-    if (!s.ok()) return s;
-    req.table_bytes = os.str();
-  }
+  WriteTable(table, &req.table_bytes);
   req.fingerprint = TableFingerprint(table);
 
   std::string payload;
@@ -41,6 +36,13 @@ Status ProfileClient::Profile(const std::string& table_name,
 
   *outcome = RemoteOutcome();
   outcome->fingerprint = req.fingerprint;
+  if (payload.size() > kMaxFramePayload) {
+    // No attempt can send it: refuse before connecting, not after retrying.
+    return Status::InvalidArgument(
+        "profile request of " + std::to_string(payload.size()) +
+        " bytes exceeds the " + std::to_string(kMaxFramePayload) +
+        "-byte frame limit");
+  }
 
   Status last = Status::Unavailable("no attempt made");
   for (int attempt = 0; attempt < std::max(1, options.max_attempts);

@@ -1,40 +1,14 @@
 #include "net/frame.h"
 
-#include <cstring>
+#include <string_view>
+
+#include "common/byte_codec.h"
 
 namespace gordian {
 
 namespace {
 
-constexpr char kMagic[4] = {'G', 'R', 'D', 'N'};
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
+constexpr std::string_view kMagic = "GRDN";
 
 }  // namespace
 
@@ -77,15 +51,16 @@ Status WriteFrame(ByteStream& stream, const Frame& frame) {
   }
   std::string wire;
   wire.reserve(kFrameHeaderBytes + frame.payload.size());
-  wire.append(kMagic, 4);
-  PutU32(&wire, static_cast<uint32_t>(frame.payload.size()));
-  PutU64(&wire, frame.request_id);
-  wire.push_back(static_cast<char>(frame.type));
-  wire.push_back(static_cast<char>(frame.method));
-  wire.push_back(static_cast<char>(StatusCodeToWire(frame.status_code)));
-  wire.push_back(0);  // reserved
-  PutU32(&wire, frame.deadline_millis);
-  wire.append(frame.payload);
+  ByteWriter w(&wire);
+  w.Raw(kMagic);
+  w.U32(static_cast<uint32_t>(frame.payload.size()));
+  w.U64(frame.request_id);
+  w.U8(static_cast<uint8_t>(frame.type));
+  w.U8(static_cast<uint8_t>(frame.method));
+  w.U8(StatusCodeToWire(frame.status_code));
+  w.U8(0);  // reserved
+  w.U32(frame.deadline_millis);
+  w.Raw(frame.payload);
   return stream.Write(wire.data(), wire.size());
 }
 
@@ -93,35 +68,36 @@ Status ReadFrame(ByteStream& stream, Frame* frame) {
   char header[kFrameHeaderBytes];
   Status s = ReadExact(stream, header, sizeof(header));
   if (!s.ok()) return s;  // NotFound between frames, IOError mid-header
-  if (std::memcmp(header, kMagic, 4) != 0) {
-    return Status::InvalidArgument("bad frame magic");
+  ByteReader r(std::string_view(header, sizeof(header)));
+  if (!r.Magic(kMagic)) return Status::InvalidArgument("bad frame magic");
+  uint32_t payload_len;
+  uint8_t type, method, status, reserved;
+  if (!r.U32(&payload_len) || !r.U64(&frame->request_id) || !r.U8(&type) ||
+      !r.U8(&method) || !r.U8(&status) || !r.U8(&reserved) ||
+      !r.U32(&frame->deadline_millis)) {
+    return Status::IOError("short frame header");
   }
-  const uint32_t payload_len = GetU32(header + 4);
   if (payload_len > kMaxFramePayload) {
     return Status::InvalidArgument(
         "frame length " + std::to_string(payload_len) + " exceeds the " +
         std::to_string(kMaxFramePayload) + "-byte limit");
   }
-  frame->request_id = GetU64(header + 8);
-  const uint8_t type = static_cast<uint8_t>(header[16]);
   if (type != static_cast<uint8_t>(FrameType::kRequest) &&
       type != static_cast<uint8_t>(FrameType::kResponse)) {
     return Status::InvalidArgument("unknown frame type " +
                                    std::to_string(type));
   }
   frame->type = static_cast<FrameType>(type);
-  const uint8_t method = static_cast<uint8_t>(header[17]);
   if (method != static_cast<uint8_t>(RpcMethod::kProfile) &&
       method != static_cast<uint8_t>(RpcMethod::kHealth)) {
     return Status::InvalidArgument("unknown rpc method " +
                                    std::to_string(method));
   }
   frame->method = static_cast<RpcMethod>(method);
-  frame->status_code = StatusCodeFromWire(static_cast<uint8_t>(header[18]));
-  if (header[19] != 0) {
+  frame->status_code = StatusCodeFromWire(status);
+  if (reserved != 0) {
     return Status::InvalidArgument("nonzero reserved frame byte");
   }
-  frame->deadline_millis = GetU32(header + 20);
   frame->payload.resize(payload_len);
   if (payload_len > 0) {
     s = ReadExact(stream, frame->payload.data(), payload_len);

@@ -1,126 +1,17 @@
 #include "net/wire.h"
 
-#include <cstring>
+#include <string_view>
 
+#include "common/byte_codec.h"
 #include "service/key_catalog.h"
 
 namespace gordian {
 
 namespace {
 
-// Plausibility caps mirroring the catalog codec: a flipped byte in a count
+// Plausibility cap mirroring the catalog codec: a flipped byte in a length
 // field must not talk the decoder into a gigabyte allocation.
-constexpr uint32_t kMaxSets = 1u << 20;
 constexpr uint32_t kMaxString = 1u << 20;
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutDouble(std::string* out, double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutStr(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-void PutAttrs(std::string* out, const AttributeSet& attrs) {
-  PutU8(out, static_cast<uint8_t>(attrs.Count()));
-  for (int a = attrs.First(); a >= 0; a = attrs.Next(a)) {
-    PutU8(out, static_cast<uint8_t>(a));
-  }
-}
-
-// Bounds-checked sequential reader over an encoded payload.
-class Cursor {
- public:
-  Cursor(const std::string& bytes, size_t pos) : bytes_(bytes), pos_(pos) {}
-
-  size_t pos() const { return pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
-  bool U8(uint8_t* v) {
-    if (bytes_.size() - pos_ < 1) return false;
-    *v = static_cast<uint8_t>(bytes_[pos_++]);
-    return true;
-  }
-
-  bool U32(uint32_t* v) {
-    if (bytes_.size() - pos_ < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool U64(uint64_t* v) {
-    if (bytes_.size() - pos_ < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool Double(double* d) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    std::memcpy(d, &bits, sizeof(*d));
-    return true;
-  }
-
-  bool Str(std::string* s) {
-    uint32_t len;
-    if (!U32(&len) || len > kMaxString || bytes_.size() - pos_ < len) {
-      return false;
-    }
-    s->assign(bytes_, pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  bool Attrs(AttributeSet* attrs) {
-    uint8_t count;
-    if (!U8(&count)) return false;
-    *attrs = AttributeSet();
-    int prev = -1;
-    for (int i = 0; i < count; ++i) {
-      uint8_t a;
-      if (!U8(&a)) return false;
-      if (a >= AttributeSet::kMaxAttributes || static_cast<int>(a) <= prev) {
-        return false;  // out of range or not strictly ascending
-      }
-      attrs->Set(a);
-      prev = a;
-    }
-    return true;
-  }
-
- private:
-  const std::string& bytes_;
-  size_t pos_;
-};
 
 Status Corrupt(const char* what) {
   return Status::InvalidArgument(std::string("corrupt ") + what);
@@ -130,31 +21,26 @@ Status Corrupt(const char* what) {
 
 void EncodeDiscoveryResult(const KeyDiscoveryResult& result,
                            std::string* out) {
+  ByteWriter w(out);
   uint8_t flags = 0;
   if (result.no_keys) flags |= 1;
   if (result.sampled) flags |= 2;
   if (result.incomplete) flags |= 4;
-  PutU8(out, flags);
-  PutU8(out, static_cast<uint8_t>(result.incomplete_reason));
-  PutU64(out, static_cast<uint64_t>(result.stats.rows_processed));
-  PutU64(out, static_cast<uint64_t>(result.stats.num_attributes));
-  PutU32(out, static_cast<uint32_t>(result.keys.size()));
-  for (const DiscoveredKey& k : result.keys) {
-    PutAttrs(out, k.attrs);
-    PutDouble(out, k.estimated_strength);
-    PutDouble(out, k.exact_strength);
-  }
-  PutU32(out, static_cast<uint32_t>(result.non_keys.size()));
-  for (const AttributeSet& nk : result.non_keys) PutAttrs(out, nk);
+  w.U8(flags);
+  w.U8(static_cast<uint8_t>(result.incomplete_reason));
+  w.U64(static_cast<uint64_t>(result.stats.rows_processed));
+  w.U64(static_cast<uint64_t>(result.stats.num_attributes));
+  EncodeKeyLists(result, &w);
 }
 
 Status DecodeDiscoveryResult(const std::string& bytes, size_t* pos,
                              KeyDiscoveryResult* result) {
-  Cursor c(bytes, *pos);
   *result = KeyDiscoveryResult();
+  if (*pos > bytes.size()) return Corrupt("result header");
+  ByteReader r(std::string_view(bytes).substr(*pos));
   uint8_t flags, reason;
   uint64_t rows, attrs;
-  if (!c.U8(&flags) || !c.U8(&reason) || !c.U64(&rows) || !c.U64(&attrs)) {
+  if (!r.U8(&flags) || !r.U8(&reason) || !r.U64(&rows) || !r.U64(&attrs)) {
     return Corrupt("result header");
   }
   if (flags > 7) return Corrupt("result flags");
@@ -174,52 +60,36 @@ Status DecodeDiscoveryResult(const std::string& bytes, size_t* pos,
   }
   result->stats.rows_processed = static_cast<int64_t>(rows);
   result->stats.num_attributes = static_cast<int64_t>(attrs);
-  uint32_t num_keys;
-  if (!c.U32(&num_keys) || num_keys > kMaxSets) return Corrupt("key count");
-  result->keys.resize(num_keys);
-  for (uint32_t k = 0; k < num_keys; ++k) {
-    DiscoveredKey& key = result->keys[k];
-    if (!c.Attrs(&key.attrs) || !c.Double(&key.estimated_strength) ||
-        !c.Double(&key.exact_strength)) {
-      return Corrupt("key record");
-    }
-  }
-  uint32_t num_non_keys;
-  if (!c.U32(&num_non_keys) || num_non_keys > kMaxSets) {
-    return Corrupt("non-key count");
-  }
-  result->non_keys.resize(num_non_keys);
-  for (uint32_t k = 0; k < num_non_keys; ++k) {
-    if (!c.Attrs(&result->non_keys[k])) return Corrupt("non-key record");
-  }
-  *pos = c.pos();
+  Status s = DecodeKeyLists(&r, AttributeSet::kMaxAttributes, result);
+  if (!s.ok()) return s;
+  *pos += r.pos();
   return Status::OK();
 }
 
 void EncodeProfileRequest(const ProfileRequest& req, std::string* out) {
-  PutU64(out, req.fingerprint);
-  PutStr(out, req.client_id);
-  PutStr(out, req.table_name);
-  PutU32(out, static_cast<uint32_t>(req.priority));
+  ByteWriter w(out);
+  w.U64(req.fingerprint);
+  w.Str(req.client_id);
+  w.Str(req.table_name);
+  w.U32(static_cast<uint32_t>(req.priority));
   uint8_t flags = 0;
   if (req.use_catalog) flags |= 1;
   if (req.use_tree_cache) flags |= 2;
-  PutU8(out, flags);
-  PutU64(out, static_cast<uint64_t>(req.sample_rows));
-  PutU64(out, req.sample_seed);
-  PutU32(out, static_cast<uint32_t>(req.table_bytes.size()));
-  out->append(req.table_bytes);
+  w.U8(flags);
+  w.U64(static_cast<uint64_t>(req.sample_rows));
+  w.U64(req.sample_seed);
+  w.Str(req.table_bytes);
 }
 
 Status DecodeProfileRequest(const std::string& bytes, ProfileRequest* req) {
-  Cursor c(bytes, 0);
+  ByteReader r(bytes);
   *req = ProfileRequest();
   uint32_t priority;
   uint8_t flags;
   uint64_t sample_rows;
-  if (!c.U64(&req->fingerprint) || !c.Str(&req->client_id) ||
-      !c.Str(&req->table_name) || !c.U32(&priority) || !c.U8(&flags) ||
-      !c.U64(&sample_rows) || !c.U64(&req->sample_seed)) {
+  if (!r.U64(&req->fingerprint) || !r.Str(&req->client_id, kMaxString) ||
+      !r.Str(&req->table_name, kMaxString) || !r.U32(&priority) ||
+      !r.U8(&flags) || !r.U64(&sample_rows) || !r.U64(&req->sample_seed)) {
     return Corrupt("profile request header");
   }
   if (flags > 3) return Corrupt("profile request flags");
@@ -227,49 +97,48 @@ Status DecodeProfileRequest(const std::string& bytes, ProfileRequest* req) {
   req->use_catalog = (flags & 1) != 0;
   req->use_tree_cache = (flags & 2) != 0;
   req->sample_rows = static_cast<int64_t>(sample_rows);
-  uint32_t table_len;
-  if (!c.U32(&table_len) || bytes.size() - c.pos() != table_len) {
+  if (!r.Str(&req->table_bytes, UINT32_MAX) || !r.AtEnd()) {
     return Corrupt("profile request table length");
   }
-  req->table_bytes.assign(bytes, c.pos(), table_len);
   return Status::OK();
 }
 
 Status DecodeProfileRequestPrefix(const std::string& bytes,
                                   uint64_t* fingerprint,
                                   std::string* client_id) {
-  Cursor c(bytes, 0);
-  if (!c.U64(fingerprint) || !c.Str(client_id)) {
+  ByteReader r(bytes);
+  if (!r.U64(fingerprint) || !r.Str(client_id, kMaxString)) {
     return Corrupt("profile request prefix");
   }
   return Status::OK();
 }
 
 void EncodeProfileResponse(const ProfileResponse& resp, std::string* out) {
-  PutU64(out, resp.fingerprint);
+  ByteWriter w(out);
+  w.U64(resp.fingerprint);
   uint8_t flags = 0;
   if (resp.cache_hit) flags |= 1;
   if (resp.follower_hit) flags |= 2;
   if (resp.tree_cache_hit) flags |= 4;
-  PutU8(out, flags);
-  PutStr(out, resp.served_by);
+  w.U8(flags);
+  w.Str(resp.served_by);
   EncodeDiscoveryResult(resp.result, out);
 }
 
 Status DecodeProfileResponse(const std::string& bytes,
                              ProfileResponse* resp) {
-  Cursor c(bytes, 0);
+  ByteReader r(bytes);
   *resp = ProfileResponse();
   uint8_t flags;
-  if (!c.U64(&resp->fingerprint) || !c.U8(&flags) ||
-      !c.Str(&resp->served_by)) {
+  if (!r.U64(&resp->fingerprint) || !r.U8(&flags) ||
+      !r.Str(&resp->served_by, kMaxString)) {
     return Corrupt("profile response header");
   }
   if (flags > 7) return Corrupt("profile response flags");
   resp->cache_hit = (flags & 1) != 0;
   resp->follower_hit = (flags & 2) != 0;
   resp->tree_cache_hit = (flags & 4) != 0;
-  size_t pos = c.pos();
+  size_t pos = r.pos();
   Status s = DecodeDiscoveryResult(bytes, &pos, &resp->result);
   if (!s.ok()) return s;
   if (pos != bytes.size()) return Corrupt("profile response trailer");
@@ -277,27 +146,28 @@ Status DecodeProfileResponse(const std::string& bytes,
 }
 
 void EncodeHealthInfo(const HealthInfo& info, std::string* out) {
-  PutU8(out, static_cast<uint8_t>(info.role));
-  PutU8(out, info.accepting ? 1 : 0);
-  PutU8(out, static_cast<uint8_t>(info.shard_first));
-  PutU8(out, static_cast<uint8_t>(info.shard_last));
-  PutU64(out, static_cast<uint64_t>(info.queue_depth));
-  PutU64(out, static_cast<uint64_t>(info.running_jobs));
-  PutU64(out, static_cast<uint64_t>(info.active_rpcs));
-  PutU64(out, static_cast<uint64_t>(info.catalog_entries));
-  PutU32(out, static_cast<uint32_t>(info.workers_up));
-  PutU32(out, static_cast<uint32_t>(info.workers_total));
+  ByteWriter w(out);
+  w.U8(static_cast<uint8_t>(info.role));
+  w.U8(info.accepting ? 1 : 0);
+  w.U8(static_cast<uint8_t>(info.shard_first));
+  w.U8(static_cast<uint8_t>(info.shard_last));
+  w.U64(static_cast<uint64_t>(info.queue_depth));
+  w.U64(static_cast<uint64_t>(info.running_jobs));
+  w.U64(static_cast<uint64_t>(info.active_rpcs));
+  w.U64(static_cast<uint64_t>(info.catalog_entries));
+  w.U32(static_cast<uint32_t>(info.workers_up));
+  w.U32(static_cast<uint32_t>(info.workers_total));
 }
 
 Status DecodeHealthInfo(const std::string& bytes, HealthInfo* info) {
-  Cursor c(bytes, 0);
+  ByteReader r(bytes);
   *info = HealthInfo();
   uint8_t role, accepting, first, last;
   uint64_t queue, running, active, entries;
   uint32_t up, total;
-  if (!c.U8(&role) || !c.U8(&accepting) || !c.U8(&first) || !c.U8(&last) ||
-      !c.U64(&queue) || !c.U64(&running) || !c.U64(&active) ||
-      !c.U64(&entries) || !c.U32(&up) || !c.U32(&total) || !c.AtEnd()) {
+  if (!r.U8(&role) || !r.U8(&accepting) || !r.U8(&first) || !r.U8(&last) ||
+      !r.U64(&queue) || !r.U64(&running) || !r.U64(&active) ||
+      !r.U64(&entries) || !r.U32(&up) || !r.U32(&total) || !r.AtEnd()) {
     return Corrupt("health info");
   }
   if (role != static_cast<uint8_t>(HealthInfo::Role::kWorker) &&

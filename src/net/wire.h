@@ -9,11 +9,10 @@
 
 namespace gordian {
 
-// Payload codecs for the RPC methods of net/frame.h. All integers are
-// little-endian fixed width and all strings are u32-length-prefixed,
-// matching the repo's GRDT/GRDC conventions; decoding validates counts,
-// ranges, and truncation and returns InvalidArgument instead of crashing on
-// garbage (the framing fault tests feed these random bytes).
+// Payload codecs for the RPC methods of net/frame.h, written with the codec
+// of common/byte_codec.h; decoding validates counts, ranges, and truncation
+// and returns InvalidArgument instead of crashing on garbage (the framing
+// fault tests feed these random bytes).
 
 // --- kProfile request --------------------------------------------------
 //
@@ -77,7 +76,9 @@ Status DecodeHealthInfo(const std::string& bytes, HealthInfo* info);
 
 // --- shared pieces -----------------------------------------------------
 
-// KeyDiscoveryResult <-> bytes. Unlike the catalog's entry record
+// KeyDiscoveryResult <-> bytes: flags, abort reason, row and attribute
+// counts, then the key and non-key lists of EncodeKeyLists (core/gordian.h)
+// bounded by the 128-attribute limit. Unlike the catalog's entry record
 // (service/key_catalog.h), this codec carries incomplete results too — a
 // remote job that tripped its budget must report that honestly rather than
 // masquerade as "no keys".

@@ -1,7 +1,6 @@
 #include "net/worker.h"
 
 #include <cstdio>
-#include <sstream>
 #include <utility>
 
 #include "net/frame.h"
@@ -138,10 +137,7 @@ void WorkerDaemon::HandleProfile(const Frame& request, Frame* response) {
     return;
   }
   Table table;
-  {
-    std::istringstream is(req.table_bytes);
-    s = ReadTable(is, &table);
-  }
+  s = ReadTable(req.table_bytes, &table);
   if (!s.ok()) {
     FailResponse(response, s);
     return;

@@ -1,78 +1,22 @@
 #include "service/catalog_store.h"
 
 #include <cstdio>
-#include <cstring>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
-#include "common/hashing.h"
+#include "common/byte_codec.h"
 
 namespace gordian {
 
 namespace {
 
-constexpr char kShardMagic[4] = {'G', 'R', 'D', 'S'};
-constexpr char kManifestMagic[4] = {'G', 'R', 'D', 'M'};
+constexpr std::string_view kShardMagic = "GRDS";
+constexpr std::string_view kManifestMagic = "GRDM";
 constexpr uint32_t kShardFormatVersion = 1;
 constexpr uint32_t kManifestFormatVersion = 1;
 
-// Same ceiling the single-file GRDC loader enforces: corrupt counts must
-// never talk the loader into huge allocations.
+// The entry-count ceiling of ReadCatalogEntries, for the manifest's counts.
 constexpr uint64_t kMaxEntriesPerShard = 1u << 20;
-
-void WriteU32(std::ostream& os, uint32_t v) {
-  for (int i = 0; i < 4; ++i) os.put(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void WriteU64(std::ostream& os, uint64_t v) {
-  for (int i = 0; i < 8; ++i) os.put(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-bool ReadU32(std::istream& is, uint32_t* v) {
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    int c = is.get();
-    if (c == EOF) return false;
-    *v |= static_cast<uint32_t>(c & 0xFF) << (8 * i);
-  }
-  return true;
-}
-
-bool ReadU64(std::istream& is, uint64_t* v) {
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    int c = is.get();
-    if (c == EOF) return false;
-    *v |= static_cast<uint64_t>(c & 0xFF) << (8 * i);
-  }
-  return true;
-}
-
-// Appends the content checksum that makes a file self-validating: a torn
-// final file (partial content that happens to parse) is caught even when
-// every rename was atomic, because the checksum covers every byte before
-// itself.
-void AppendChecksum(std::string* payload) {
-  uint64_t sum = HashBytes(*payload);
-  for (int i = 0; i < 8; ++i) {
-    payload->push_back(static_cast<char>((sum >> (8 * i)) & 0xFF));
-  }
-}
-
-// Splits off and verifies the trailing checksum; false on mismatch.
-bool CheckAndStripChecksum(const std::string& bytes, std::string_view* body) {
-  if (bytes.size() < 8) return false;
-  size_t body_size = bytes.size() - 8;
-  uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<uint64_t>(
-                  static_cast<unsigned char>(bytes[body_size + i]))
-              << (8 * i);
-  }
-  *body = std::string_view(bytes.data(), body_size);
-  return HashBytes(*body) == stored;
-}
 
 std::string ShardFileName(int shard) {
   char buf[32];
@@ -114,15 +58,15 @@ uint64_t CatalogStore::epoch() const {
 
 std::string CatalogStore::EncodeShard(
     int shard, const std::vector<CatalogEntry>& entries) {
-  std::ostringstream os(std::ios::binary);
-  os.write(kShardMagic, 4);
-  WriteU32(os, kShardFormatVersion);
-  WriteU32(os, static_cast<uint32_t>(shard));
-  WriteU64(os, entries.size());
+  std::string payload;
+  ByteWriter w(&payload);
+  w.Raw(kShardMagic);
+  w.U32(kShardFormatVersion);
+  w.U32(static_cast<uint32_t>(shard));
+  w.U64(entries.size());
   for (const CatalogEntry& entry : entries) {
-    WriteCatalogEntryRecord(os, entry);
+    WriteCatalogEntryRecord(entry, &w);
   }
-  std::string payload = os.str();
   AppendChecksum(&payload);
   return payload;
 }
@@ -131,50 +75,38 @@ Status CatalogStore::DecodeShard(const std::string& bytes, int shard,
                                  std::vector<CatalogEntry>* entries) {
   entries->clear();
   std::string_view body;
-  if (bytes.size() < 28 || !CheckAndStripChecksum(bytes, &body)) {
+  if (bytes.size() < 28 || !VerifyChecksum(bytes, &body)) {
     return Status::InvalidArgument("shard checksum mismatch or short file");
   }
-  std::istringstream is(std::string(body), std::ios::binary);
-  char magic[4];
-  is.read(magic, 4);
-  if (is.gcount() != 4 || std::memcmp(magic, kShardMagic, 4) != 0) {
+  ByteReader r(body);
+  if (!r.Magic(kShardMagic)) {
     return Status::InvalidArgument("not a catalog shard file");
   }
   uint32_t version, index;
-  uint64_t count;
-  if (!ReadU32(is, &version) || version != kShardFormatVersion) {
+  if (!r.U32(&version) || version != kShardFormatVersion) {
     return Status::InvalidArgument("unsupported shard format version");
   }
-  if (!ReadU32(is, &index) || index != static_cast<uint32_t>(shard)) {
+  if (!r.U32(&index) || index != static_cast<uint32_t>(shard)) {
     return Status::InvalidArgument("shard index mismatch");
   }
-  if (!ReadU64(is, &count) || count > kMaxEntriesPerShard) {
-    return Status::InvalidArgument("implausible shard entry count");
-  }
-  entries->reserve(count);
-  for (uint64_t e = 0; e < count; ++e) {
-    CatalogEntry entry;
-    Status s = ReadCatalogEntryRecord(is, &entry);
-    if (!s.ok()) return s;
+  Status s = ReadCatalogEntries(&r, entries);
+  if (!s.ok()) return s;
+  for (const CatalogEntry& entry : *entries) {
     if (KeyCatalog::ShardIndexOf(entry.fingerprint) != shard) {
       return Status::InvalidArgument("entry routed to the wrong shard");
     }
-    entries->push_back(std::move(entry));
-  }
-  if (is.peek() != std::char_traits<char>::eof()) {
-    return Status::InvalidArgument("trailing garbage in shard file");
   }
   return Status::OK();
 }
 
 std::string CatalogStore::EncodeManifest(uint64_t epoch) const {
-  std::ostringstream os(std::ios::binary);
-  os.write(kManifestMagic, 4);
-  WriteU32(os, kManifestFormatVersion);
-  WriteU64(os, epoch);
-  WriteU32(os, static_cast<uint32_t>(kNumShards));
-  for (int s = 0; s < kNumShards; ++s) WriteU64(os, shard_counts_[s]);
-  std::string payload = os.str();
+  std::string payload;
+  ByteWriter w(&payload);
+  w.Raw(kManifestMagic);
+  w.U32(kManifestFormatVersion);
+  w.U64(epoch);
+  w.U32(static_cast<uint32_t>(kNumShards));
+  for (int s = 0; s < kNumShards; ++s) w.U64(shard_counts_[s]);
   AppendChecksum(&payload);
   return payload;
 }
@@ -183,31 +115,29 @@ Status CatalogStore::DecodeManifest(
     const std::string& bytes, uint64_t* epoch,
     std::array<uint64_t, kNumShards>* counts) const {
   std::string_view body;
-  if (bytes.size() < 28 || !CheckAndStripChecksum(bytes, &body)) {
+  if (bytes.size() < 28 || !VerifyChecksum(bytes, &body)) {
     return Status::InvalidArgument("manifest checksum mismatch or short file");
   }
-  std::istringstream is(std::string(body), std::ios::binary);
-  char magic[4];
-  is.read(magic, 4);
-  if (is.gcount() != 4 || std::memcmp(magic, kManifestMagic, 4) != 0) {
+  ByteReader r(body);
+  if (!r.Magic(kManifestMagic)) {
     return Status::InvalidArgument("not a catalog manifest");
   }
   uint32_t version, shard_count;
-  if (!ReadU32(is, &version) || version != kManifestFormatVersion) {
+  if (!r.U32(&version) || version != kManifestFormatVersion) {
     return Status::InvalidArgument("unsupported manifest format version");
   }
-  if (!ReadU64(is, epoch)) {
+  if (!r.U64(epoch)) {
     return Status::InvalidArgument("truncated manifest");
   }
-  if (!ReadU32(is, &shard_count) || shard_count != kNumShards) {
+  if (!r.U32(&shard_count) || shard_count != kNumShards) {
     return Status::InvalidArgument("manifest shard count mismatch");
   }
   for (int s = 0; s < kNumShards; ++s) {
-    if (!ReadU64(is, &(*counts)[s]) || (*counts)[s] > kMaxEntriesPerShard) {
+    if (!r.U64(&(*counts)[s]) || (*counts)[s] > kMaxEntriesPerShard) {
       return Status::InvalidArgument("corrupt manifest shard counts");
     }
   }
-  if (is.peek() != std::char_traits<char>::eof()) {
+  if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing garbage in manifest");
   }
   return Status::OK();

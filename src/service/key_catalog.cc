@@ -1,9 +1,9 @@
 #include "service/key_catalog.h"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <utility>
+
+#include "common/fault_fs.h"
 
 namespace gordian {
 
@@ -106,129 +106,25 @@ uint64_t KeyCatalog::ShardVersion(int shard) const {
 
 namespace {
 
-constexpr char kMagic[4] = {'G', 'R', 'D', 'C'};
+constexpr std::string_view kMagic = "GRDC";
 constexpr uint32_t kFormatVersion = 1;
 
 // Hard ceilings against corrupt counts: loading must never be talked into
 // gigabyte allocations by a flipped byte.
 constexpr uint64_t kMaxEntries = 1u << 20;
-constexpr uint32_t kMaxSetsPerEntry = 1u << 20;
+constexpr uint32_t kMaxNameBytes = 1u << 20;
+// The smallest entry record (an empty name, no keys, no non-keys): the
+// count rule's item size for an entry count.
+constexpr size_t kMinEntryBytes = 33;
 
-void WriteU8(std::ostream& os, uint8_t v) { os.put(static_cast<char>(v)); }
-
-void WriteU32(std::ostream& os, uint32_t v) {
-  for (int i = 0; i < 4; ++i) os.put(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void WriteU64(std::ostream& os, uint64_t v) {
-  for (int i = 0; i < 8; ++i) os.put(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void WriteStr(std::ostream& os, const std::string& s) {
-  WriteU32(os, static_cast<uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-void WriteDouble(std::ostream& os, double d) {
-  uint64_t bits;
-  __builtin_memcpy(&bits, &d, sizeof(bits));
-  WriteU64(os, bits);
-}
-
-void WriteAttrs(std::ostream& os, const AttributeSet& attrs) {
-  WriteU8(os, static_cast<uint8_t>(attrs.Count()));
-  attrs.ForEach([&](int a) { WriteU8(os, static_cast<uint8_t>(a)); });
-}
-
-bool ReadU8(std::istream& is, uint8_t* v) {
-  int c = is.get();
-  if (c == EOF) return false;
-  *v = static_cast<uint8_t>(c);
-  return true;
-}
-
-bool ReadU32(std::istream& is, uint32_t* v) {
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    uint8_t b;
-    if (!ReadU8(is, &b)) return false;
-    *v |= static_cast<uint32_t>(b) << (8 * i);
-  }
-  return true;
-}
-
-bool ReadU64(std::istream& is, uint64_t* v) {
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    uint8_t b;
-    if (!ReadU8(is, &b)) return false;
-    *v |= static_cast<uint64_t>(b) << (8 * i);
-  }
-  return true;
-}
-
-bool ReadStr(std::istream& is, std::string* s) {
-  uint32_t len;
-  if (!ReadU32(is, &len)) return false;
-  if (len > (1u << 20)) return false;  // refuse absurd name lengths
-  s->resize(len);
-  is.read(s->data(), len);
-  return static_cast<uint32_t>(is.gcount()) == len;
-}
-
-bool ReadDouble(std::istream& is, double* d) {
-  uint64_t bits;
-  if (!ReadU64(is, &bits)) return false;
-  __builtin_memcpy(d, &bits, sizeof(*d));
-  return true;
-}
-
-// Attribute lists are stored canonically: strictly ascending positions,
-// each below the entry's column count. Anything else is corruption.
-bool ReadAttrs(std::istream& is, int num_columns, AttributeSet* attrs) {
-  uint8_t count;
-  if (!ReadU8(is, &count)) return false;
-  *attrs = AttributeSet();
-  int prev = -1;
-  for (int i = 0; i < count; ++i) {
-    uint8_t a;
-    if (!ReadU8(is, &a)) return false;
-    if (a >= num_columns || static_cast<int>(a) <= prev) return false;
-    attrs->Set(a);
-    prev = a;
-  }
-  return true;
-}
-
-}  // namespace
-
-void WriteCatalogEntryRecord(std::ostream& os, const CatalogEntry& entry) {
-  WriteU64(os, entry.fingerprint);
-  WriteStr(os, entry.table_name);
-  WriteU32(os, static_cast<uint32_t>(entry.num_columns));
-  uint8_t flags = 0;
-  if (entry.result.no_keys) flags |= 1;
-  if (entry.result.sampled) flags |= 2;
-  WriteU8(os, flags);
-  WriteU64(os, static_cast<uint64_t>(entry.result.stats.rows_processed));
-  WriteU32(os, static_cast<uint32_t>(entry.result.keys.size()));
-  for (const DiscoveredKey& k : entry.result.keys) {
-    WriteAttrs(os, k.attrs);
-    WriteDouble(os, k.estimated_strength);
-    WriteDouble(os, k.exact_strength);
-  }
-  WriteU32(os, static_cast<uint32_t>(entry.result.non_keys.size()));
-  for (const AttributeSet& nk : entry.result.non_keys) WriteAttrs(os, nk);
-}
-
-Status ReadCatalogEntryRecord(std::istream& is, CatalogEntry* out) {
+Status ReadCatalogEntryRecord(ByteReader* in, CatalogEntry* out) {
   CatalogEntry entry;
   uint32_t num_columns;
   uint8_t flags;
   uint64_t rows;
-  if (!ReadU64(is, &entry.fingerprint) || !ReadStr(is, &entry.table_name) ||
-      !ReadU32(is, &num_columns) || !ReadU8(is, &flags) ||
-      !ReadU64(is, &rows)) {
+  if (!in->U64(&entry.fingerprint) ||
+      !in->Str(&entry.table_name, kMaxNameBytes) || !in->U32(&num_columns) ||
+      !in->U8(&flags) || !in->U64(&rows)) {
     return Status::InvalidArgument("truncated catalog entry");
   }
   if (flags > 3) return Status::InvalidArgument("corrupt entry flags");
@@ -243,103 +139,103 @@ Status ReadCatalogEntryRecord(std::istream& is, CatalogEntry* out) {
   entry.result.sampled = (flags & 2) != 0;
   entry.result.stats.rows_processed = static_cast<int64_t>(rows);
   entry.result.stats.num_attributes = entry.num_columns;
-
-  uint32_t num_keys;
-  if (!ReadU32(is, &num_keys) || num_keys > kMaxSetsPerEntry) {
-    return Status::InvalidArgument("corrupt key count");
-  }
-  entry.result.keys.resize(num_keys);
-  for (uint32_t k = 0; k < num_keys; ++k) {
-    DiscoveredKey& key = entry.result.keys[k];
-    if (!ReadAttrs(is, entry.num_columns, &key.attrs) ||
-        !ReadDouble(is, &key.estimated_strength) ||
-        !ReadDouble(is, &key.exact_strength)) {
-      return Status::InvalidArgument("corrupt key record");
-    }
-  }
-  uint32_t num_non_keys;
-  if (!ReadU32(is, &num_non_keys) || num_non_keys > kMaxSetsPerEntry) {
-    return Status::InvalidArgument("corrupt non-key count");
-  }
-  entry.result.non_keys.resize(num_non_keys);
-  for (uint32_t k = 0; k < num_non_keys; ++k) {
-    if (!ReadAttrs(is, entry.num_columns, &entry.result.non_keys[k])) {
-      return Status::InvalidArgument("corrupt non-key record");
-    }
-  }
+  Status s = DecodeKeyLists(in, entry.num_columns, &entry.result);
+  if (!s.ok()) return s;
   *out = std::move(entry);
   return Status::OK();
 }
 
-Status WriteCatalogFile(const KeyCatalog& catalog, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return Status::IOError("cannot open " + path + " for writing");
-  // The entry count precedes the entries, so the snapshot must be globally
-  // consistent: take every shard lock, in index order (the same order Clear
-  // uses; point operations hold one lock at a time, so no cycle exists).
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(KeyCatalog::kNumShards);
-  uint64_t total = 0;
-  for (const KeyCatalog::Shard& shard : catalog.shards_) {
-    locks.emplace_back(shard.mu);
-    total += shard.entries.size();
+}  // namespace
+
+void WriteCatalogEntryRecord(const CatalogEntry& entry, ByteWriter* out) {
+  out->U64(entry.fingerprint);
+  out->Str(entry.table_name);
+  out->U32(static_cast<uint32_t>(entry.num_columns));
+  uint8_t flags = 0;
+  if (entry.result.no_keys) flags |= 1;
+  if (entry.result.sampled) flags |= 2;
+  out->U8(flags);
+  out->U64(static_cast<uint64_t>(entry.result.stats.rows_processed));
+  EncodeKeyLists(entry.result, out);
+}
+
+Status ReadCatalogEntries(ByteReader* in,
+                          std::vector<CatalogEntry>* entries) {
+  uint64_t count;
+  if (!in->Count(&count, kMinEntryBytes) || count > kMaxEntries) {
+    return Status::InvalidArgument("implausible catalog entry count");
   }
-  os.write(kMagic, 4);
-  WriteU32(os, kFormatVersion);
-  WriteU64(os, total);
-  for (const KeyCatalog::Shard& shard : catalog.shards_) {
-    for (const auto& [fp, entry] : shard.entries) {
-      (void)fp;  // entry.fingerprint is the same key, set by Put
-      WriteCatalogEntryRecord(os, entry);
-    }
+  entries->clear();
+  entries->reserve(count);
+  for (uint64_t e = 0; e < count; ++e) {
+    CatalogEntry entry;
+    Status s = ReadCatalogEntryRecord(in, &entry);
+    if (!s.ok()) return s;
+    entries->push_back(std::move(entry));
   }
-  if (!os) return Status::IOError("write failed: " + path);
+  // Every valid byte is accounted for above; input that keeps going after
+  // the declared last entry was either mis-written or tampered with, and
+  // silently dropping the tail would mask both.
+  if (!in->AtEnd()) {
+    return Status::InvalidArgument("trailing garbage after last catalog entry");
+  }
   return Status::OK();
 }
 
+Status WriteCatalogFile(const KeyCatalog& catalog, const std::string& path) {
+  std::string bytes;
+  ByteWriter w(&bytes);
+  {
+    // The entry count precedes the entries, so the snapshot must be
+    // globally consistent: take every shard lock, in index order (the same
+    // order Clear uses; point operations hold one lock at a time, so no
+    // cycle exists).
+    std::vector<std::unique_lock<std::mutex>> locks;
+    locks.reserve(KeyCatalog::kNumShards);
+    uint64_t total = 0;
+    for (const KeyCatalog::Shard& shard : catalog.shards_) {
+      locks.emplace_back(shard.mu);
+      total += shard.entries.size();
+    }
+    w.Raw(kMagic);
+    w.U32(kFormatVersion);
+    w.U64(total);
+    for (const KeyCatalog::Shard& shard : catalog.shards_) {
+      for (const auto& kv : shard.entries) {
+        WriteCatalogEntryRecord(kv.second, &w);
+      }
+    }
+  }
+  return DefaultFileSystem()->WriteFile(path, bytes);
+}
+
 Status ReadCatalogFile(const std::string& path, KeyCatalog* out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IOError("cannot open " + path);
-  char magic[4];
-  is.read(magic, 4);
-  if (is.gcount() != 4 || std::memcmp(magic, kMagic, 4) != 0) {
+  std::string bytes;
+  Status s = DefaultFileSystem()->ReadFile(path, &bytes);
+  if (!s.ok()) return s;
+  ByteReader r(bytes);
+  if (!r.Magic(kMagic)) {
     return Status::InvalidArgument("not a gordian catalog file: " + path);
   }
   uint32_t version;
-  if (!ReadU32(is, &version) || version != kFormatVersion) {
+  if (!r.U32(&version) || version != kFormatVersion) {
     return Status::InvalidArgument("unsupported catalog format version");
   }
-  uint64_t num_entries;
-  if (!ReadU64(is, &num_entries)) {
-    return Status::InvalidArgument("truncated catalog header");
-  }
-  if (num_entries > kMaxEntries) {
-    return Status::InvalidArgument("implausible catalog entry count");
-  }
-
+  std::vector<CatalogEntry> entries;
+  s = ReadCatalogEntries(&r, &entries);
+  if (!s.ok()) return s;
   KeyCatalog loaded;
-  for (uint64_t e = 0; e < num_entries; ++e) {
-    CatalogEntry entry;
-    Status s = ReadCatalogEntryRecord(is, &entry);
-    if (!s.ok()) return s;
-    if (!loaded.Put(entry.fingerprint, entry.table_name, entry.num_columns,
-                    entry.result)) {
-      return Status::InvalidArgument("corrupt catalog entry");
-    }
-  }
-  // Every valid byte is accounted for above; a file that keeps going after
-  // the declared last entry was either mis-written or tampered with, and
-  // silently dropping the tail would mask both.
-  if (is.peek() != std::char_traits<char>::eof()) {
-    return Status::InvalidArgument("trailing garbage after last catalog entry");
+  for (const CatalogEntry& entry : entries) {
+    loaded.Put(entry.fingerprint, entry.table_name, entry.num_columns,
+               entry.result);
   }
 
   // `loaded` is private to this call, so its shards need no locking; the
   // destination's do. Shard assignment is a pure function of the
   // fingerprint, so moving shard-by-shard preserves placement.
-  for (int s = 0; s < KeyCatalog::kNumShards; ++s) {
-    std::lock_guard<std::mutex> lock(out->shards_[s].mu);
-    out->shards_[s].entries = std::move(loaded.shards_[s].entries);
+  for (int i = 0; i < KeyCatalog::kNumShards; ++i) {
+    std::lock_guard<std::mutex> lock(out->shards_[i].mu);
+    out->shards_[i].entries = std::move(loaded.shards_[i].entries);
   }
   return Status::OK();
 }

@@ -3,12 +3,12 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/status.h"
 #include "core/gordian.h"
 
@@ -110,15 +110,13 @@ class KeyCatalog {
   mutable std::array<Shard, kNumShards> shards_;
 };
 
-// Binary persistence, following the GRDT conventions of table/serialize.h:
+// Binary persistence through the codec of common/byte_codec.h:
 //
 //   magic "GRDC", format version (u32), entry count (u64),
 //   per entry: fingerprint (u64), table name (length-prefixed string),
 //   column count (u32), flags (u8: no_keys | sampled<<1),
-//   rows processed (u64),
-//   keys (u32 count; per key: attribute list as u8 count + ascending u8
-//   positions, then estimated/exact strength as IEEE754 bit patterns),
-//   non-keys (u32 count; per non-key: attribute list).
+//   rows processed (u64), then the key and non-key lists in the layout of
+//   EncodeKeyLists (core/gordian.h), bounded by the entry's column count.
 //
 // Loading validates the magic, version, counts, attribute ordering and
 // range, truncation, and trailing bytes after the last entry, returning
@@ -137,13 +135,15 @@ Status ReadCatalogFile(const std::string& path, KeyCatalog* out);
 // format above and the per-shard files of service/catalog_store.h, so a
 // shard file is bit-compatible with the corresponding slice of a GRDC file.
 
-// Appends one entry record (fingerprint through non-key list) to `os`.
-void WriteCatalogEntryRecord(std::ostream& os, const CatalogEntry& entry);
+// Appends one entry record (fingerprint through non-key list).
+void WriteCatalogEntryRecord(const CatalogEntry& entry, ByteWriter* out);
 
-// Reads and fully validates one entry record: flags, plausibility-capped
-// counts, attribute ordering and range. Returns InvalidArgument on any
-// structural violation, including truncation mid-record.
-Status ReadCatalogEntryRecord(std::istream& is, CatalogEntry* entry);
+// Reads the tail that GRDC files and GRDS shards share: a u64 entry count,
+// then that many entry records, each fully validated (flags,
+// plausibility-capped counts, attribute ordering and range), up to the end
+// of the input. Returns InvalidArgument on any structural violation,
+// including truncation mid-record and bytes after the last record.
+Status ReadCatalogEntries(ByteReader* in, std::vector<CatalogEntry>* entries);
 
 }  // namespace gordian
 

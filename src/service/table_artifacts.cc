@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "common/hashing.h"
+#include "common/byte_codec.h"
 #include "table/serialize.h"
 
 namespace gordian {
@@ -18,20 +18,6 @@ std::string FingerprintHex(uint64_t fingerprint) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(fingerprint));
   return std::string(buf, 16);
-}
-
-void PutU64(std::string* s, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    s->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
 }
 
 }  // namespace
@@ -88,10 +74,8 @@ Status TableArtifactStore::Put(uint64_t fingerprint, const Table& table) {
   // Meta last — its successful rename is the artifact's commit point.
   std::string payload;
   if (s.ok()) {
-    std::ostringstream os(std::ios::binary);
-    s = WriteSchemaAndDicts(table, os);
-    payload = std::move(os).str();
-    PutU64(&payload, HashBytes(payload));
+    WriteSchemaAndDicts(table, &payload);
+    AppendChecksum(&payload);
   }
   const std::string meta = MetaPath(fingerprint);
   const std::string tmp = meta + ".tmp";
@@ -128,18 +112,15 @@ Status TableArtifactStore::Get(uint64_t fingerprint, Table* out) {
     if (options_.metrics != nullptr) options_.metrics->OnArtifactGetError();
     return s;
   }
-  if (payload.size() < 8) return corrupt("meta file too short");
-  const uint64_t stored = GetU64(payload.data() + payload.size() - 8);
-  payload.resize(payload.size() - 8);
-  if (HashBytes(payload) != stored) return corrupt("meta checksum mismatch");
+  std::string_view body;
+  if (!VerifyChecksum(payload, &body)) {
+    return corrupt("meta checksum mismatch or short file");
+  }
 
   Schema schema;
   std::vector<std::shared_ptr<Dictionary>> dicts;
   int64_t num_rows = 0;
-  {
-    std::istringstream is(payload, std::ios::binary);
-    s = ReadSchemaAndDicts(is, &schema, &dicts, &num_rows);
-  }
+  s = ReadSchemaAndDicts(body, &schema, &dicts, &num_rows);
   if (!s.ok()) return corrupt(s.message());
 
   std::vector<CodeColumn> columns;

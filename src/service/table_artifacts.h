@@ -24,7 +24,7 @@ namespace gordian {
 //
 //   <dir>/<fingerprint>/meta.grdd    schema + dictionaries + row count
 //                                    (serialize.h GRDD stream) followed by
-//                                    a u64 checksum of the payload
+//                                    a checksum (common/byte_codec.h)
 //   <dir>/<fingerprint>/c<N>.grdl    column N's codes, one self-validating
 //                                    GRDL file per column (code_column.h)
 //

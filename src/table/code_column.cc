@@ -4,44 +4,17 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "common/hashing.h"
 
 namespace gordian {
 
 namespace {
 
-constexpr char kMagic[4] = {'G', 'R', 'D', 'L'};
+constexpr std::string_view kMagic = "GRDL";
 constexpr uint32_t kFormatVersion = 1;
 constexpr size_t kTrailerBytes = 56;
 constexpr size_t kChunkStatBytes = 16;
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
 
 Status Corrupt(const std::string& path, const std::string& what) {
   return Status::InvalidArgument("spilled column " + path + ": " + what);
@@ -73,24 +46,24 @@ Status CodeColumn::OpenSpilled(FileSystem* fs, const std::string& path,
   if (region->size() < kTrailerBytes) {
     return Corrupt(path, "file shorter than trailer");
   }
-  const char* trailer = region->data() + region->size() - kTrailerBytes;
-  if (std::memcmp(trailer, kMagic, 4) != 0) {
-    return Corrupt(path, "bad magic");
+  const std::string_view trailer(
+      region->data() + region->size() - kTrailerBytes, kTrailerBytes);
+  ByteReader r(trailer);
+  if (!r.Magic(kMagic)) return Corrupt(path, "bad magic");
+  uint32_t version, chunk_rows, stored_dict_size, null_code, num_chunks;
+  uint64_t rows, codes_bytes;
+  if (!r.U32(&version) || !r.U64(&rows) || !r.U32(&chunk_rows) ||
+      !r.U32(&stored_dict_size) || !r.U32(&null_code) ||
+      !r.U32(&num_chunks) || !r.U64(&codes_bytes)) {
+    return Corrupt(path, "short trailer");
   }
-  uint32_t version = GetU32(trailer + 4);
   if (version != kFormatVersion) {
     return Corrupt(path, "unsupported version " + std::to_string(version));
   }
-  uint64_t stored_hash = GetU64(trailer + 48);
-  if (HashBytes(std::string_view(trailer, 48)) != stored_hash) {
+  std::string_view body;
+  if (!VerifyChecksum(trailer, &body)) {
     return Corrupt(path, "trailer checksum mismatch");
   }
-  uint64_t rows = GetU64(trailer + 8);
-  uint32_t chunk_rows = GetU32(trailer + 16);
-  uint32_t stored_dict_size = GetU32(trailer + 20);
-  uint32_t null_code = GetU32(trailer + 24);
-  uint32_t num_chunks = GetU32(trailer + 28);
-  uint64_t codes_bytes = GetU64(trailer + 32);
 
   if (rows > 0 && chunk_rows == 0) return Corrupt(path, "zero chunk size");
   if (codes_bytes != rows * sizeof(uint32_t)) {
@@ -125,14 +98,15 @@ Status CodeColumn::OpenSpilled(FileSystem* fs, const std::string& path,
   meta->chunks.resize(num_chunks);
 
   const char* codes_base = region->data();
-  const char* stats_base = codes_base + codes_bytes;
   const uint32_t* codes = reinterpret_cast<const uint32_t*>(codes_base);
+  ByteReader stats(std::string_view(codes_base + codes_bytes,
+                                    size_t{num_chunks} * kChunkStatBytes));
   for (uint32_t i = 0; i < num_chunks; ++i) {
-    const char* stat = stats_base + size_t{i} * kChunkStatBytes;
     ChunkStat& cs = meta->chunks[i];
-    cs.hash = GetU64(stat);
-    cs.max_code = GetU32(stat + 8);
-    cs.null_count = GetU32(stat + 12);
+    if (!stats.U64(&cs.hash) || !stats.U32(&cs.max_code) ||
+        !stats.U32(&cs.null_count)) {
+      return Corrupt(path, "short chunk table");
+    }
 
     uint64_t begin = uint64_t{i} * chunk_rows;
     uint64_t count = std::min<uint64_t>(chunk_rows, rows - begin);
@@ -281,23 +255,25 @@ Status SpillColumnWriter::Finish(uint32_t dict_size, uint32_t null_code) {
 
   std::string tail;
   tail.reserve(chunks_.size() * kChunkStatBytes + kTrailerBytes);
+  ByteWriter w(&tail);
   for (const CodeColumn::ChunkStat& cs : chunks_) {
-    PutU64(&tail, cs.hash);
-    PutU32(&tail, cs.max_code);
-    PutU32(&tail, cs.null_count);
+    w.U64(cs.hash);
+    w.U32(cs.max_code);
+    w.U32(cs.null_count);
   }
+  // The trailer's checksum covers the trailer alone.
   std::string trailer;
-  trailer.reserve(kTrailerBytes);
-  trailer.append(kMagic, 4);
-  PutU32(&trailer, kFormatVersion);
-  PutU64(&trailer, static_cast<uint64_t>(rows_flushed_));
-  PutU32(&trailer, static_cast<uint32_t>(chunk_rows_));
-  PutU32(&trailer, dict_size);
-  PutU32(&trailer, latest_null_code_);
-  PutU32(&trailer, static_cast<uint32_t>(chunks_.size()));
-  PutU64(&trailer, static_cast<uint64_t>(rows_flushed_) * sizeof(uint32_t));
-  PutU64(&trailer, 0);  // reserved
-  PutU64(&trailer, HashBytes(trailer));
+  ByteWriter t(&trailer);
+  t.Raw(kMagic);
+  t.U32(kFormatVersion);
+  t.U64(static_cast<uint64_t>(rows_flushed_));
+  t.U32(static_cast<uint32_t>(chunk_rows_));
+  t.U32(dict_size);
+  t.U32(latest_null_code_);
+  t.U32(static_cast<uint32_t>(chunks_.size()));
+  t.U64(static_cast<uint64_t>(rows_flushed_) * sizeof(uint32_t));
+  t.U64(0);  // reserved
+  AppendChecksum(&trailer);
   tail += trailer;
 
   Status s = fs_->AppendFile(tmp_path_, tail);

@@ -1,14 +1,18 @@
 // Unit tests for the common substrate: PRNG, Zipf sampler, hashing,
-// memory tracking, status.
+// memory tracking, status, and the byte codec.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/hashing.h"
 #include "common/memory_tracker.h"
 #include "common/random.h"
@@ -203,6 +207,164 @@ TEST(Status, PartialIsNotOkButDetectable) {
   EXPECT_FALSE(Status::IOError("x").IsPartial());
   EXPECT_EQ(s.code(), Status::Code::kPartial);
   EXPECT_EQ(s.ToString(), "Partial: 3 of 16 shards quarantined");
+}
+
+// One value of every kind the codec reads, written in a fixed order.
+std::string CodecSample() {
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.Raw("MAGI");
+  w.U8(0xAB);
+  w.U32(0xDEADBEEF);
+  w.U64(0x0123456789ABCDEFull);
+  w.F64(-2.5);
+  w.Str("hello");
+  w.U32(3);  // a count of three 2-byte items
+  w.Raw("xxyyzz");
+  return bytes;
+}
+
+// Reads CodecSample back; false at the first read that fails.
+bool ReadCodecSample(std::string_view bytes) {
+  ByteReader r(bytes);
+  uint8_t u8;
+  uint32_t u32, count;
+  uint64_t u64;
+  double f64;
+  std::string str;
+  std::string_view items;
+  if (!r.Magic("MAGI") || !r.U8(&u8) || !r.U32(&u32) || !r.U64(&u64) ||
+      !r.F64(&f64) || !r.Str(&str, 64) || !r.Count(&count, 2) ||
+      !r.Raw(size_t{count} * 2, &items)) {
+    return false;
+  }
+  EXPECT_EQ(u8, 0xAB);
+  EXPECT_EQ(u32, 0xDEADBEEFu);
+  EXPECT_EQ(u64, 0x0123456789ABCDEFull);
+  EXPECT_EQ(f64, -2.5);
+  EXPECT_EQ(str, "hello");
+  EXPECT_EQ(items, "xxyyzz");
+  EXPECT_TRUE(r.AtEnd());
+  return true;
+}
+
+TEST(ByteCodec, EveryReadFailsCleanlyAtEveryTruncation) {
+  const std::string bytes = CodecSample();
+  ASSERT_TRUE(ReadCodecSample(bytes));
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    // A heap copy of exactly `cut` bytes, so an overread is a sanitizer
+    // error rather than a silent read of the tail.
+    const std::string prefix = bytes.substr(0, cut);
+    EXPECT_FALSE(ReadCodecSample(prefix)) << "cut at " << cut;
+  }
+  // Each read kind alone, one byte short.
+  uint8_t u8;
+  uint32_t u32;
+  uint64_t u64;
+  double f64;
+  std::string str;
+  std::string_view raw;
+  EXPECT_FALSE(ByteReader("").U8(&u8));
+  EXPECT_FALSE(ByteReader("abc").U32(&u32));
+  EXPECT_FALSE(ByteReader("abcdefg").U64(&u64));
+  EXPECT_FALSE(ByteReader("abcdefg").F64(&f64));
+  EXPECT_FALSE(ByteReader(std::string("\x03\0\0\0ab", 6)).Str(&str, 64));
+  EXPECT_FALSE(ByteReader("ab").Raw(3, &raw));
+  EXPECT_FALSE(ByteReader("GRD").Magic("GRDT"));
+  EXPECT_FALSE(ByteReader("GRDX").Magic("GRDT"));
+}
+
+TEST(ByteCodec, CountRuleHoldsExactlyAtItsBoundary) {
+  // Three 17-byte items fit in exactly 51 bytes and not in 50.
+  for (size_t left : {size_t{50}, size_t{51}}) {
+    std::string bytes;
+    ByteWriter(&bytes).U32(3);
+    bytes.append(left, '\0');
+    ByteReader r(bytes);
+    uint32_t count;
+    EXPECT_EQ(r.Count(&count, 17), left == 51) << left << " bytes left";
+  }
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.U64(UINT64_MAX);
+  w.U64(0);
+  uint64_t count;
+  EXPECT_FALSE(ByteReader(bytes).Count(&count, 1));
+  ByteReader r(std::string_view(bytes).substr(8));
+  EXPECT_TRUE(r.Count(&count, 1));  // zero items always fit
+  EXPECT_EQ(count, 0u);
+
+  const std::string hundred(100, '\0');
+  ByteReader fits(hundred);
+  EXPECT_TRUE(fits.Fits(25, 4));
+  EXPECT_FALSE(fits.Fits(26, 4));
+  EXPECT_TRUE(fits.Fits(100, 1));
+  EXPECT_FALSE(fits.Fits(101, 1));
+  EXPECT_TRUE(fits.Fits(UINT64_MAX, 0));  // zero-byte items take no room
+  EXPECT_FALSE(fits.Fits(UINT64_MAX, 1));
+}
+
+TEST(ByteCodec, ExtremesRoundTrip) {
+  const std::string mib(1 << 20, 'm');
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.U8(0);
+  w.U8(UINT8_MAX);
+  w.U32(0);
+  w.U32(UINT32_MAX);
+  w.U64(0);
+  w.U64(UINT64_MAX);
+  w.F64(std::numeric_limits<double>::infinity());
+  w.F64(-0.0);
+  w.Str("");
+  w.Str(mib);
+  // Little-endian, fixed width.
+  EXPECT_EQ(bytes.substr(0, 10),
+            std::string("\x00\xff\x00\x00\x00\x00\xff\xff\xff\xff", 10));
+
+  ByteReader r(bytes);
+  uint8_t a, b;
+  uint32_t c, d;
+  uint64_t e, f;
+  double inf, neg_zero;
+  std::string empty = "junk", big;
+  ASSERT_TRUE(r.U8(&a) && r.U8(&b) && r.U32(&c) && r.U32(&d) && r.U64(&e) &&
+              r.U64(&f) && r.F64(&inf) && r.F64(&neg_zero) &&
+              r.Str(&empty, 0) && r.Str(&big, 1 << 20));
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b, UINT8_MAX);
+  EXPECT_EQ(c, 0u);
+  EXPECT_EQ(d, UINT32_MAX);
+  EXPECT_EQ(e, 0u);
+  EXPECT_EQ(f, UINT64_MAX);
+  EXPECT_TRUE(std::isinf(inf));
+  EXPECT_TRUE(std::signbit(neg_zero));
+  EXPECT_EQ(empty, "");
+  EXPECT_EQ(big, mib);
+  EXPECT_TRUE(r.AtEnd());
+
+  // The length cap is inclusive.
+  std::string one_mib;
+  ByteWriter(&one_mib).Str(mib);
+  EXPECT_TRUE(ByteReader(one_mib).Str(&big, 1 << 20));
+  EXPECT_FALSE(ByteReader(one_mib).Str(&big, (1 << 20) - 1));
+}
+
+TEST(ByteCodec, ChecksumTrailerCatchesEveryFlipAndTruncation) {
+  std::string bytes = "payload";
+  AppendChecksum(&bytes);
+  ASSERT_EQ(bytes.size(), 7 + kChecksumBytes);
+  std::string_view body;
+  ASSERT_TRUE(VerifyChecksum(bytes, &body));
+  EXPECT_EQ(body, "payload");
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    std::string flipped = bytes;
+    flipped[i] ^= 0x01;
+    EXPECT_FALSE(VerifyChecksum(flipped, &body)) << "flip at " << i;
+  }
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(VerifyChecksum(bytes.substr(0, cut), &body)) << cut;
+  }
 }
 
 }  // namespace

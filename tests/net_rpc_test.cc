@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/gordian.h"
 #include "datagen/synthetic.h"
 #include "net/client.h"
 #include "net/router.h"
@@ -245,6 +246,75 @@ TEST(Worker, RejectsFingerprintMismatch) {
   ASSERT_TRUE(rpc.Call(RpcMethod::kProfile, payload, 5000, &reply).ok());
   EXPECT_EQ(reply.remote.code(), Status::Code::kInvalidArgument);
   worker.Stop();
+}
+
+TEST(Worker, RefusesImplausibleCountsThenServes) {
+  WorkerDaemon worker(WorkerOptions{});
+  ASSERT_TRUE(worker.Start().ok());
+
+  // A GRDT stream claiming 2^33 rows of a one-column table, with none of
+  // their codes: the worker must answer InvalidArgument instead of trying
+  // to allocate the code vector.
+  std::string table_bytes = "GRDT";
+  const auto put = [&table_bytes](uint64_t v, int width) {
+    for (int b = 0; b < width; ++b) {
+      table_bytes.push_back(static_cast<char>(v >> (8 * b)));
+    }
+  };
+  put(1, 4);                  // format version
+  put(1, 4);                  // column count
+  put(uint64_t{1} << 33, 8);  // row count
+  put(1, 4);                  // name length
+  table_bytes += "a";
+  put(0, 4);  // dictionary size
+  ProfileRequest req;
+  req.table_name = "hostile";
+  req.table_bytes = table_bytes;
+  std::string payload;
+  EncodeProfileRequest(req, &payload);
+  RpcClient rpc("127.0.0.1", worker.port());
+  RpcReply reply;
+  ASSERT_TRUE(rpc.Call(RpcMethod::kProfile, payload, 5000, &reply).ok());
+  EXPECT_EQ(reply.remote.code(), Status::Code::kInvalidArgument);
+
+  // The worker is still serving.
+  Table table = MakeTable(200, 4);
+  ProfileClient client("127.0.0.1", worker.port());
+  RemoteOutcome outcome;
+  ASSERT_TRUE(
+      client.Profile("t", table, RemoteProfileOptions{}, &outcome).ok());
+  ExpectSameResult(outcome.result, FindKeys(table));
+  worker.Stop();
+}
+
+TEST(Worker, SampledTableMatchesLocalRun) {
+  WorkerDaemon worker(WorkerOptions{});
+  ASSERT_TRUE(worker.Start().ok());
+
+  // The sample shares the full table's dictionaries; it must reach the
+  // worker with its fingerprint intact.
+  Table sample = MakeTable(2000, 6).SampleRows(300, 8);
+  ProfileClient client("127.0.0.1", worker.port());
+  RemoteOutcome remote;
+  Status s = client.Profile("sample", sample, RemoteProfileOptions{}, &remote);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(remote.fingerprint, TableFingerprint(sample));
+  ExpectSameResult(remote.result, FindKeys(sample));
+  worker.Stop();
+}
+
+TEST(ProfileClientLimits, OversizedRequestFailsBeforeConnecting) {
+  // Two 33 MiB strings: the request exceeds the 64 MiB frame limit, so no
+  // attempt can succeed and none is made, even against a closed port.
+  TableBuilder b(Schema(std::vector<std::string>{"blob"}));
+  b.AddRow({Value(std::string(33u << 20, 'a'))});
+  b.AddRow({Value(std::string(33u << 20, 'b'))});
+  Table table = b.Build();
+  ProfileClient client("127.0.0.1", 1);  // nothing listens on port 1
+  RemoteOutcome outcome;
+  Status s = client.Profile("big", table, RemoteProfileOptions{}, &outcome);
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
+  EXPECT_EQ(outcome.transport_retries, 0);
 }
 
 // ------------------------------------------------------------------ router

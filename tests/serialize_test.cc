@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "core/gordian.h"
 #include "datagen/opic_like.h"
+#include "table/fingerprint.h"
 
 namespace gordian {
 namespace {
@@ -144,6 +145,89 @@ TEST(Serialize, SurvivesRandomByteMutations) {
     }
   }
   SUCCEED();
+}
+
+// Little-endian field writers for hand-built GRDT streams.
+void PutU32(std::string* out, uint32_t v) {
+  for (int b = 0; b < 4; ++b) out->push_back(static_cast<char>(v >> (8 * b)));
+}
+void PutU64(std::string* out, uint64_t v) {
+  for (int b = 0; b < 8; ++b) out->push_back(static_cast<char>(v >> (8 * b)));
+}
+
+// A one-column GRDT header: magic, version, column count 1, `rows`, and
+// the column name "a".
+std::string OneColumnHeader(uint64_t rows) {
+  std::string bytes = "GRDT";
+  PutU32(&bytes, 1);
+  PutU32(&bytes, 1);
+  PutU64(&bytes, rows);
+  PutU32(&bytes, 1);
+  bytes += "a";
+  return bytes;
+}
+
+Status ReadBytes(const std::string& bytes, Table* out) {
+  const std::string path = TempPath("counts.grdt");
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  return ReadTableFile(path, out);
+}
+
+TEST(Serialize, RejectsCountsTheBytesCannotHold) {
+  // 2^40 rows passes the row cap, but the stream holds none of their codes:
+  // it must be refused before a 4 TiB code vector is allocated.
+  std::string rows = OneColumnHeader(uint64_t{1} << 40);
+  PutU32(&rows, 1);   // dictionary size
+  rows.push_back(1);  // int64 tag
+  PutU64(&rows, 42);
+  Table out;
+  EXPECT_EQ(ReadBytes(rows, &out).code(), Status::Code::kInvalidArgument);
+
+  // A dictionary of 2^32 - 1 values in a stream that ends after the count.
+  std::string dict = OneColumnHeader(0);
+  PutU32(&dict, UINT32_MAX);
+  EXPECT_EQ(ReadBytes(dict, &out).code(), Status::Code::kInvalidArgument);
+}
+
+// Names, dictionaries in code order, codes, and fingerprint.
+void ExpectSameEncoding(const Table& a, const Table& b) {
+  ASSERT_EQ(a.num_columns(), b.num_columns());
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (int c = 0; c < a.num_columns(); ++c) {
+    EXPECT_EQ(a.schema().name(c), b.schema().name(c));
+    ASSERT_EQ(a.dictionary(c).size(), b.dictionary(c).size()) << "col " << c;
+    for (uint32_t code = 0; code < a.dictionary(c).size(); ++code) {
+      EXPECT_EQ(a.dictionary(c).Decode(code), b.dictionary(c).Decode(code));
+    }
+    EXPECT_EQ(a.column_codes(c), b.column_codes(c)) << "col " << c;
+  }
+  EXPECT_EQ(TableFingerprint(a), TableFingerprint(b));
+}
+
+TEST(Serialize, RoundTripKeepsSampleDictionariesAndCodes) {
+  // A sample shares its parent's dictionaries, most of whose values no
+  // sampled row uses.
+  Table sample = GenerateOpicLike(1000, 6, 33).SampleRows(100, 5);
+  std::string path = TempPath("sample.grdt");
+  ASSERT_TRUE(WriteTableFile(sample, path).ok());
+  Table back;
+  ASSERT_TRUE(ReadTableFile(path, &back).ok());
+  ExpectSameEncoding(sample, back);
+  ExpectTablesEqual(sample, back);
+
+  // Codes out of first-seen order, and a dictionary value no row uses.
+  auto dict = std::make_shared<Dictionary>();
+  for (const char* v : {"x", "y", "z", "unused"}) dict->Encode(Value(v));
+  Table assembled =
+      Table::FromColumns(Schema(std::vector<std::string>{"c"}), {dict},
+                         {std::vector<uint32_t>{2, 0, 2, 1}});
+  path = TempPath("assembled.grdt");
+  ASSERT_TRUE(WriteTableFile(assembled, path).ok());
+  ASSERT_TRUE(ReadTableFile(path, &back).ok());
+  ExpectSameEncoding(assembled, back);
 }
 
 }  // namespace
