@@ -41,16 +41,19 @@ const char* ActiveKernel();
 
 }  // namespace frozen_simd
 
-// A flattening of a built PrefixTree for the traversal hot path: per level,
-// one contiguous sorted code span per node instead of per-node heap vectors
-// — struct-of-arrays, no pointers, one allocation per array.
+// The prefix tree of Section 3.2 in the layout the traversal reads: per
+// level, one contiguous sorted code span per node instead of per-node heap
+// vectors — struct-of-arrays, no pointers, one allocation per array. Build
+// writes it straight from the table's sorted rows; no pointer tree exists on
+// the way. (Freeze flattens a PrefixTree into the same arrays; it and
+// PrefixTree::Build are the reference the tests compare Build against.)
 //
-// Nodes are frozen in BFS order, so the tree needs no child table at all:
+// Nodes are laid out in BFS order, so the tree needs no child table at all:
 // level l+1 holds exactly one node per cell of level l, in cell order, and
 // the child of the cell with global index g at level l IS node g at level
-// l+1. (This relies on the base tree being share-free — every ref_count is
-// 1 after Build; sharing only ever arises from traversal merges, which are
-// pool nodes, never frozen ones.)
+// l+1. (The base tree is share-free — every ref starts at 1; sharing only
+// ever arises from traversal merges, which are pool nodes, never frozen
+// ones.)
 //
 // Between traversals the tree grows only through Absorb (appended rows).
 // During one, the only mutable state is the per-node `ref` array: the
@@ -79,17 +82,33 @@ class FrozenTree {
     size_t num_cells() const { return code.size(); }
   };
 
+  // Algorithm 2 into the frozen layout: the tree of `table` with level i
+  // holding column `attr_order[i]` (a non-empty permutation of at most
+  // kMaxAttributes column positions). The row ids are sorted by level
+  // codes, each adjacent pair's longest common prefix is kept as one byte,
+  // and a histogram of those prefixes sizes every level exactly before one
+  // pass per level writes it. Every array, count and flag equals
+  // Freeze(PrefixTree::Build(table, attr_order, mode)) under either mode,
+  // duplicate entities included.
+  static std::unique_ptr<FrozenTree> Build(const Table& table,
+                                           const std::vector<int>& attr_order);
+
+  // Scratch Build holds beside the arrays it writes: one int64 row id and
+  // one prefix byte per row.
+  static int64_t BuildScratchBytes(int64_t num_rows);
+
   // Flattens `tree`, which must be freshly built or fully unwound (every
-  // ref_count 1). The pointer tree is not consumed: it remains the
-  // construction and merge-intermediate representation.
+  // ref_count 1). The pointer tree is not consumed. No library path calls
+  // it: it is the reference layout Build is tested against, and perfbench's
+  // csv_cold times it.
   static std::unique_ptr<FrozenTree> Freeze(const PrefixTree& tree);
 
   // Inserts `num_rows` delta entities (Algorithm 2's insertion loop, run
   // for a whole batch at once). `level_codes` holds one code pointer per
   // tree level — already permuted by attr_order, each addressing `num_rows`
   // codes for the delta only. Afterwards every array, count and flag equals
-  // what Freeze(PrefixTree::Build(base + delta)) would produce under the
-  // same attribute order, so a traversal may run immediately.
+  // what Build(base + delta) would produce under the same attribute order,
+  // so a traversal may run immediately.
   //
   // The delta is sorted once and merged level by level: each level is
   // rewritten into exactly sized arrays — untouched nodes bulk-copied,
@@ -118,7 +137,7 @@ class FrozenTree {
   Level& level_mutable(int l) { return levels_[static_cast<size_t>(l)]; }
 
   // Heap footprint of the frozen arrays (exact: every array is allocated
-  // at its final size, by Freeze and by each Absorb).
+  // at its final size, by Build, Freeze and each Absorb).
   int64_t ApproxBytes() const { return approx_bytes_; }
   double BytesPerNode() const {
     return node_count_ == 0 ? 0

@@ -7,8 +7,8 @@
 namespace gordian {
 
 KeyDiscoveryResult FindKeys(const Table& table, const GordianOptions& options) {
-  // The facade is a thin composition over the staged pipeline: encode, tree
-  // build and freeze, traversal, key conversion, validation. See
+  // The facade is a thin composition over the staged pipeline: encode,
+  // frozen tree build, traversal, key conversion, validation. See
   // core/pipeline.h and docs/architecture.md.
   ProfileSession session(options);
   KeyDiscoveryResult result;

@@ -156,7 +156,7 @@ Status IncrementalProfiler::Begin(const Table& base,
   ProfileSession session(options);
   s = session.Run(base, &p.report_);
   if (!s.ok()) return s;
-  p.tree_ = session.TakeFrozenArtifact();
+  p.tree_ = session.TakeFrozenTree();
   if (p.tree_ != nullptr) p.tree_rows_ = base.num_rows();
   p.current_ = !p.report_.incomplete && p.tree_ != nullptr;
   if (p.current_) p.warm_seeds_ = p.report_.non_keys;
@@ -235,7 +235,7 @@ Status IncrementalProfiler::RebuildFromScratch() {
   ProfileSession session(opts);
   Status s = session.Run(snapshot, &report_);
   if (!s.ok()) return s;
-  tree_ = session.TakeFrozenArtifact();
+  tree_ = session.TakeFrozenTree();
   tree_rows_ = tree_ != nullptr ? state_.num_rows() : 0;
   current_ = !report_.incomplete && tree_ != nullptr;
   if (current_) warm_seeds_ = report_.non_keys;

@@ -49,13 +49,13 @@ struct GordianOptions {
   AttributeOrder attribute_order = AttributeOrder::kCardinalityDesc;
   uint64_t order_seed = 0;
 
-  // How the prefix tree is constructed. Both produce equivalent trees
-  // (identical up to sibling-cell order, which the algorithm ignores).
+  // How the reference PrefixTree::Build constructs its pointer tree. Both
+  // modes produce identical trees. Profiling runs never read it: they build
+  // the frozen layout directly (FrozenTree::Build).
   enum class TreeBuild {
     kSorted,     // sort row ids, then append paths; fast, cache-friendly
     kInsertion,  // Algorithm 2 verbatim: one pass, insert row by row
   };
-  TreeBuild tree_build = TreeBuild::kSorted;
 
   // When > 0 and smaller than the table, run on a uniform row sample of this
   // size (Section 3.9). Discovered keys are then sample keys: they include
@@ -134,13 +134,16 @@ struct GordianStats {
   int64_t non_keys_evicted = 0;
   int64_t final_non_keys = 0;
 
-  // Memory (bytes); peak covers tree + frozen layout + merge intermediates
-  // + NonKeySet.
+  // Memory (bytes): the frozen tree's arrays plus the larger of the two
+  // phases that run on top of them — the build's row permutation and
+  // prefix bytes (FrozenTree::BuildScratchBytes; none for an injected
+  // tree), or the traversal's merge-pool peak plus the NonKeySet.
   int64_t peak_memory_bytes = 0;
 
-  // Frozen-representation accounting: the flat layout's byte footprint and
-  // the wall clock of the freeze pass (0 when a prebuilt frozen artifact
-  // was injected — a TreeArtifactCache hit pays the freeze once at insert).
+  // The frozen tree's byte footprint, and the wall clock of a separate
+  // freeze pass. Runs build the frozen layout directly, so freeze_seconds
+  // stays 0; perfbench's schema_tpch and routed_reprofile still report it
+  // as core.freeze_ms.
   int64_t frozen_tree_bytes = 0;
   double freeze_seconds = 0;
 

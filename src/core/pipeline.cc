@@ -155,34 +155,32 @@ void EncodeStage(ProfileContext* ctx) {
 void TreeBuildStage(ProfileContext* ctx) {
   Stopwatch watch;
   KeyDiscoveryResult& result = ctx->result;
-  bool duplicates;
-  int64_t tree_bytes;
   if (ctx->frozen != nullptr) {
     // A frozen tree was injected (TreeArtifactCache hit, or an absorbed
     // tree being re-profiled). It holds exactly the data this stage would
     // have built from; assert the level order agrees.
     assert(ctx->frozen->attr_order() == ctx->attr_order &&
            "shared tree was built under a different attribute order");
-    result.stats.base_tree_nodes = ctx->frozen->node_count();
-    result.stats.base_tree_cells = ctx->frozen->cell_count();
-    duplicates = ctx->frozen->has_duplicate_entities();
-    tree_bytes = ctx->frozen->ApproxBytes();
   } else {
-    ctx->owned_tree = std::make_unique<PrefixTree>(PrefixTree::Build(
-        *ctx->data, ctx->attr_order, ctx->options.tree_build));
-    result.stats.base_tree_nodes = ctx->owned_tree->node_count();
-    result.stats.base_tree_cells = ctx->owned_tree->cell_count();
-    duplicates = ctx->owned_tree->has_duplicate_entities();
-    tree_bytes = ctx->owned_tree->pool().peak_bytes();
+    ctx->owned_frozen = FrozenTree::Build(*ctx->data, ctx->attr_order);
+    ctx->frozen = ctx->owned_frozen.get();
+    ctx->build_scratch_bytes =
+        FrozenTree::BuildScratchBytes(ctx->data->num_rows());
   }
   result.stats.build_seconds = watch.ElapsedSeconds();
+  result.stats.base_tree_nodes = ctx->frozen->node_count();
+  result.stats.base_tree_cells = ctx->frozen->cell_count();
+  result.stats.frozen_tree_bytes = ctx->frozen->ApproxBytes();
+  // The build phase's footprint; TraverseStage raises it when the
+  // traversal holds more than the build's scratch did.
+  result.stats.peak_memory_bytes =
+      result.stats.frozen_tree_bytes + ctx->build_scratch_bytes;
 
-  if (duplicates) {
+  if (ctx->frozen->has_duplicate_entities()) {
     // Algorithm 2, lines 17-18: a repeated entity means no key exists.
     result.no_keys = true;
     result.non_keys.push_back(
         AttributeSet::FirstN(static_cast<int>(result.stats.num_attributes)));
-    result.stats.peak_memory_bytes = tree_bytes;
     ctx->finished = true;
     return;
   }
@@ -190,21 +188,8 @@ void TreeBuildStage(ProfileContext* ctx) {
   if (ctx->Cancelled()) {
     result.incomplete = true;
     result.incomplete_reason = AbortReason::kCancelled;
-    result.stats.peak_memory_bytes = tree_bytes;
     ctx->finished = true;
-    return;
   }
-
-  // The tree will not be mutated again (traversal only touches reference
-  // counts), so this is the point where freezing pays: flatten once, let
-  // the traversal run the span kernels.
-  if (ctx->frozen == nullptr) {
-    Stopwatch freeze_watch;
-    ctx->owned_frozen = FrozenTree::Freeze(*ctx->owned_tree);
-    ctx->frozen = ctx->owned_frozen.get();
-    result.stats.freeze_seconds = freeze_watch.ElapsedSeconds();
-  }
-  result.stats.frozen_tree_bytes = ctx->frozen->ApproxBytes();
 }
 
 void TraverseStage(ProfileContext* ctx) {
@@ -226,15 +211,9 @@ void TraverseStage(ProfileContext* ctx) {
     }
     result.stats.warm_start_seeds += static_cast<int64_t>(warm_seeds->size());
   }
-  // Merge intermediates go to the pool of the tree this run built, so its
-  // peak covers the whole tree phase; a run over an injected tree has no
-  // pool of its own and uses the private one.
-  PrefixTree::NodePool& merge_pool = ctx->owned_tree != nullptr
-                                         ? ctx->owned_tree->pool()
-                                         : ctx->external_merge_pool;
   FrozenNonKeyFinder finder(*ctx->frozen, ctx->options, &non_key_set,
                             &result.stats);
-  finder.SetMergePool(&merge_pool);
+  finder.SetMergePool(&ctx->merge_pool);
   if (warm) finder.SetWarmCover(&warm_set);
   result.incomplete = !finder.Run();
   result.incomplete_reason = finder.abort_reason();
@@ -243,9 +222,12 @@ void TraverseStage(ProfileContext* ctx) {
 
   CanonicalizeNonKeys(&result.non_keys);
   result.stats.find_seconds = watch.ElapsedSeconds();
-  result.stats.peak_memory_bytes = merge_pool.peak_bytes() +
-                                   non_key_set.ApproxBytes() +
-                                   ctx->frozen->ApproxBytes();
+  // The frozen arrays live throughout; the build's scratch is gone before
+  // the first merge, so the larger of the two phases sits on top of them.
+  result.stats.peak_memory_bytes =
+      ctx->frozen->ApproxBytes() +
+      std::max(ctx->build_scratch_bytes,
+               ctx->merge_pool.peak_bytes() + non_key_set.ApproxBytes());
   // A partial non-key set cannot certify keys: later stages must not run.
   if (result.incomplete) ctx->finished = true;
 }
@@ -280,8 +262,9 @@ Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
   ctx.frozen = shared_frozen_;
   shared_frozen_ = nullptr;  // one Run per injection
   metrics_.clear();
-  built_tree_.reset();
   built_frozen_.reset();
+  cold_input_ = nullptr;
+  cold_order_.clear();
 
   static constexpr struct {
     const char* name;
@@ -301,8 +284,6 @@ Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
     if (m.name == "encode") {
       m.rows = ctx.result.stats.rows_processed;
       if (ctx.result.sampled) m.bytes = ctx.sample_storage.ApproxBytes();
-    } else if (m.name == "tree_build" && ctx.owned_tree != nullptr) {
-      m.bytes = ctx.owned_tree->pool().current_bytes();
     } else if (m.name == "tree_build" && ctx.frozen != nullptr) {
       m.bytes = ctx.frozen->ApproxBytes();
     } else if (m.name == "traverse") {
@@ -311,23 +292,22 @@ Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
     metrics_.push_back(std::move(m));
     if (ctx.finished) break;
   }
-  built_tree_ = std::move(ctx.owned_tree);
+  if (ctx.owned_frozen != nullptr && !ctx.result.sampled) {
+    cold_input_ = &table;
+    cold_order_ = ctx.attr_order;
+  }
   built_frozen_ = std::move(ctx.owned_frozen);
   *out = std::move(ctx.result);
   return Status::OK();
 }
 
-std::unique_ptr<FrozenTree> ProfileSession::TakeFrozenArtifact(
-    double* freeze_seconds) {
-  if (freeze_seconds != nullptr) *freeze_seconds = 0;
-  std::unique_ptr<PrefixTree> tree = std::move(built_tree_);
-  std::unique_ptr<FrozenTree> frozen = std::move(built_frozen_);
-  if (frozen == nullptr && tree != nullptr) {
-    Stopwatch watch;
-    frozen = FrozenTree::Freeze(*tree);
-    if (freeze_seconds != nullptr) *freeze_seconds = watch.ElapsedSeconds();
-  }
-  return frozen;
+std::unique_ptr<PrefixTree> ProfileSession::TakeTree() {
+  if (cold_input_ == nullptr) return nullptr;
+  auto tree = std::make_unique<PrefixTree>(PrefixTree::Build(
+      *cold_input_, cold_order_, GordianOptions::TreeBuild::kSorted));
+  cold_input_ = nullptr;
+  cold_order_.clear();
+  return tree;
 }
 
 }  // namespace gordian

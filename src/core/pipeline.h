@@ -16,7 +16,8 @@ namespace gordian {
 
 // The staged profiling pipeline. GORDIAN's run is naturally phased — encode
 // the entities (sampling, null handling, attribute ordering), build the
-// prefix tree (Algorithm 2) and freeze it, traverse it for non-keys
+// prefix tree (Algorithm 2, written straight into the frozen layout from
+// the sorted rows), traverse it for non-keys
 // (Algorithm 4), convert non-keys to keys (Algorithm 6), attach strengths
 // (Section 3.9) — and this module makes the phases explicit: each is a
 // stage function over a ProfileContext, and a ProfileSession runs the five
@@ -25,14 +26,14 @@ namespace gordian {
 // FindKeys, StreamingProfiler::Finish, the profiling service, and the engine
 // advisor all run a ProfileSession; they differ only in how the context is
 // seeded (most importantly, whether a frozen tree is injected from the
-// service's TreeArtifactCache, letting a job skip build and freeze).
+// service's TreeArtifactCache, letting a job skip the build).
 // ReprofileTree (core/incremental.h) seeds the context by hand and runs the
 // stages from TreeBuildStage on. Results are byte-identical across all of
 // these paths.
 
 // Wall time, bytes, and rows attributed to one executed stage. `bytes` is
-// the stage's dominant footprint: the sample's heap for encode, the tree
-// pool for build, the run's peak for traversal; 0 when nothing meaningful
+// the stage's dominant footprint: the sample's heap for encode, the frozen
+// tree for build, the run's peak for traversal; 0 when nothing meaningful
 // applies. `rows` is the row count the stage operated on (set by encode:
 // the rows actually profiled after sampling).
 struct StageMetric {
@@ -58,14 +59,15 @@ struct ProfileContext {
 
   // TreeBuildStage outputs. `frozen` is either injected before the stage
   // runs (ProfileSession::set_shared_frozen_tree — a TreeArtifactCache hit
-  // — or ReprofileTree's absorbed tree), or the stage builds `owned_tree`
-  // and freezes it into `owned_frozen`. TraverseStage runs
-  // FrozenNonKeyFinder over `frozen`; its merge intermediates go to the
-  // built tree's pool, or to `external_merge_pool` when nothing was built.
-  std::unique_ptr<PrefixTree> owned_tree;
+  // — or ReprofileTree's absorbed tree), or the stage builds `owned_frozen`
+  // with FrozenTree::Build, whose scratch bytes it records in
+  // `build_scratch_bytes` (0 for an injected tree). TraverseStage runs
+  // FrozenNonKeyFinder over `frozen` and allocates its merge intermediates
+  // from `merge_pool`.
   std::unique_ptr<FrozenTree> owned_frozen;
   FrozenTree* frozen = nullptr;
-  PrefixTree::NodePool external_merge_pool;
+  int64_t build_scratch_bytes = 0;
+  PrefixTree::NodePool merge_pool;
 
   // The result being assembled. A stage that concludes the run (duplicate
   // entities, cancellation, aborted traversal, null-projection hand-off)
@@ -88,8 +90,8 @@ struct ProfileContext {
 // lifts the results back — concluding the run.
 void EncodeStage(ProfileContext* ctx);
 
-// Algorithm 2: builds the prefix tree and freezes it — unless a frozen tree
-// was injected, which stands in for both — then concludes the run on
+// Algorithm 2: builds the frozen prefix tree from the sorted rows
+// (FrozenTree::Build) unless one was injected, then concludes the run on
 // duplicate entities or cancellation.
 void TreeBuildStage(ProfileContext* ctx);
 
@@ -119,12 +121,11 @@ class ProfileSession {
       : options_(options) {}
 
   // Injects a prebuilt frozen tree for the next Run (a TreeArtifactCache
-  // hit): TreeBuildStage skips both Build and Freeze, and traversal
-  // allocates merge intermediates from a private pool. The tree's
-  // traversal-mutable reference counts are restored before Run returns, so
-  // it comes back byte-identical. It must match the table/options this
-  // session profiles (same data, sample spec, attribute order, build mode)
-  // and must not be used concurrently by another run. Cleared after Run.
+  // hit): TreeBuildStage skips the build. The tree's traversal-mutable
+  // reference counts are restored before Run returns, so it comes back
+  // byte-identical. It must match the table/options this session profiles
+  // (same data, sample spec, attribute order) and must not be used
+  // concurrently by another run. Cleared after Run.
   void set_shared_frozen_tree(FrozenTree* frozen) { shared_frozen_ = frozen; }
 
   // Runs every stage in order (stopping early when a stage concludes the
@@ -135,31 +136,33 @@ class ProfileSession {
   // Per-stage wall/bytes of the last Run, in execution order.
   const std::vector<StageMetric>& stage_metrics() const { return metrics_; }
 
-  // The tree the last Run built (nullptr when the run used a shared tree,
-  // never built one, or was never run).
-  std::unique_ptr<PrefixTree> TakeTree() { return std::move(built_tree_); }
+  // The pointer tree of the last cold run, built when called: PrefixTree's
+  // sorted build over that run's input table, which must still be alive,
+  // in that run's attribute order. nullptr after a run over an injected
+  // tree, a sampled run, a run that built no tree, and a second call.
+  // Nothing in the library calls it; perfbench's csv_cold set-up reads the
+  // attribute order from it. Once csv_cold builds with FrozenTree::Build
+  // and reads TakeFrozenTree(), this, PrefixTree::Build and
+  // FrozenTree::Freeze move to tests/oracle/.
+  std::unique_ptr<PrefixTree> TakeTree();
 
-  // The frozen flattening the last Run produced (nullptr when a prefrozen
-  // artifact was injected or the run concluded before freezing).
+  // The frozen tree the last Run built. Every cold run ends with one,
+  // duplicate-entity and cancelled runs included. nullptr when a tree was
+  // injected, the run concluded before the build (null-projection
+  // hand-off, cancellation during encode), or it was already taken.
   std::unique_ptr<FrozenTree> TakeFrozenTree() {
     return std::move(built_frozen_);
   }
-
-  // For callers that keep only the frozen tree (the tree cache, the
-  // incremental profiler): the last Run's frozen tree, freezing the built
-  // tree first when the run stopped before freezing (duplicate entities,
-  // cancellation). Releases the pointer tree. nullptr when the run built
-  // no tree. *freeze_seconds (optional) receives the wall clock of that
-  // extra freeze, 0 when none was needed.
-  std::unique_ptr<FrozenTree> TakeFrozenArtifact(
-      double* freeze_seconds = nullptr);
 
  private:
   GordianOptions options_;
   FrozenTree* shared_frozen_ = nullptr;
   std::vector<StageMetric> metrics_;
-  std::unique_ptr<PrefixTree> built_tree_;
   std::unique_ptr<FrozenTree> built_frozen_;
+  // Input table and attribute order of the last cold, unsampled run, which
+  // TakeTree rebuilds from; null otherwise.
+  const Table* cold_input_ = nullptr;
+  std::vector<int> cold_order_;
 };
 
 }  // namespace gordian

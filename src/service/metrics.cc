@@ -23,8 +23,8 @@ std::string FormatServiceMetrics(const ServiceMetrics::Snapshot& s) {
   line("tree cache misses", s.tree_cache_misses);
   if (s.trees_frozen > 0) {
     line("trees frozen", s.trees_frozen);
-    std::snprintf(buf, sizeof(buf), "  %-18s %.3f ms\n", "freeze wall",
-                  s.freeze_seconds * 1e3);
+    std::snprintf(buf, sizeof(buf), "  %-18s %.3f ms\n", "build wall",
+                  s.build_seconds * 1e3);
     out += buf;
     line("frozen bytes", s.frozen_tree_bytes);
     std::snprintf(buf, sizeof(buf), "  %-18s %.1f\n", "frozen bytes/node",

@@ -28,11 +28,14 @@ class ServiceMetrics {
   void OnTreeCacheHit() { tree_cache_hits_.fetch_add(1, kRelaxed); }
   void OnTreeCacheMiss() { tree_cache_misses_.fetch_add(1, kRelaxed); }
 
-  // One freeze pass: its wall clock, the flat layout's byte footprint, and
-  // the node count it covers (for the bytes-per-node derived figure).
-  void OnTreeFrozen(double seconds, int64_t bytes, int64_t nodes) {
+  // One frozen tree built by a tree-cache miss: the build's wall clock
+  // (FrozenTree::Build writes the frozen layout directly), its byte
+  // footprint, and the node count it covers (for the bytes-per-node
+  // derived figure).
+  void OnTreeFrozen(double build_seconds, int64_t bytes, int64_t nodes) {
     trees_frozen_.fetch_add(1, kRelaxed);
-    freeze_micros_.fetch_add(static_cast<int64_t>(seconds * 1e6), kRelaxed);
+    build_micros_.fetch_add(static_cast<int64_t>(build_seconds * 1e6),
+                            kRelaxed);
     frozen_tree_bytes_.fetch_add(bytes, kRelaxed);
     frozen_tree_nodes_.fetch_add(nodes, kRelaxed);
   }
@@ -140,7 +143,7 @@ class ServiceMetrics {
     int64_t tree_cache_hits = 0;
     int64_t tree_cache_misses = 0;
     int64_t trees_frozen = 0;
-    double freeze_seconds = 0;
+    double build_seconds = 0;  // wall clock of those trees' builds
     int64_t frozen_tree_bytes = 0;
     int64_t frozen_tree_nodes = 0;
     int64_t catalog_flushes = 0;
@@ -203,8 +206,8 @@ class ServiceMetrics {
                  : static_cast<double>(tree_cache_hits) /
                        static_cast<double>(lookups);
     }
-    // Mean flat-layout footprint per frozen node, across every freeze the
-    // service performed.
+    // Mean flat-layout footprint per frozen node, across every tree the
+    // service built on a tree-cache miss.
     double frozen_bytes_per_node() const {
       return frozen_tree_nodes == 0
                  ? 0
@@ -225,8 +228,8 @@ class ServiceMetrics {
     s.tree_cache_hits = tree_cache_hits_.load(kRelaxed);
     s.tree_cache_misses = tree_cache_misses_.load(kRelaxed);
     s.trees_frozen = trees_frozen_.load(kRelaxed);
-    s.freeze_seconds =
-        static_cast<double>(freeze_micros_.load(kRelaxed)) * 1e-6;
+    s.build_seconds =
+        static_cast<double>(build_micros_.load(kRelaxed)) * 1e-6;
     s.frozen_tree_bytes = frozen_tree_bytes_.load(kRelaxed);
     s.frozen_tree_nodes = frozen_tree_nodes_.load(kRelaxed);
     s.catalog_flushes = catalog_flushes_.load(kRelaxed);
@@ -288,7 +291,7 @@ class ServiceMetrics {
   std::atomic<int64_t> tree_cache_hits_{0};
   std::atomic<int64_t> tree_cache_misses_{0};
   std::atomic<int64_t> trees_frozen_{0};
-  std::atomic<int64_t> freeze_micros_{0};
+  std::atomic<int64_t> build_micros_{0};
   std::atomic<int64_t> frozen_tree_bytes_{0};
   std::atomic<int64_t> frozen_tree_nodes_{0};
   std::atomic<int64_t> catalog_flushes_{0};

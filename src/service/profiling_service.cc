@@ -245,9 +245,8 @@ void ProfilingService::RunTableJob(Record* rec,
       metrics_.OnTreeCacheHit();
     } else {
       metrics_.OnTreeCacheMiss();
-      if (rec->result.stats.freeze_seconds > 0 ||
-          rec->result.stats.frozen_tree_bytes > 0) {
-        metrics_.OnTreeFrozen(rec->result.stats.freeze_seconds,
+      if (rec->result.stats.frozen_tree_bytes > 0) {
+        metrics_.OnTreeFrozen(rec->result.stats.build_seconds,
                               rec->result.stats.frozen_tree_bytes,
                               rec->result.stats.base_tree_nodes);
       }

@@ -12,8 +12,7 @@ size_t TreeCacheKeyHash::operator()(const TreeCacheKey& k) const {
   h = Mix64(h ^ k.columns.Hash());
   h = Mix64(h ^ static_cast<uint64_t>(k.sample_rows));
   h = Mix64(h ^ k.sample_seed);
-  h = Mix64(h ^ (static_cast<uint64_t>(k.attribute_order) |
-                 static_cast<uint64_t>(k.tree_build) << 8));
+  h = Mix64(h ^ static_cast<uint64_t>(k.attribute_order));
   h = Mix64(h ^ k.order_seed);
   return static_cast<size_t>(h);
 }
@@ -32,7 +31,6 @@ TreeCacheKey MakeTreeCacheKey(uint64_t fingerprint, int num_columns,
       options.attribute_order == GordianOptions::AttributeOrder::kRandom
           ? options.order_seed
           : 0;
-  key.tree_build = options.tree_build;
   return key;
 }
 
@@ -81,8 +79,7 @@ TreeArtifactCache::Lease TreeArtifactCache::Acquire(const TreeCacheKey& key) {
 }
 
 TreeArtifactCache::Lease TreeArtifactCache::Insert(
-    const TreeCacheKey& key, std::unique_ptr<FrozenTree> frozen,
-    double freeze_seconds) {
+    const TreeCacheKey& key, std::unique_ptr<FrozenTree> frozen) {
   assert(frozen != nullptr);
   auto entry = std::make_shared<Lease::Entry>();
   entry->key = key;
@@ -92,10 +89,6 @@ TreeArtifactCache::Lease TreeArtifactCache::Insert(
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (freeze_seconds > 0) {
-      ++stats_.trees_frozen;
-      stats_.freeze_seconds += freeze_seconds;
-    }
     stats_.frozen_bytes += entry->bytes;
     Admit(entry);
   }
@@ -227,17 +220,15 @@ KeyDiscoveryResult ProfileWithTreeCache(
     (void)session.Run(table, &result);
     // Any built tree is cacheable: it is a pure function of the key, and
     // traversal (even an aborted one) fully unwinds its temporary node
-    // references. Runs that never built a tree (null-projection hand-off,
-    // cancelled before the build stage) have none to admit. Trees of runs
-    // that stopped before freezing (duplicate entities, cancellation) are
-    // frozen here — a rerun hits and re-derives no_keys.
-    double freeze_seconds = 0;
-    std::unique_ptr<FrozenTree> frozen =
-        session.TakeFrozenArtifact(&freeze_seconds);
+    // references. That includes the trees of duplicate-entity and
+    // cancelled runs — a rerun hits and re-derives no_keys. Runs that never
+    // built a tree (null-projection hand-off, cancelled before the build
+    // stage) have none to admit.
+    std::unique_ptr<FrozenTree> frozen = session.TakeFrozenTree();
     if (cache != nullptr && frozen != nullptr) {
       lease = cache->Insert(
           MakeTreeCacheKey(fingerprint, table.num_columns(), options),
-          std::move(frozen), freeze_seconds);
+          std::move(frozen));
     }
   }
 

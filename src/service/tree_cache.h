@@ -16,10 +16,10 @@ namespace gordian {
 
 // Identity of a prefix-tree artifact: the tree is a pure function of the
 // table content (fingerprint), the column subset profiled, the sample spec,
-// the attribute order, and the build mode — change any of these and a
-// different tree results. Jobs that agree on all of them (e.g. the same
-// table re-profiled under different time budgets, priorities, or pruning
-// toggles) can share one tree.
+// and the attribute order — change any of these and a different tree
+// results. Jobs that agree on all of them (e.g. the same table re-profiled
+// under different time budgets, priorities, or pruning toggles) can share
+// one tree.
 struct TreeCacheKey {
   uint64_t fingerprint = 0;
   AttributeSet columns;  // column subset the tree covers (FirstN(d) for all)
@@ -28,13 +28,12 @@ struct TreeCacheKey {
   GordianOptions::AttributeOrder attribute_order =
       GordianOptions::AttributeOrder::kCardinalityDesc;
   uint64_t order_seed = 0;
-  GordianOptions::TreeBuild tree_build = GordianOptions::TreeBuild::kSorted;
 
   friend bool operator==(const TreeCacheKey& a, const TreeCacheKey& b) {
     return a.fingerprint == b.fingerprint && a.columns == b.columns &&
            a.sample_rows == b.sample_rows && a.sample_seed == b.sample_seed &&
            a.attribute_order == b.attribute_order &&
-           a.order_seed == b.order_seed && a.tree_build == b.tree_build;
+           a.order_seed == b.order_seed;
   }
 };
 
@@ -48,7 +47,7 @@ TreeCacheKey MakeTreeCacheKey(uint64_t fingerprint, int num_columns,
                               const GordianOptions& options);
 
 // Size-bounded, thread-safe cache of frozen prefix trees, so profiling jobs
-// against an unchanged table skip the tree build and freeze entirely, and
+// against an unchanged table skip the tree build entirely, and
 // appends absorb their delta into the cached tree. Each entry holds one
 // FrozenTree; entries are ref-counted (shared_ptr plus an exclusive lease
 // bit) and evicted LRU under a byte budget measured by each tree's
@@ -91,8 +90,8 @@ class TreeArtifactCache {
 
     bool valid() const { return entry_ != nullptr; }
     // The cached frozen tree (nullptr for an invalid lease). Hits inject it
-    // via ProfileSession::set_shared_frozen_tree, so the run skips both the
-    // build and the freeze; appends absorb into it.
+    // via ProfileSession::set_shared_frozen_tree, so the run skips the
+    // build; appends absorb into it.
     FrozenTree* frozen() const;
 
     // Drops the lease early (before destruction).
@@ -116,13 +115,7 @@ class TreeArtifactCache {
   // the inserting job proceeds either way. Replaces any existing (unleased)
   // entry for the key; if the existing entry is leased, the new tree is
   // kept lease-only and not admitted.
-  //
-  // `freeze_seconds` > 0 records that the caller froze the tree only to
-  // admit it (its run stopped before freezing; see
-  // ProfileSession::TakeFrozenArtifact): it is counted under
-  // Stats::trees_frozen and Stats::freeze_seconds.
-  Lease Insert(const TreeCacheKey& key, std::unique_ptr<FrozenTree> frozen,
-               double freeze_seconds = 0);
+  Lease Insert(const TreeCacheKey& key, std::unique_ptr<FrozenTree> frozen);
 
   // Lease upgrade for appends: re-registers `lease`'s entry under `new_key`
   // (the fingerprint after a delta was absorbed into the leased tree) and
@@ -152,9 +145,7 @@ class TreeArtifactCache {
     int64_t evictions = 0;
     int64_t entries = 0;      // resident now
     int64_t bytes = 0;        // resident now: sum of their ApproxBytes()
-    int64_t trees_frozen = 0;     // trees frozen only to be admitted
-    double freeze_seconds = 0;    // wall clock of those freezes
-    int64_t frozen_bytes = 0;     // bytes admitted by Insert/Rekey (lifetime)
+    int64_t frozen_bytes = 0;  // bytes admitted by Insert/Rekey (lifetime)
 
     double hit_rate() const {
       int64_t lookups = hits + misses + busy_misses;
@@ -190,8 +181,8 @@ class TreeArtifactCache {
 // The acquire → run → insert composition every tree-cache-aware caller
 // (profiling service, index advisor, benches) shares: leases a cached tree
 // when available, runs a ProfileSession over `table` (injecting the frozen
-// tree on a hit), and on a miss admits the run's frozen tree, dropping its
-// pointer tree. With `cache` null this is exactly FindKeys. `tree_cache_hit`
+// tree on a hit), and on a miss admits the frozen tree the run built. With
+// `cache` null this is exactly FindKeys. `tree_cache_hit`
 // (optional) reports whether the run skipped tree building;
 // `stage_metrics` (optional) receives the session's per-stage wall/bytes.
 KeyDiscoveryResult ProfileWithTreeCache(

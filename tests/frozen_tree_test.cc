@@ -1,22 +1,26 @@
 // Tests for the frozen prefix-tree (core/frozen_tree.h): flat-layout
-// invariants after Freeze, the absorb layout fuzz (every absorbed batch
-// leaves arrays equal to a fresh Freeze of the concatenated rows),
-// byte-identical equivalence of the frozen traversal against the
-// pointer-tree oracle (complete and aborted runs, work counters included),
-// SIMD kernel agreement with the scalar reference, and the tree-cache
-// integration that serves prefrozen artifacts on hits.
+// invariants after Freeze, the direct-build layout fuzz (FrozenTree::Build
+// equals Freeze of either PrefixTree build, array for array), the absorb
+// layout fuzz (every absorbed batch leaves arrays equal to a fresh build of
+// the concatenated rows), byte-identical equivalence of the frozen
+// traversal against the pointer-tree oracle (complete and aborted runs,
+// work counters included), SIMD kernel agreement with the scalar
+// reference, and the tree-cache integration that serves prefrozen
+// artifacts on hits.
 //
-// The absorb fuzz's iteration count honours GORDIAN_FUZZ_ITERS (CI's
+// The layout fuzzes' iteration counts honour GORDIAN_FUZZ_ITERS (CI's
 // incremental-fuzz leg raises it).
 
 #include "core/frozen_tree.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -25,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault_fs.h"
 #include "core/gordian.h"
 #include "core/non_key_set.h"
 #include "core/pipeline.h"
@@ -127,7 +132,9 @@ TEST(FrozenTreeLayoutTest, FreezePreservesStructure) {
 }
 
 // ---------------------------------------------------------------------------
-// Absorb layout fuzz: FrozenTree::Absorb against Freeze(Build(concat)).
+// Layout fuzzes: FrozenTree::Build against Freeze(PrefixTree::Build(...)) in
+// both modes, and FrozenTree::Absorb against a fresh build of the
+// concatenated rows.
 
 int FuzzIters() {
   const char* env = std::getenv("GORDIAN_FUZZ_ITERS");
@@ -140,24 +147,37 @@ int FuzzIters() {
 
 using Rows = std::vector<std::vector<int64_t>>;
 
-// The first `n` rows as a table. TableBuilder assigns codes in first-seen
-// order, so every prefix of `rows` shares its codes with the whole.
-Table RowsTable(const Rows& rows, size_t n, int width) {
+// The first `n` rows as a table, its columns spilled to GRDL files under
+// `spill` when that policy is enabled. TableBuilder assigns codes in
+// first-seen order, so every prefix of `rows` shares its codes with the
+// whole.
+Table RowsTable(const Rows& rows, size_t n, int width,
+                const SpillPolicy& spill = SpillPolicy()) {
   std::vector<std::string> names;
   for (int c = 0; c < width; ++c) names.push_back("c" + std::to_string(c));
-  TableBuilder b{Schema(names)};
+  // One batch: the builder decides to spill after each batch it adds.
+  RowBatch batch(width);
   for (size_t r = 0; r < n; ++r) {
-    std::vector<Value> row;
-    for (int64_t v : rows[r]) row.emplace_back(v);
-    b.AddRow(row);
+    for (int c = 0; c < width; ++c) {
+      batch.column(c).AppendValue(Value(rows[r][static_cast<size_t>(c)]));
+    }
   }
-  return b.Build();
+  TableBuilder b{Schema(names), spill};
+  if (n > 0) b.AddBatch(batch);
+  Table t;
+  EXPECT_TRUE(b.Build(&t).ok());
+  return t;
 }
 
 std::unique_ptr<FrozenTree> FreezeRows(const Rows& rows, size_t n, int width,
                                        const std::vector<int>& order) {
   return FrozenTree::Freeze(PrefixTree::Build(
       RowsTable(rows, n, width), order, GordianOptions::TreeBuild::kSorted));
+}
+
+std::unique_ptr<FrozenTree> BuildRows(const Rows& rows, size_t n, int width,
+                                      const std::vector<int>& order) {
+  return FrozenTree::Build(RowsTable(rows, n, width), order);
 }
 
 void ExpectSameLayout(const FrozenTree& got, const FrozenTree& want) {
@@ -196,6 +216,80 @@ void ExpectUnchanged(const FrozenTree& tree,
                 a.ref == b.ref && a.max_code == b.max_code)
         << "level " << l;
   }
+}
+
+// Random shapes: widths 1 to 128, 0 and 1 rows, per-column cardinalities
+// down to 1 (long shared prefixes), repeated rows, random attribute orders,
+// and every other shape spilled to GRDL files.
+TEST(FrozenBuildTest, LayoutMatchesFreezeOfBothBuildModes) {
+  std::mt19937_64 rng(20261018);
+  const std::string dir = ::testing::TempDir() + "gordian_frozen_build_" +
+                          std::to_string(::getpid());
+  ASSERT_TRUE(DefaultFileSystem()->CreateDir(dir).ok());
+  SpillPolicy spill;
+  spill.memory_budget_bytes = 1 << 10;  // spills every column
+  spill.spill_dir = dir;
+  spill.chunk_rows = 64;
+  const int iters = FuzzIters();
+  for (int iter = 0; iter < iters; ++iter) {
+    for (int shape = 0; shape < 10; ++shape) {
+      int width = 1 + static_cast<int>(rng() % 10);
+      if (shape == 0) width = 1;
+      if (shape == 1) width = AttributeSet::kMaxAttributes;
+      if (shape == 2) width = 11 + static_cast<int>(rng() % 118);  // 11..128
+      size_t n = rng() % 700;
+      if (shape == 3) n = 0;
+      if (shape == 4) n = 1;
+      const bool spilled = (iter + shape) % 2 == 1;
+      std::vector<int64_t> card(static_cast<size_t>(width));
+      for (int64_t& c : card) c = 1 + static_cast<int64_t>(rng() % 6);
+      Rows rows(n, std::vector<int64_t>(static_cast<size_t>(width)));
+      for (auto& row : rows) {
+        for (size_t c = 0; c < row.size(); ++c) {
+          row[c] = static_cast<int64_t>(rng() % static_cast<uint64_t>(card[c]));
+        }
+      }
+      // Duplicates as generated, exactly one repeated row (the rows made
+      // distinct through one column first), or several repeated rows.
+      const int dup_mode = static_cast<int>(rng() % 3);
+      if (n > 1 && dup_mode == 1) {
+        const size_t c = rng() % static_cast<size_t>(width);
+        for (size_t r = 0; r < n; ++r) rows[r][c] = static_cast<int64_t>(r);
+        const size_t from = rng() % n;
+        rows[(from + 1 + rng() % (n - 1)) % n] = rows[from];
+      } else if (n > 1 && dup_mode == 2) {
+        for (size_t k = 0; k < 1 + n / 20; ++k) {
+          rows[rng() % n] = rows[rng() % n];
+        }
+      }
+      std::vector<int> order(static_cast<size_t>(width));
+      std::iota(order.begin(), order.end(), 0);
+      std::shuffle(order.begin(), order.end(), rng);
+      SCOPED_TRACE("iter=" + std::to_string(iter) +
+                   " shape=" + std::to_string(shape) +
+                   " width=" + std::to_string(width) +
+                   " rows=" + std::to_string(n) +
+                   " dup_mode=" + std::to_string(dup_mode) +
+                   " spilled=" + std::to_string(spilled));
+
+      const Table t =
+          RowsTable(rows, n, width, spilled ? spill : SpillPolicy());
+      if (spilled && n >= 300) EXPECT_GT(t.spilled_column_count(), 0);
+      std::unique_ptr<FrozenTree> built = FrozenTree::Build(t, order);
+      const std::set<std::vector<int64_t>> distinct(rows.begin(), rows.end());
+      EXPECT_EQ(built->has_duplicate_entities(), distinct.size() < n);
+      EXPECT_TRUE(built->AllRefsAreOne());
+      for (auto mode : {GordianOptions::TreeBuild::kSorted,
+                        GordianOptions::TreeBuild::kInsertion}) {
+        SCOPED_TRACE(mode == GordianOptions::TreeBuild::kSorted
+                         ? "kSorted"
+                         : "kInsertion");
+        ExpectSameLayout(
+            *built, *FrozenTree::Freeze(PrefixTree::Build(t, order, mode)));
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FrozenAbsorbTest, LayoutMatchesFreezeOfConcatenation) {
@@ -266,9 +360,14 @@ TEST(FrozenAbsorbTest, LayoutMatchesFreezeOfConcatenation) {
         ends.push_back(rows.size());
       }
 
+      // Every other shape absorbs into a directly built base, and is then
+      // also held to a direct build of the concatenation.
+      const bool from_build = (iter + width) % 2 == 1;
+      SCOPED_TRACE(from_build ? "base from Build" : "base from Freeze");
       const Table all = RowsTable(rows, rows.size(), width);
       std::unique_ptr<FrozenTree> tree =
-          FreezeRows(rows, base_end, width, order);
+          from_build ? BuildRows(rows, base_end, width, order)
+                     : FreezeRows(rows, base_end, width, order);
       size_t done = base_end;
       for (size_t b = 0; b < ends.size(); ++b) {
         std::vector<const uint32_t*> level_codes;
@@ -279,6 +378,9 @@ TEST(FrozenAbsorbTest, LayoutMatchesFreezeOfConcatenation) {
         ASSERT_EQ(tree->Absorb(level_codes, n), n);
         done = ends[b];
         ExpectSameLayout(*tree, *FreezeRows(rows, done, width, order));
+        if (from_build) {
+          ExpectSameLayout(*tree, *BuildRows(rows, done, width, order));
+        }
         EXPECT_EQ(tree->has_duplicate_entities(), b >= dup_batch);
         EXPECT_TRUE(tree->AllRefsAreOne());
       }
@@ -340,9 +442,10 @@ TEST(FrozenTraversalTest, RandomizedFuzzAcrossShapes) {
     ASSERT_TRUE(GenerateSynthetic(spec, &t).ok());
 
     GordianOptions opt;
-    opt.tree_build = (round % 2 == 0) ? GordianOptions::TreeBuild::kSorted
-                                      : GordianOptions::TreeBuild::kInsertion;
-    KeyDiscoveryResult oracle = OracleFindKeys(t, opt);
+    const GordianOptions::TreeBuild build =
+        (round % 2 == 0) ? GordianOptions::TreeBuild::kSorted
+                         : GordianOptions::TreeBuild::kInsertion;
+    KeyDiscoveryResult oracle = OracleFindKeys(t, opt, build);
     KeyDiscoveryResult frozen = FindKeys(t, opt);
     ExpectSameReport(t, oracle, frozen);
     ExpectSameCounters(oracle.stats, frozen.stats);
@@ -442,11 +545,13 @@ TEST(FrozenTreeCacheTest, HitServesPrefrozenArtifact) {
   bool hit = false;
   KeyDiscoveryResult first = ProfileWithTreeCache(t, opt, fp, &cache, &hit);
   EXPECT_FALSE(hit);
-  EXPECT_GT(first.stats.freeze_seconds, 0.0);
-  // The miss admitted the run's own frozen artifact; Insert refroze nothing.
+  // The miss built the frozen layout directly (no freeze pass) and admitted
+  // that very tree.
+  EXPECT_EQ(first.stats.freeze_seconds, 0.0);
+  EXPECT_GT(first.stats.frozen_tree_bytes, 0);
   TreeArtifactCache::Stats cs = cache.GetStats();
-  EXPECT_EQ(cs.trees_frozen, 0);
-  EXPECT_GT(cs.frozen_bytes, 0);
+  EXPECT_EQ(cs.insertions, 1);
+  EXPECT_EQ(cs.frozen_bytes, first.stats.frozen_tree_bytes);
 
   KeyDiscoveryResult second = ProfileWithTreeCache(t, opt, fp, &cache, &hit);
   EXPECT_TRUE(hit);
@@ -455,9 +560,8 @@ TEST(FrozenTreeCacheTest, HitServesPrefrozenArtifact) {
   EXPECT_EQ(second.stats.freeze_seconds, 0.0);
   ExpectSameReport(t, first, second);
 
-  // A run that stops before freezing (duplicate entities) hands over only
-  // its built tree: ProfileWithTreeCache freezes it for admission, so later
-  // hits are still served frozen.
+  // A run that stops at duplicate entities still ends with its frozen tree:
+  // the miss admits it, so later hits are served frozen.
   SyntheticSpec dup_spec = UniformSpec(2, 200, 2, 0.0, 53);
   dup_spec.ensure_unique_rows = false;
   Table dup;
@@ -467,8 +571,7 @@ TEST(FrozenTreeCacheTest, HitServesPrefrozenArtifact) {
       ProfileWithTreeCache(dup, opt, dup_fp, &cache, &hit);
   EXPECT_FALSE(hit);
   EXPECT_TRUE(dup_first.no_keys);
-  EXPECT_EQ(cache.GetStats().trees_frozen, 1);
-  EXPECT_GT(cache.GetStats().freeze_seconds, 0.0);
+  EXPECT_EQ(cache.GetStats().insertions, 2);
   {
     TreeArtifactCache::Lease lease =
         cache.Acquire(MakeTreeCacheKey(dup_fp, dup.num_columns(), opt));

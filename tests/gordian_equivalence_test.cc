@@ -181,20 +181,16 @@ TEST_F(GordianConfigs, AllPruningAndOrderCombosAgreeWithOracle) {
     for (bool singleton : {false, true}) {
       for (bool futility : {false, true}) {
         for (bool single_entity : {false, true}) {
-          for (auto build : {GordianOptions::TreeBuild::kSorted,
-                             GordianOptions::TreeBuild::kInsertion}) {
-            GordianOptions o;
-            o.attribute_order = order;
-            o.order_seed = 123;
-            o.singleton_pruning = singleton;
-            o.futility_pruning = futility;
-            o.single_entity_pruning = single_entity;
-            o.tree_build = build;
-            EXPECT_EQ(Sorted(FindKeys(t, o).KeySets()), oracle)
-                << "order=" << static_cast<int>(order)
-                << " singleton=" << singleton << " futility=" << futility
-                << " single_entity=" << single_entity;
-          }
+          GordianOptions o;
+          o.attribute_order = order;
+          o.order_seed = 123;
+          o.singleton_pruning = singleton;
+          o.futility_pruning = futility;
+          o.single_entity_pruning = single_entity;
+          EXPECT_EQ(Sorted(FindKeys(t, o).KeySets()), oracle)
+              << "order=" << static_cast<int>(order)
+              << " singleton=" << singleton << " futility=" << futility
+              << " single_entity=" << single_entity;
         }
       }
     }

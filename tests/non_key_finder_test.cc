@@ -45,9 +45,8 @@ struct RunOutcome {
 
 RunOutcome RunFinder(const Table& t, const GordianOptions& o) {
   RunOutcome out;
-  PrefixTree tree = PrefixTree::Build(t, SchemaOrder(t.num_columns()),
-                                      o.tree_build);
-  std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
+  const std::vector<int> order = SchemaOrder(t.num_columns());
+  std::unique_ptr<FrozenTree> frozen = FrozenTree::Build(t, order);
   NonKeySet set(&out.stats);
   FrozenNonKeyFinder finder(*frozen, o, &set, &out.stats);
   EXPECT_TRUE(finder.Run());
@@ -55,6 +54,8 @@ RunOutcome RunFinder(const Table& t, const GordianOptions& o) {
 
   // Parity with the oracle: same non-keys, in the same insertion order,
   // from the same amount of work.
+  PrefixTree tree =
+      PrefixTree::Build(t, order, GordianOptions::TreeBuild::kSorted);
   GordianStats oracle_stats;
   NonKeySet oracle_set(&oracle_stats);
   NonKeyFinder oracle(tree, o, &oracle_set, &oracle_stats);
@@ -143,8 +144,7 @@ TEST(FrozenNonKeyFinderTest, EmptyTreeIsANoOp) {
   Table t = b.Build();
   GordianOptions o;
   GordianStats stats;
-  PrefixTree tree = PrefixTree::Build(t, {0}, o.tree_build);
-  std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
+  std::unique_ptr<FrozenTree> frozen = FrozenTree::Build(t, {0});
   NonKeySet set(&stats);
   FrozenNonKeyFinder finder(*frozen, o, &set, &stats);
   EXPECT_TRUE(finder.Run());
@@ -156,7 +156,8 @@ TEST(FrozenNonKeyFinderTest, MergeIntermediatesAreReleased) {
   Table t = PaperDataset();
   GordianOptions o;
   GordianStats stats;
-  PrefixTree tree = PrefixTree::Build(t, SchemaOrder(4), o.tree_build);
+  PrefixTree tree =
+      PrefixTree::Build(t, SchemaOrder(4), GordianOptions::TreeBuild::kSorted);
   std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
   const int64_t base_nodes = tree.pool().live_nodes();
   NonKeySet set(&stats);

@@ -170,7 +170,8 @@ bool HasNull(const Table& table, int column) {
 }  // namespace
 
 KeyDiscoveryResult OracleFindKeys(const Table& table,
-                                  const GordianOptions& options) {
+                                  const GordianOptions& options,
+                                  GordianOptions::TreeBuild build) {
   GordianOptions opts = options;
   const int d = table.num_columns();
   if (opts.null_semantics ==
@@ -183,7 +184,7 @@ KeyDiscoveryResult OracleFindKeys(const Table& table,
     if (static_cast<int>(kept.size()) < d) {
       KeyDiscoveryResult out;
       if (!kept.empty()) {
-        out = OracleFindKeys(table.SelectColumns(kept), opts);
+        out = OracleFindKeys(table.SelectColumns(kept), opts, build);
         auto remap = [&](const AttributeSet& attrs) {
           AttributeSet lifted;
           attrs.ForEach([&](int a) { lifted.Set(kept[a]); });
@@ -205,7 +206,7 @@ KeyDiscoveryResult OracleFindKeys(const Table& table,
 
   KeyDiscoveryResult& result = ctx.result;
   PrefixTree tree =
-      PrefixTree::Build(*ctx.data, ctx.attr_order, opts.tree_build);
+      PrefixTree::Build(*ctx.data, ctx.attr_order, build);
   result.stats.base_tree_nodes = tree.node_count();
   result.stats.base_tree_cells = tree.cell_count();
   if (tree.has_duplicate_entities()) {

@@ -79,9 +79,11 @@ class NonKeyFinder {
 // duplicate and cancellation checks, warm-start seeding, NonKeyFinder and
 // the canonical non-key order are written out here. Nullable-column
 // exclusion projects and recurses here too, so no production traversal
-// runs. Reports and work counters must equal FindKeys' byte for byte.
-KeyDiscoveryResult OracleFindKeys(const Table& table,
-                                  const GordianOptions& options = {});
+// runs. The pointer tree is built in mode `build`; both modes give the
+// same tree. Reports and work counters must equal FindKeys' byte for byte.
+KeyDiscoveryResult OracleFindKeys(
+    const Table& table, const GordianOptions& options = {},
+    GordianOptions::TreeBuild build = GordianOptions::TreeBuild::kSorted);
 
 }  // namespace gordian
 

@@ -79,7 +79,7 @@ TEST(PipelineTest, SharedTreeRunMatchesFreshRunAndTreeStaysReusable) {
   ProfileSession builder(opt);
   KeyDiscoveryResult first;
   ASSERT_TRUE(builder.Run(t, &first).ok());
-  std::unique_ptr<FrozenTree> tree = builder.TakeFrozenArtifact();
+  std::unique_ptr<FrozenTree> tree = builder.TakeFrozenTree();
   ASSERT_NE(tree, nullptr);
   const int64_t pristine_bytes = tree->ApproxBytes();
 
@@ -178,6 +178,37 @@ TEST(PipelineTest, DuplicateEntitiesConcludeAfterTreeBuild) {
     EXPECT_NE(m.name, std::string("traverse"));
   }
   ExpectSameReport(t, OracleFindKeys(t), r);
+  // The run still ends with its frozen tree, flagged.
+  std::unique_ptr<FrozenTree> frozen = session.TakeFrozenTree();
+  ASSERT_NE(frozen, nullptr);
+  EXPECT_TRUE(frozen->has_duplicate_entities());
+}
+
+TEST(PipelineTest, TakeTreeBuildsThePointerTreeOfTheLastColdRun) {
+  // TakeTree builds on request, over the last cold run's input in that
+  // run's attribute order: the tree the run's frozen layout flattens.
+  Table t = MakeTable(1500, 43);
+  ProfileSession session(GordianOptions{});
+  KeyDiscoveryResult r;
+  ASSERT_TRUE(session.Run(t, &r).ok());
+  std::unique_ptr<FrozenTree> frozen = session.TakeFrozenTree();
+  std::unique_ptr<PrefixTree> tree = session.TakeTree();
+  ASSERT_NE(frozen, nullptr);
+  ASSERT_NE(tree, nullptr);
+  EXPECT_EQ(tree->attr_order(), frozen->attr_order());
+  EXPECT_EQ(tree->node_count(), frozen->node_count());
+  EXPECT_EQ(tree->cell_count(), frozen->cell_count());
+  EXPECT_EQ(FrozenTree::Freeze(*tree)->ApproxBytes(), frozen->ApproxBytes());
+  EXPECT_EQ(session.TakeTree(), nullptr);  // already taken
+
+  // A sampled run's rows are gone with the run.
+  GordianOptions sampled;
+  sampled.sample_rows = 300;
+  ProfileSession sampler(sampled);
+  ASSERT_TRUE(sampler.Run(t, &r).ok());
+  ASSERT_TRUE(r.sampled);
+  EXPECT_NE(sampler.TakeFrozenTree(), nullptr);
+  EXPECT_EQ(sampler.TakeTree(), nullptr);
 }
 
 TEST(PipelineTest, TrivialTablesMatchOracle) {
@@ -235,7 +266,7 @@ TEST(PipelineTest, StageMetricsCoverExecutedStages) {
     EXPECT_EQ(metrics[i].name, expected[i]);
     EXPECT_GE(metrics[i].seconds, 0.0);
   }
-  // Tree build's bytes reflect the pool; traversal's the run's peak.
+  // Tree build's bytes are the frozen tree's; traversal's the run's peak.
   EXPECT_GT(metrics[1].bytes, 0);
   EXPECT_GT(metrics[2].bytes, 0);
 }

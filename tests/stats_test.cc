@@ -79,6 +79,30 @@ TEST(Stats, PeakMemoryIsPositiveAndAtLeastTreeFootprint) {
                 static_cast<int64_t>(sizeof(void*)));
 }
 
+TEST(Stats, PeakMemoryCoversFrozenTreeAndBuildScratch) {
+  // The direct build holds one int64 row id per row beside the frozen
+  // arrays it writes, so the peak is at least their sum — for complete
+  // runs and for runs that stop at duplicate entities alike.
+  Table t = CorrelatedTable(6);
+  KeyDiscoveryResult r = FindKeys(t);
+  ASSERT_FALSE(r.no_keys);
+  EXPECT_GT(r.stats.frozen_tree_bytes, 0);
+  EXPECT_GE(r.stats.peak_memory_bytes,
+            r.stats.frozen_tree_bytes +
+                r.stats.rows_processed * static_cast<int64_t>(sizeof(int64_t)));
+
+  SyntheticSpec spec = UniformSpec(2, 500, 3, 0.0, 7);
+  spec.ensure_unique_rows = false;
+  Table dup;
+  ASSERT_TRUE(GenerateSynthetic(spec, &dup).ok());
+  KeyDiscoveryResult d = FindKeys(dup);
+  ASSERT_TRUE(d.no_keys);
+  EXPECT_GT(d.stats.frozen_tree_bytes, 0);
+  EXPECT_GE(d.stats.peak_memory_bytes,
+            d.stats.frozen_tree_bytes +
+                d.stats.rows_processed * static_cast<int64_t>(sizeof(int64_t)));
+}
+
 TEST(Stats, BruteForceMemoryGrowsWithArity) {
   Table t = CorrelatedTable(6);
   BruteForceResult single = BruteForceSingle(t);

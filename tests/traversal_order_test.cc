@@ -47,8 +47,7 @@ std::vector<int> SchemaOrder(const Table& t) {
 
 RecordingObserver RunWithObserver(const Table& t, const GordianOptions& o) {
   RecordingObserver obs;
-  PrefixTree tree = PrefixTree::Build(t, SchemaOrder(t), o.tree_build);
-  std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
+  std::unique_ptr<FrozenTree> frozen = FrozenTree::Build(t, SchemaOrder(t));
   GordianStats stats;
   NonKeySet set(&stats);
   FrozenNonKeyFinder finder(*frozen, o, &set, &stats, &obs);
@@ -59,7 +58,8 @@ RecordingObserver RunWithObserver(const Table& t, const GordianOptions& o) {
 RecordingObserver RunOracleWithObserver(const Table& t,
                                         const GordianOptions& o) {
   RecordingObserver obs;
-  PrefixTree tree = PrefixTree::Build(t, SchemaOrder(t), o.tree_build);
+  PrefixTree tree =
+      PrefixTree::Build(t, SchemaOrder(t), GordianOptions::TreeBuild::kSorted);
   GordianStats stats;
   NonKeySet set(&stats);
   NonKeyFinder finder(tree, o, &set, &stats, &obs);
@@ -195,8 +195,7 @@ TEST(TraversalOrder, ObserverDoesNotChangeResults) {
   Table t = DenseThreeAttrTable();
   GordianOptions o;
   RecordingObserver obs;
-  PrefixTree tree = PrefixTree::Build(t, {0, 1, 2}, o.tree_build);
-  std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
+  std::unique_ptr<FrozenTree> frozen = FrozenTree::Build(t, {0, 1, 2});
   GordianStats s1;
   NonKeySet set1(&s1);
   FrozenNonKeyFinder f1(*frozen, o, &set1, &s1, &obs);

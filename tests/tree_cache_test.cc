@@ -37,7 +37,7 @@ std::unique_ptr<FrozenTree> BuildTree(const Table& t,
   ProfileSession session(opt);
   KeyDiscoveryResult r;
   EXPECT_TRUE(session.Run(t, &r).ok());
-  std::unique_ptr<FrozenTree> tree = session.TakeFrozenArtifact();
+  std::unique_ptr<FrozenTree> tree = session.TakeFrozenTree();
   EXPECT_NE(tree, nullptr);
   return tree;
 }
@@ -54,10 +54,6 @@ TEST(TreeCacheKeyTest, DistinguishesTreeShapingOptions) {
   EXPECT_FALSE(a == MakeTreeCacheKey(1, 4, base));
 
   GordianOptions other = base;
-  other.tree_build = GordianOptions::TreeBuild::kInsertion;
-  EXPECT_FALSE(a == MakeTreeCacheKey(1, 5, other));
-
-  other = base;
   other.attribute_order = GordianOptions::AttributeOrder::kSchema;
   EXPECT_FALSE(a == MakeTreeCacheKey(1, 5, other));
 
