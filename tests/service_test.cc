@@ -437,7 +437,37 @@ TEST(Advisor, CatalogBackedRecommendationSkipsRediscovery) {
   EXPECT_EQ(direct.indexes().size(), first.indexes().size());
 }
 
-TEST(ServiceMetrics, FormatListsEveryCounter) {
+// The lines FormatServiceMetrics prints for every snapshot, split where
+// the gated blocks go, as they read with every field zero.
+constexpr char kZeroJobLines[] =
+    "profiling service metrics:\n"
+    "  jobs submitted     0\n"
+    "  jobs completed     0\n"
+    "  jobs cancelled     0\n"
+    "  jobs failed        0\n"
+    "  cache hits         0\n"
+    "  cache misses       0\n"
+    "  coalesced jobs     0\n"
+    "  tree cache hits    0\n"
+    "  tree cache misses  0\n";
+constexpr char kZeroQueueLines[] =
+    "  queue depth        0\n"
+    "  running jobs       0\n";
+constexpr char kZeroRateLines[] =
+    "  cache hit rate     0.0%\n"
+    "  tree hit rate      0.0%\n"
+    "  mean latency       0.000 ms\n"
+    "  max latency        0.000 ms\n";
+
+// FormatServiceMetrics of a snapshot whose only non-zero field is `field`,
+// set to 1.
+std::string FormatWithOne(int64_t ServiceMetrics::Snapshot::*field) {
+  ServiceMetrics::Snapshot s;
+  s.*field = 1;
+  return FormatServiceMetrics(s);
+}
+
+TEST(ServiceMetrics, ReadReturnsCountsAndDerivedFigures) {
   ServiceMetrics metrics;
   metrics.OnSubmitted();
   metrics.OnCompleted();
@@ -448,13 +478,185 @@ TEST(ServiceMetrics, FormatListsEveryCounter) {
   EXPECT_EQ(s.finished(), 1);
   EXPECT_DOUBLE_EQ(s.mean_latency_seconds(), 0.25);
   EXPECT_DOUBLE_EQ(s.max_latency_seconds, 0.25);
-  std::string text = FormatServiceMetrics(s);
-  for (const char* needle :
-       {"jobs submitted", "jobs completed", "jobs cancelled", "jobs failed",
-        "cache hits", "cache misses", "coalesced jobs", "queue depth",
-        "running jobs", "cache hit rate", "mean latency", "max latency"}) {
-    EXPECT_NE(text.find(needle), std::string::npos) << needle;
+}
+
+TEST(ServiceMetrics, FormatOfEmptySnapshot) {
+  EXPECT_EQ(FormatServiceMetrics(ServiceMetrics::Snapshot{}),
+            std::string(kZeroJobLines) + kZeroQueueLines + kZeroRateLines);
+}
+
+// Every counter, all five stages, queue depth and running jobs set to
+// distinct values; times are whole microseconds.
+TEST(ServiceMetrics, FormatListsEveryCounter) {
+  ServiceMetrics::Snapshot s;
+  s.jobs_submitted = 1;
+  s.jobs_completed = 2;
+  s.jobs_cancelled = 3;
+  s.jobs_failed = 4;
+  s.cache_hits = 5;
+  s.cache_misses = 6;
+  s.coalesced_jobs = 7;
+  s.tree_cache_hits = 8;
+  s.tree_cache_misses = 9;
+  s.trees_frozen = 10;
+  s.build_seconds = 0.001234;
+  s.frozen_tree_bytes = 1100;
+  s.frozen_tree_nodes = 70;
+  s.catalog_flushes = 13;
+  s.shards_flushed = 14;
+  s.dirty_shard_skips = 15;
+  s.catalog_flush_bytes = 16;
+  s.shards_recovered = 17;
+  s.shards_quarantined = 18;
+  s.appends = 19;
+  s.append_absorbs = 20;
+  s.delta_rows = 21;
+  s.warm_start_prunes = 22;
+  s.refreeze_seconds = 0.002345;
+  s.ingest_batches = 24;
+  s.ingest_rows = 25;
+  s.ingest_bytes = 26;
+  s.artifact_puts = 27;
+  s.artifact_put_bytes = 28;
+  s.artifact_put_errors = 29;
+  s.artifact_serves = 30;
+  s.artifact_get_errors = 31;
+  s.rpcs_in = 32;
+  s.rpcs_out = 33;
+  s.rpc_bytes_in = 34;
+  s.rpc_bytes_out = 35;
+  s.rpc_sheds = 36;
+  s.rpc_retries = 37;
+  s.worker_restarts = 38;
+  s.queue_depth = 39;
+  s.running_jobs = 40;
+  s.total_latency_seconds = 0.009999;
+  s.max_latency_seconds = 0.005;
+  // encode, tree_build, traverse, convert, validate
+  const double stage_seconds[] = {0.25, 0.5, 1.5, 0.002, 0.007};
+  for (int i = 0; i < 5; ++i) {
+    s.stage_seconds[i] = stage_seconds[i];
+    s.stage_runs[i] = 41 + i;
   }
+  EXPECT_EQ(FormatServiceMetrics(s),
+            "profiling service metrics:\n"
+            "  jobs submitted     1\n"
+            "  jobs completed     2\n"
+            "  jobs cancelled     3\n"
+            "  jobs failed        4\n"
+            "  cache hits         5\n"
+            "  cache misses       6\n"
+            "  coalesced jobs     7\n"
+            "  tree cache hits    8\n"
+            "  tree cache misses  9\n"
+            "  trees frozen       10\n"
+            "  build wall         1.234 ms\n"
+            "  frozen bytes       1100\n"
+            "  frozen bytes/node  15.7\n"
+            "  queue depth        39\n"
+            "  running jobs       40\n"
+            "  catalog flushes    13\n"
+            "  shards flushed     14\n"
+            "  dirty-shard skips  15\n"
+            "  flush bytes        16\n"
+            "  shards recovered   17\n"
+            "  shards quarantined 18\n"
+            "  appends            19\n"
+            "  append absorbs     20\n"
+            "  delta rows         21\n"
+            "  warm-start prunes  22\n"
+            "  refreeze wall      2.345 ms\n"
+            "  ingest batches     24\n"
+            "  ingest rows        25\n"
+            "  ingest bytes       26\n"
+            "  artifact puts      27\n"
+            "  artifact put bytes 28\n"
+            "  artifact put errors 29\n"
+            "  artifact serves    30\n"
+            "  artifact get errors 31\n"
+            "  rpcs in            32\n"
+            "  rpcs out           33\n"
+            "  rpc bytes in       34\n"
+            "  rpc bytes out      35\n"
+            "  rpc sheds          36\n"
+            "  rpc retries        37\n"
+            "  worker restarts    38\n"
+            "  cache hit rate     45.5%\n"
+            "  tree hit rate      47.1%\n"
+            "  mean latency       1.111 ms\n"
+            "  max latency        5.000 ms\n"
+            "  per-stage wall clock:\n"
+            "    encode           0.250 s over 41 run(s)\n"
+            "    tree_build       0.500 s over 42 run(s)\n"
+            "    traverse         1.500 s over 43 run(s)\n"
+            "    convert          0.002 s over 44 run(s)\n"
+            "    validate         0.007 s over 45 run(s)\n");
+}
+
+// Each gated block prints whole once one of its gate counters is set alone.
+TEST(ServiceMetrics, FormatGatesEachBlock) {
+  const std::string jobs = kZeroJobLines;
+  const std::string trees =
+      "  trees frozen       1\n"
+      "  build wall         0.000 ms\n"
+      "  frozen bytes       0\n"
+      "  frozen bytes/node  0.0\n";
+  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::trees_frozen),
+            jobs + trees + kZeroQueueLines + kZeroRateLines);
+
+  const std::string head = jobs + kZeroQueueLines;
+  const std::string catalog =
+      "  catalog flushes    0\n"
+      "  shards flushed     0\n"
+      "  dirty-shard skips  0\n"
+      "  flush bytes        0\n"
+      "  shards recovered   0\n"
+      "  shards quarantined 1\n";
+  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::shards_quarantined),
+            head + catalog + kZeroRateLines);
+  const std::string appends =
+      "  appends            1\n"
+      "  append absorbs     0\n"
+      "  delta rows         0\n"
+      "  warm-start prunes  0\n"
+      "  refreeze wall      0.000 ms\n";
+  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::appends),
+            head + appends + kZeroRateLines);
+  const std::string ingest =
+      "  ingest batches     1\n"
+      "  ingest rows        0\n"
+      "  ingest bytes       0\n";
+  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::ingest_batches),
+            head + ingest + kZeroRateLines);
+  const std::string artifacts =
+      "  artifact puts      0\n"
+      "  artifact put bytes 0\n"
+      "  artifact put errors 0\n"
+      "  artifact serves    0\n"
+      "  artifact get errors 1\n";
+  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::artifact_get_errors),
+            head + artifacts + kZeroRateLines);
+  const std::string rpcs =
+      "  rpcs in            0\n"
+      "  rpcs out           1\n"
+      "  rpc bytes in       0\n"
+      "  rpc bytes out      0\n"
+      "  rpc sheds          0\n"
+      "  rpc retries        0\n"
+      "  worker restarts    0\n";
+  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::rpcs_out),
+            head + rpcs + kZeroRateLines);
+  // Only rpcs in and rpcs out gate the RPC block.
+  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::worker_restarts),
+            head + kZeroRateLines);
+
+  // A stage prints once it has run, even in no measurable time.
+  ServiceMetrics::Snapshot validated;
+  validated.stage_runs[4] = 1;
+  const std::string stages =
+      "  per-stage wall clock:\n"
+      "    validate         0.000 s over 1 run(s)\n";
+  EXPECT_EQ(FormatServiceMetrics(validated), head + kZeroRateLines + stages);
 }
 
 }  // namespace
