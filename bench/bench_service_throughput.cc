@@ -154,13 +154,15 @@ void WritePipelineJson(int num_tables, int64_t rows, int repeats, int threads,
   const int jobs = num_tables * repeats;
   auto stages = [&](const gordian::ServiceMetrics::Snapshot& m) {
     std::string out = "[\n";
-    using Snap = gordian::ServiceMetrics::Snapshot;
-    for (int i = 0; i < Snap::kNumStages; ++i) {
-      if (m.stage_runs[i] == 0) continue;
+    for (int i = 0; i < gordian::kNumStages; ++i) {
+      const gordian::Counter micros = gordian::StageMicros(i);
+      const int64_t runs = m[gordian::StageRuns(i)];
+      if (runs == 0) continue;
       if (out.size() > 2) out += ",\n";
-      out += "        {\"stage\": \"" + std::string(Snap::kStageNames[i]) +
-             "\", \"wall_seconds\": " + std::to_string(m.stage_seconds[i]) +
-             ", \"runs\": " + std::to_string(m.stage_runs[i]) + "}";
+      out += "        {\"stage\": \"" +
+             std::string(gordian::CounterLabel(micros)) +
+             "\", \"wall_seconds\": " + std::to_string(m.seconds(micros)) +
+             ", \"runs\": " + std::to_string(runs) + "}";
     }
     out += "\n      ]";
     return out;
@@ -483,12 +485,13 @@ int main(int argc, char** argv) {
   rp.Print();
 
   std::printf("\nper-stage wall clock with the tree cache on:\n");
-  using Snap = gordian::ServiceMetrics::Snapshot;
-  for (int i = 0; i < Snap::kNumStages; ++i) {
-    if (warm.metrics.stage_runs[i] == 0) continue;
-    std::printf("  %-12s %8.3f s over %lld run(s)\n", Snap::kStageNames[i],
-                warm.metrics.stage_seconds[i],
-                static_cast<long long>(warm.metrics.stage_runs[i]));
+  for (int i = 0; i < gordian::kNumStages; ++i) {
+    const gordian::Counter micros = gordian::StageMicros(i);
+    const int64_t runs = warm.metrics[gordian::StageRuns(i)];
+    if (runs == 0) continue;
+    std::printf("  %-12s %8.3f s over %lld run(s)\n",
+                gordian::CounterLabel(micros), warm.metrics.seconds(micros),
+                static_cast<long long>(runs));
   }
 
   WritePipelineJson(num_tables, amort_rows, repeats, max_threads, cold, warm);

@@ -236,10 +236,10 @@ int RunConnect(const gordian::Flags& flags) {
   }
   gordian::ServiceMetrics::Snapshot m = metrics.Read();
   std::printf("rpcs out: %lld in: %lld (%lld bytes sent, %lld received)\n",
-              static_cast<long long>(m.rpcs_out),
-              static_cast<long long>(m.rpcs_in),
-              static_cast<long long>(m.rpc_bytes_out),
-              static_cast<long long>(m.rpc_bytes_in));
+              static_cast<long long>(m[gordian::Counter::kRpcsOut]),
+              static_cast<long long>(m[gordian::Counter::kRpcsIn]),
+              static_cast<long long>(m[gordian::Counter::kRpcBytesOut]),
+              static_cast<long long>(m[gordian::Counter::kRpcBytesIn]));
   return 0;
 }
 

@@ -44,9 +44,13 @@ Status ProfileClient::Profile(const std::string& table_name,
         "-byte frame limit");
   }
 
+  // A retry first waits out the previous attempt's backoff or retry-after,
+  // so a failed last attempt returns without waiting.
   Status last = Status::Unavailable("no attempt made");
+  std::chrono::milliseconds wait(0);
   for (int attempt = 0; attempt < std::max(1, options.max_attempts);
        ++attempt) {
+    std::this_thread::sleep_for(wait);
     RpcReply reply;
     Status s = rpc_.Call(RpcMethod::kProfile, payload,
                          options.deadline_millis, &reply);
@@ -59,8 +63,7 @@ Status ProfileClient::Profile(const std::string& table_name,
       x ^= x >> 31;
       const int base =
           std::max(1, options.retry_base_millis) << std::min(attempt, 6);
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(base / 2 + static_cast<int>(x % base)));
+      wait = std::chrono::milliseconds(base / 2 + static_cast<int>(x % base));
       continue;
     }
     if (reply.remote.IsUnavailable()) {
@@ -70,11 +73,10 @@ Status ProfileClient::Profile(const std::string& table_name,
       if (attempt + 1 < std::max(1, options.max_attempts)) {
         ++outcome->shed_retries;
       }
-      const uint32_t wait = reply.retry_after_millis > 0
-                                ? reply.retry_after_millis
-                                : static_cast<uint32_t>(
-                                      std::max(1, options.retry_base_millis));
-      std::this_thread::sleep_for(std::chrono::milliseconds(wait));
+      wait = std::chrono::milliseconds(
+          reply.retry_after_millis > 0
+              ? static_cast<int64_t>(reply.retry_after_millis)
+              : std::max(1, options.retry_base_millis));
       continue;
     }
     if (!reply.remote.ok()) return reply.remote;  // not retryable

@@ -58,7 +58,7 @@ class ProfileClient {
 
   // Blocks through retries until a profile reply, a non-retryable remote
   // error, or attempt exhaustion (then the last Unavailable/transport
-  // error).
+  // error, returned without waiting out that attempt's backoff).
   Status Profile(const std::string& table_name, const Table& table,
                  const RemoteProfileOptions& options, RemoteOutcome* outcome);
 

@@ -147,7 +147,7 @@ void Router::HandleProfile(const Frame& request, Frame* response) {
     return;
   }
   if (!AdmitClient(client_id)) {
-    metrics_.OnRpcShed();
+    metrics_.Add(Counter::kRpcSheds);
     FailResponse(response,
                  Status::Unavailable("client quota exhausted: " + client_id),
                  options_.retry_after_millis);
@@ -168,7 +168,7 @@ void Router::HandleProfile(const Frame& request, Frame* response) {
       return;
     }
     if (static_cast<int>(owner->queue.size()) >= options_.per_worker_queue) {
-      metrics_.OnRpcShed();
+      metrics_.Add(Counter::kRpcSheds);
       FailResponse(response,
                    Status::Unavailable("worker queue full for shards " +
                                        std::to_string(owner->spec.shard_first) +
@@ -291,7 +291,7 @@ void Router::Forward(WorkerState* owner, RpcClient* owner_client,
     }
 
     if (attempt > 0) {
-      metrics_.OnRpcRetry();
+      metrics_.Add(Counter::kRpcRetries);
       // Jittered exponential backoff; xorshift keeps it cheap and seedless.
       uint64_t x = jitter_state_.fetch_add(0x9e3779b97f4a7c15ull);
       x ^= x >> 33;
@@ -308,7 +308,7 @@ void Router::Forward(WorkerState* owner, RpcClient* owner_client,
                             &reply);
     if (s.ok()) {
       const bool was_down = !target->up.exchange(true);
-      if (was_down) metrics_.OnWorkerRestart();
+      if (was_down) metrics_.Add(Counter::kWorkerRestarts);
       // Remote outcomes — including sheds and remote errors — pass through
       // to the client verbatim; only transport failures are retried here.
       response->status_code = reply.remote.code();
@@ -320,7 +320,7 @@ void Router::Forward(WorkerState* owner, RpcClient* owner_client,
     target->up.store(false);
     last = s;
   }
-  metrics_.OnRpcShed();
+  metrics_.Add(Counter::kRpcSheds);
   FailResponse(response,
                Status::Unavailable("no worker reachable for request: " +
                                    last.ToString()),
@@ -339,7 +339,7 @@ void Router::HeartbeatLoop() {
           &reply);
       const bool healthy = s.ok() && reply.remote.ok();
       const bool was_up = w->up.exchange(healthy);
-      if (healthy && !was_up) metrics_.OnWorkerRestart();
+      if (healthy && !was_up) metrics_.Add(Counter::kWorkerRestarts);
     }
     std::unique_lock<std::mutex> lock(heartbeat_mu_);
     heartbeat_cv_.wait_for(

@@ -6,8 +6,12 @@ namespace gordian {
 
 namespace {
 
-int64_t FramedBytes(const Frame& frame) {
-  return static_cast<int64_t>(kFrameHeaderBytes + frame.payload.size());
+// Counts one frame received or sent, with its framed size (header +
+// payload).
+void CountFrame(ServiceMetrics* metrics, bool received, const Frame& frame) {
+  Add(metrics, received ? Counter::kRpcsIn : Counter::kRpcsOut);
+  Add(metrics, received ? Counter::kRpcBytesIn : Counter::kRpcBytesOut,
+      static_cast<int64_t>(kFrameHeaderBytes + frame.payload.size()));
 }
 
 std::chrono::steady_clock::time_point DeadlineFrom(uint32_t millis) {
@@ -48,17 +52,13 @@ void RpcServer::ServeConnection(ByteStream* stream) {
     Status s = ReadFrame(*stream, &request);
     if (!s.ok()) break;  // hang-up, torn frame, or garbage: drop the conn
     if (request.type != FrameType::kRequest) break;  // protocol violation
-    if (options_.metrics != nullptr) {
-      options_.metrics->OnRpcIn(FramedBytes(request));
-    }
+    CountFrame(options_.metrics, /*received=*/true, request);
     Frame response;
     response.type = FrameType::kResponse;
     response.request_id = request.request_id;
     response.method = request.method;
     handler_(request, &response);
-    if (options_.metrics != nullptr) {
-      options_.metrics->OnRpcOut(FramedBytes(response));
-    }
+    CountFrame(options_.metrics, /*received=*/false, response);
     if (!WriteFrame(*stream, response).ok()) break;
   }
   stream->Close();
@@ -110,11 +110,11 @@ Status RpcClient::Call(RpcMethod method, const std::string& payload,
 
   Status s = WriteFrame(*stream_, request);
   if (s.ok()) {
-    if (metrics_ != nullptr) metrics_->OnRpcOut(FramedBytes(request));
+    CountFrame(metrics_, /*received=*/false, request);
     Frame response;
     s = ReadFrame(*stream_, &response);
     if (s.ok()) {
-      if (metrics_ != nullptr) metrics_->OnRpcIn(FramedBytes(response));
+      CountFrame(metrics_, /*received=*/true, response);
       if (response.type != FrameType::kResponse ||
           response.request_id != request.request_id) {
         s = Status::IOError("response does not match request");

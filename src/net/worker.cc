@@ -63,7 +63,7 @@ Status WorkerDaemon::Start() {
 
   RpcServer::Options rpc_options;
   rpc_options.port = options_.port;
-  rpc_options.metrics = &net_metrics_;
+  rpc_options.metrics = service_->mutable_metrics();
   server_ = std::make_unique<RpcServer>(rpc_options);
   accepting_.store(true);
   Status s = server_->Start(
@@ -107,7 +107,7 @@ void WorkerDaemon::HandleRpc(const Frame& request, Frame* response) {
 
 void WorkerDaemon::HandleProfile(const Frame& request, Frame* response) {
   if (!accepting_.load()) {
-    net_metrics_.OnRpcShed();
+    service_->mutable_metrics()->Add(Counter::kRpcSheds);
     FailResponse(response, Status::Unavailable("worker draining"),
                  options_.retry_after_millis);
     return;
@@ -117,7 +117,7 @@ void WorkerDaemon::HandleProfile(const Frame& request, Frame* response) {
   // a retry-after instead of queueing unboundedly.
   if (active_rpcs_.fetch_add(1) >= options_.max_active_rpcs) {
     active_rpcs_.fetch_sub(1);
-    net_metrics_.OnRpcShed();
+    service_->mutable_metrics()->Add(Counter::kRpcSheds);
     FailResponse(response,
                  Status::Unavailable("worker at capacity (" +
                                      std::to_string(options_.max_active_rpcs) +
@@ -258,18 +258,8 @@ bool WorkerDaemon::FollowerLookup(uint64_t fingerprint, CatalogEntry* entry) {
 }
 
 ServiceMetrics::Snapshot WorkerDaemon::Metrics() const {
-  ServiceMetrics::Snapshot s = service_ != nullptr
-                                   ? service_->Metrics()
-                                   : ServiceMetrics::Snapshot{};
-  ServiceMetrics::Snapshot net = net_metrics_.Read();
-  s.rpcs_in = net.rpcs_in;
-  s.rpcs_out = net.rpcs_out;
-  s.rpc_bytes_in = net.rpc_bytes_in;
-  s.rpc_bytes_out = net.rpc_bytes_out;
-  s.rpc_sheds = net.rpc_sheds;
-  s.rpc_retries = net.rpc_retries;
-  s.worker_restarts = net.worker_restarts;
-  return s;
+  return service_ != nullptr ? service_->Metrics()
+                             : ServiceMetrics::Snapshot{};
 }
 
 }  // namespace gordian

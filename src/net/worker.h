@@ -88,7 +88,8 @@ class WorkerDaemon {
 
   ProfilingService& service() { return *service_; }
 
-  // Service counters merged with the RPC-side counters.
+  // The service's counters, which the RPC server and the shed paths count
+  // into as well; an empty snapshot when the worker is not running.
   ServiceMetrics::Snapshot Metrics() const;
 
  private:
@@ -110,7 +111,6 @@ class WorkerDaemon {
   WorkerOptions options_;
   std::string name_;
   std::unique_ptr<ProfilingService> service_;
-  ServiceMetrics net_metrics_;
   std::unique_ptr<RpcServer> server_;
   std::atomic<int64_t> active_rpcs_{0};
   std::atomic<bool> accepting_{false};

@@ -273,10 +273,9 @@ Status CatalogStore::Open(RecoveryReport* report) {
   }
 
   (void)LoadShards(/*keep_on_error=*/false, report);
-  if (options_.metrics != nullptr) {
-    options_.metrics->OnCatalogRecovery(report->shards_loaded,
-                                        report->shards_quarantined);
-  }
+  Add(options_.metrics, Counter::kShardsRecovered, report->shards_loaded);
+  Add(options_.metrics, Counter::kShardsQuarantined,
+      report->shards_quarantined);
   opened_ = true;
   if (report->shards_quarantined > 0) {
     return Status::Partial(
@@ -332,11 +331,10 @@ Status CatalogStore::Flush(FlushStats* stats) {
     // flush re-asserts them.
     for (int s : touched) last_flushed_[s] = kNeverFlushed;
   }
-  if (options_.metrics != nullptr) {
-    options_.metrics->OnCatalogFlush(stats->shards_flushed,
-                                     stats->shards_skipped,
-                                     stats->bytes_written);
-  }
+  Add(options_.metrics, Counter::kCatalogFlushes);
+  Add(options_.metrics, Counter::kShardsFlushed, stats->shards_flushed);
+  Add(options_.metrics, Counter::kDirtyShardSkips, stats->shards_skipped);
+  Add(options_.metrics, Counter::kCatalogFlushBytes, stats->bytes_written);
   return err;
 }
 

@@ -1,12 +1,35 @@
 #include "service/profiling_service.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
 #include "common/stopwatch.h"
 
 namespace gordian {
+
+namespace {
+
+// Wraps a job body with the job accounting: completed, cancelled or
+// failed, and the latency since submission (this call).
+std::function<void(const JobContext&)> Accounted(
+    ServiceMetrics* metrics, std::function<void(const JobContext&)> body) {
+  Stopwatch watch;
+  return [metrics, body = std::move(body), watch](const JobContext& ctx) {
+    try {
+      body(ctx);
+    } catch (...) {
+      metrics->AddFinishedJob(Counter::kJobsFailed, watch.ElapsedSeconds());
+      throw;  // the scheduler records the message and marks kFailed
+    }
+    metrics->AddFinishedJob(
+        ctx.Cancelled() ? Counter::kJobsCancelled : Counter::kJobsCompleted,
+        watch.ElapsedSeconds());
+  };
+}
+
+}  // namespace
 
 ProfilingService::ProfilingService(ServiceOptions options)
     : owned_catalog_(options.catalog == nullptr ? new KeyCatalog() : nullptr),
@@ -130,7 +153,7 @@ GordianOptions ProfilingService::EffectiveOptions(
 JobId ProfilingService::SubmitTable(const std::string& name,
                                     const Table* table,
                                     const ProfileJobOptions& options) {
-  metrics_.OnSubmitted();
+  metrics_.Add(Counter::kJobsSubmitted);
   auto rec = std::make_shared<Record>();
   rec->name = name;
   rec->table = table;
@@ -146,31 +169,17 @@ JobId ProfilingService::SubmitTable(const std::string& name,
         ++records_.at(it->second)->aliases;
         JobId id = next_alias_id_--;
         records_.emplace(id, std::move(rec));
-        metrics_.OnCoalesced();
+        metrics_.Add(Counter::kCoalescedJobs);
         return id;
       }
       inflight_.erase(it);
     }
   }
 
-  Stopwatch submit_watch;
-  JobId id = scheduler_.Submit(
-      [this, rec, options, submit_watch](const JobContext& ctx) {
-        try {
-          RunTableJob(rec.get(), options, ctx);
-        } catch (...) {
-          metrics_.OnFailed();
-          metrics_.OnJobFinished(submit_watch.ElapsedSeconds());
-          throw;  // the scheduler records the message and marks kFailed
-        }
-        if (ctx.Cancelled()) {
-          metrics_.OnCancelled();
-        } else {
-          metrics_.OnCompleted();
-        }
-        metrics_.OnJobFinished(submit_watch.ElapsedSeconds());
-      },
-      options.priority);
+  auto body = [this, rec, options](const JobContext& ctx) {
+    RunTableJob(rec.get(), options, ctx);
+  };
+  JobId id = scheduler_.Submit(Accounted(&metrics_, body), options.priority);
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -186,29 +195,14 @@ JobId ProfilingService::SubmitCsv(const std::string& name,
                                   const std::string& path,
                                   const CsvOptions& csv_options,
                                   const ProfileJobOptions& options) {
-  metrics_.OnSubmitted();
+  metrics_.Add(Counter::kJobsSubmitted);
   auto rec = std::make_shared<Record>();
   rec->name = name;
 
-  Stopwatch submit_watch;
-  JobId id = scheduler_.Submit(
-      [this, rec, path, csv_options, options,
-       submit_watch](const JobContext& ctx) {
-        try {
-          RunCsvJob(rec.get(), path, csv_options, options, ctx);
-        } catch (...) {
-          metrics_.OnFailed();
-          metrics_.OnJobFinished(submit_watch.ElapsedSeconds());
-          throw;
-        }
-        if (ctx.Cancelled()) {
-          metrics_.OnCancelled();
-        } else {
-          metrics_.OnCompleted();
-        }
-        metrics_.OnJobFinished(submit_watch.ElapsedSeconds());
-      },
-      options.priority);
+  auto body = [this, rec, path, csv_options, options](const JobContext& ctx) {
+    RunCsvJob(rec.get(), path, csv_options, options, ctx);
+  };
+  JobId id = scheduler_.Submit(Accounted(&metrics_, body), options.priority);
 
   std::lock_guard<std::mutex> lock(mu_);
   records_.emplace(id, std::move(rec));
@@ -226,10 +220,10 @@ void ProfilingService::RunTableJob(Record* rec,
     if (catalog_->Lookup(rec->fingerprint, &entry)) {
       rec->cache_hit = true;
       rec->result = std::move(entry.result);
-      metrics_.OnCacheHit();
+      metrics_.Add(Counter::kCacheHits);
       return;
     }
-    metrics_.OnCacheMiss();
+    metrics_.Add(Counter::kCacheMisses);
   }
   // Discovery through the staged pipeline, reusing a cached prefix-tree
   // artifact when one matches this job's table + tree-shape options.
@@ -241,18 +235,20 @@ void ProfilingService::RunTableJob(Record* rec,
                            rec->fingerprint, cache, &rec->tree_cache_hit,
                            &stage_metrics);
   if (cache != nullptr) {
+    const GordianStats& stats = rec->result.stats;
     if (rec->tree_cache_hit) {
-      metrics_.OnTreeCacheHit();
+      metrics_.Add(Counter::kTreeCacheHits);
     } else {
-      metrics_.OnTreeCacheMiss();
-      if (rec->result.stats.frozen_tree_bytes > 0) {
-        metrics_.OnTreeFrozen(rec->result.stats.build_seconds,
-                              rec->result.stats.frozen_tree_bytes,
-                              rec->result.stats.base_tree_nodes);
+      metrics_.Add(Counter::kTreeCacheMisses);
+      if (stats.frozen_tree_bytes > 0) {
+        metrics_.Add(Counter::kTreesFrozen);
+        metrics_.AddSeconds(Counter::kBuildMicros, stats.build_seconds);
+        metrics_.Add(Counter::kFrozenTreeBytes, stats.frozen_tree_bytes);
+        metrics_.Add(Counter::kFrozenTreeNodes, stats.base_tree_nodes);
       }
     }
   }
-  metrics_.OnStageMetrics(stage_metrics);
+  metrics_.AddStages(stage_metrics);
   // Incomplete results (budget, timeout, cancellation) certify nothing and
   // must not poison the catalog; Put would refuse them anyway.
   if (options.use_catalog && !rec->result.incomplete) {
@@ -280,7 +276,9 @@ void ProfilingService::RunCsvJob(Record* rec, const std::string& path,
   Status s =
       ProfileCsvFile(path, csv_options, EffectiveOptions(options, ctx),
                      ingest_spill_, &result, &ingest);
-  metrics_.OnIngest(ingest.batches, ingest.rows, ingest.bytes);
+  metrics_.Add(Counter::kIngestBatches, ingest.batches);
+  metrics_.Add(Counter::kIngestRows, ingest.rows);
+  metrics_.Add(Counter::kIngestBytes, ingest.bytes);
   if (!s.ok()) throw std::runtime_error(s.ToString());
   rec->result = std::move(result);
 }
@@ -296,8 +294,8 @@ bool ProfilingService::Cancel(JobId id) {
   if (before_running) {
     // The body never ran, so its completion hooks never will; account for
     // the cancellation here.
-    metrics_.OnCancelled();
-    metrics_.OnJobFinished(scheduler_.Poll(id).latency_seconds);
+    metrics_.AddFinishedJob(Counter::kJobsCancelled,
+                            scheduler_.Poll(id).latency_seconds);
   }
   return true;
 }
@@ -489,8 +487,11 @@ Status ProfilingService::AppendAndReprofile(uint64_t fingerprint,
     chain->last_non_keys = result.non_keys;
     if (catalog_->Put(new_fp, chain->name, num_columns, result)) NotePut();
   }
-  metrics_.OnAppend(delta_rows, tree_absorbed, result.stats.warm_start_prunes,
-                    refreeze_seconds);
+  metrics_.Add(Counter::kAppends);
+  if (tree_absorbed) metrics_.Add(Counter::kAppendAbsorbs);
+  metrics_.Add(Counter::kDeltaRows, delta_rows);
+  metrics_.Add(Counter::kWarmStartPrunes, result.stats.warm_start_prunes);
+  metrics_.AddSeconds(Counter::kRefreezeMicros, refreeze_seconds);
 
   {
     std::lock_guard<std::mutex> lock(append_mu_);

@@ -244,6 +244,10 @@ class ProfilingService {
   // Counter snapshot with live queue depth / running count filled in.
   ServiceMetrics::Snapshot Metrics() const;
 
+  // The counters behind Metrics(), for front-ends that count their own
+  // work into the same snapshot (the fleet worker's RPC server and sheds).
+  ServiceMetrics* mutable_metrics() { return &metrics_; }
+
   int num_threads() const { return scheduler_.num_threads(); }
 
   // The underlying scheduler, for composite front-ends (SchemaProfiler)

@@ -85,13 +85,12 @@ Status TableArtifactStore::Put(uint64_t fingerprint, const Table& table) {
   if (s.ok()) s = fs()->SyncDir(adir);
   if (s.ok()) s = fs()->SyncDir(dir_);
 
-  if (options_.metrics != nullptr) {
-    if (s.ok()) {
-      options_.metrics->OnArtifactPut(bytes +
-                                      static_cast<int64_t>(payload.size()));
-    } else {
-      options_.metrics->OnArtifactPutError();
-    }
+  if (s.ok()) {
+    Add(options_.metrics, Counter::kArtifactPuts);
+    Add(options_.metrics, Counter::kArtifactPutBytes,
+        bytes + static_cast<int64_t>(payload.size()));
+  } else {
+    Add(options_.metrics, Counter::kArtifactPutErrors);
   }
   return s;
 }
@@ -105,11 +104,11 @@ Status TableArtifactStore::Get(uint64_t fingerprint, Table* out) {
   }
   Status s = fs()->ReadFile(meta, &payload);
   auto corrupt = [&](const std::string& what) {
-    if (options_.metrics != nullptr) options_.metrics->OnArtifactGetError();
+    Add(options_.metrics, Counter::kArtifactGetErrors);
     return Status::InvalidArgument("table artifact " + meta + ": " + what);
   };
   if (!s.ok()) {
-    if (options_.metrics != nullptr) options_.metrics->OnArtifactGetError();
+    Add(options_.metrics, Counter::kArtifactGetErrors);
     return s;
   }
   std::string_view body;
@@ -139,7 +138,7 @@ Status TableArtifactStore::Get(uint64_t fingerprint, Table* out) {
   }
   *out = Table::FromCodeColumns(std::move(schema), std::move(dicts),
                                 std::move(columns));
-  if (options_.metrics != nullptr) options_.metrics->OnArtifactServe();
+  Add(options_.metrics, Counter::kArtifactServes);
   return Status::OK();
 }
 

@@ -167,10 +167,13 @@ TEST(CatalogStore, WarmFlushWritesZeroBytes) {
   EXPECT_EQ(stats.shards_flushed, 0);
   EXPECT_EQ(stats.shards_skipped, KeyCatalog::kNumShards);
   EXPECT_EQ(stats.bytes_written, 0);
-  EXPECT_EQ(after.catalog_flush_bytes, before.catalog_flush_bytes);
-  EXPECT_EQ(after.dirty_shard_skips - before.dirty_shard_skips,
-            KeyCatalog::kNumShards);
-  EXPECT_EQ(after.catalog_flushes - before.catalog_flushes, 1);
+  EXPECT_EQ(after[Counter::kCatalogFlushBytes],
+            before[Counter::kCatalogFlushBytes]);
+  EXPECT_EQ(
+      after[Counter::kDirtyShardSkips] - before[Counter::kDirtyShardSkips],
+      KeyCatalog::kNumShards);
+  EXPECT_EQ(
+      after[Counter::kCatalogFlushes] - before[Counter::kCatalogFlushes], 1);
   EXPECT_EQ(store.epoch(), 1u);  // warm flush did not bump the manifest
 }
 
@@ -491,17 +494,19 @@ TEST(ProfilingServicePersistence, CatalogSurvivesServiceRestart) {
     EXPECT_TRUE(out.cache_hit) << "table " << i;
   }
   ServiceMetrics::Snapshot m = service.Metrics();
-  EXPECT_EQ(m.cache_hits, static_cast<int64_t>(tables.size()));
-  EXPECT_GT(m.shards_recovered, 0);
+  EXPECT_EQ(m[Counter::kCacheHits], static_cast<int64_t>(tables.size()));
+  EXPECT_GT(m[Counter::kShardsRecovered], 0);
 
   // With nothing new, a flush is pure dirty-bit skips: zero bytes.
   ASSERT_TRUE(service.FlushCatalog().ok());
   ServiceMetrics::Snapshot before = service.Metrics();
   ASSERT_TRUE(service.FlushCatalog().ok());
   ServiceMetrics::Snapshot after = service.Metrics();
-  EXPECT_EQ(after.catalog_flush_bytes, before.catalog_flush_bytes);
-  EXPECT_EQ(after.dirty_shard_skips - before.dirty_shard_skips,
-            KeyCatalog::kNumShards);
+  EXPECT_EQ(after[Counter::kCatalogFlushBytes],
+            before[Counter::kCatalogFlushBytes]);
+  EXPECT_EQ(
+      after[Counter::kDirtyShardSkips] - before[Counter::kDirtyShardSkips],
+      KeyCatalog::kNumShards);
 }
 
 TEST(ProfilingServicePersistence, SecondServiceOnSameDirDegradesGracefully) {
@@ -550,8 +555,8 @@ TEST(ProfilingServicePersistence, QuarantinedShardSurfacesAsPartial) {
   EXPECT_EQ(service.catalog().size(), 15);
   EXPECT_NE(service.catalog_store(), nullptr);  // still durable going forward
   ServiceMetrics::Snapshot m = service.Metrics();
-  EXPECT_EQ(m.shards_quarantined, 1);
-  EXPECT_EQ(m.shards_recovered, 15);
+  EXPECT_EQ(m[Counter::kShardsQuarantined], 1);
+  EXPECT_EQ(m[Counter::kShardsRecovered], 15);
 }
 
 }  // namespace

@@ -449,16 +449,16 @@ TEST(ServiceAppend, AppendAndReprofileChainsAndCatalogs) {
             Status::Code::kNotFound);
 
   const ServiceMetrics::Snapshot m = service.Metrics();
-  EXPECT_EQ(m.appends, 2);
-  EXPECT_EQ(m.append_absorbs, 2);
-  EXPECT_EQ(m.delta_rows, 130);
+  EXPECT_EQ(m[Counter::kAppends], 2);
+  EXPECT_EQ(m[Counter::kAppendAbsorbs], 2);
+  EXPECT_EQ(m[Counter::kDeltaRows], 130);
   ASSERT_NE(service.tree_cache(), nullptr);
   EXPECT_EQ(service.tree_cache()->GetStats().rekeys, 2);
 
   // Warm start engaged: the second append was seeded from the first's
   // non-keys (counted only when the traversal actually pruned off them,
   // so assert the seed made it through rather than a specific count).
-  EXPECT_GE(m.warm_start_prunes, 0);
+  EXPECT_GE(m[Counter::kWarmStartPrunes], 0);
 
   // Sampling cannot be registered (re-sampling is not append-monotone).
   GordianOptions sampling;

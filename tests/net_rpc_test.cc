@@ -222,7 +222,10 @@ TEST(Worker, ShedsBeyondActiveRpcCap) {
   RemoteOutcome outcome;
   Status s = client.Profile("t", table, one_shot, &outcome);
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
-  EXPECT_EQ(worker.Metrics().rpc_sheds, 1);
+  // The shed and the frames that carried it land in the one snapshot.
+  const ServiceMetrics::Snapshot m = worker.Metrics();
+  EXPECT_EQ(m[Counter::kRpcSheds], 1);
+  EXPECT_GE(m[Counter::kRpcsIn], 1);
   worker.Stop();
 }
 
@@ -317,6 +320,43 @@ TEST(ProfileClientLimits, OversizedRequestFailsBeforeConnecting) {
   EXPECT_EQ(outcome.transport_retries, 0);
 }
 
+// A call whose last attempt fails returns at once: the backoff or
+// retry-after that would precede another attempt is not slept out.
+TEST(ProfileClientLimits, LastAttemptShedReturnsWithoutWaiting) {
+  WorkerOptions options;
+  options.max_active_rpcs = 0;  // shed everything
+  options.retry_after_millis = 3000;
+  WorkerDaemon worker(options);
+  ASSERT_TRUE(worker.Start().ok());
+
+  Table table = MakeTable(100, 4);
+  ProfileClient client("127.0.0.1", worker.port());
+  RemoteProfileOptions one_shot;
+  one_shot.max_attempts = 1;
+  RemoteOutcome outcome;
+  const auto start = std::chrono::steady_clock::now();
+  Status s = client.Profile("t", table, one_shot, &outcome);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_EQ(outcome.sheds, 1);
+  EXPECT_EQ(outcome.shed_retries, 0);
+  worker.Stop();
+}
+
+TEST(ProfileClientLimits, LastAttemptTransportFailureReturnsWithoutBackoff) {
+  Table table = MakeTable(100, 5);
+  ProfileClient client("127.0.0.1", 1);  // nothing listens on port 1
+  RemoteProfileOptions one_shot;
+  one_shot.max_attempts = 1;
+  one_shot.retry_base_millis = 2000;
+  RemoteOutcome outcome;
+  const auto start = std::chrono::steady_clock::now();
+  Status s = client.Profile("t", table, one_shot, &outcome);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(outcome.transport_retries, 1);
+}
+
 // ------------------------------------------------------------------ router
 
 class RouterTest : public ::testing::Test {
@@ -371,10 +411,10 @@ TEST_F(RouterTest, RoutesByFingerprintShard) {
     EXPECT_EQ(outcome.served_by, "owner-08-15");
   }
   ServiceMetrics::Snapshot m = router_->Metrics();
-  EXPECT_GE(m.rpcs_in, 4);
-  EXPECT_GE(m.rpcs_out, 4);
-  EXPECT_GT(m.rpc_bytes_in, 0);
-  EXPECT_GT(m.rpc_bytes_out, 0);
+  EXPECT_GE(m[Counter::kRpcsIn], 4);
+  EXPECT_GE(m[Counter::kRpcsOut], 4);
+  EXPECT_GT(m[Counter::kRpcBytesIn], 0);
+  EXPECT_GT(m[Counter::kRpcBytesOut], 0);
 }
 
 TEST_F(RouterTest, HealthAggregatesTheFleet) {
@@ -414,7 +454,7 @@ TEST_F(RouterTest, QuotaShedsAndRecovers) {
   RemoteOutcome shed;
   Status s = client.Profile("t", table, one_shot, &shed);
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
-  EXPECT_GE(router_->Metrics().rpc_sheds, 1);
+  EXPECT_GE(router_->Metrics()[Counter::kRpcSheds], 1);
 
   // ...while other clients are unaffected...
   RemoteProfileOptions other = opts;
@@ -455,7 +495,7 @@ TEST_F(RouterTest, FailsOverWhenTheOwnerDies) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(after.served_by, "owner-00-07");
   ExpectSameResult(before.result, after.result);
-  EXPECT_GE(router_->Metrics().rpc_retries, 1);
+  EXPECT_GE(router_->Metrics()[Counter::kRpcRetries], 1);
 
   // The survivor never wrote the foreign shard: ownership is preserved.
   EXPECT_FALSE(worker1_->service().catalog().Lookup(after.fingerprint,

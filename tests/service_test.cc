@@ -238,10 +238,10 @@ TEST(ProfilingService, ConcurrentJobsMatchSequentialDiscovery) {
     ExpectSameResult(out.result, sequential[i]);
   }
   ServiceMetrics::Snapshot m = service.Metrics();
-  EXPECT_EQ(m.jobs_submitted, kTables);
-  EXPECT_EQ(m.jobs_completed, kTables);
-  EXPECT_EQ(m.cache_misses, kTables);
-  EXPECT_EQ(m.cache_hits, 0);
+  EXPECT_EQ(m[Counter::kJobsSubmitted], kTables);
+  EXPECT_EQ(m[Counter::kJobsCompleted], kTables);
+  EXPECT_EQ(m[Counter::kCacheMisses], kTables);
+  EXPECT_EQ(m[Counter::kCacheHits], 0);
 }
 
 TEST(ProfilingService, SecondSubmissionOfUnchangedTableIsCacheHit) {
@@ -263,8 +263,8 @@ TEST(ProfilingService, SecondSubmissionOfUnchangedTableIsCacheHit) {
   EXPECT_TRUE(alias.cache_hit);
 
   ServiceMetrics::Snapshot m = service.Metrics();
-  EXPECT_EQ(m.cache_hits, 2);
-  EXPECT_EQ(m.cache_misses, 1);
+  EXPECT_EQ(m[Counter::kCacheHits], 2);
+  EXPECT_EQ(m[Counter::kCacheMisses], 1);
 
   // use_catalog = false forces a re-profile.
   ProfileJobOptions no_cache;
@@ -300,10 +300,10 @@ TEST(ProfilingService, SameTableObjectInFlightCoalesces) {
   service.Wait(b);
 
   ServiceMetrics::Snapshot m = service.Metrics();
-  EXPECT_EQ(m.coalesced_jobs, 1);
-  EXPECT_EQ(m.jobs_submitted, 3);
+  EXPECT_EQ(m[Counter::kCoalescedJobs], 1);
+  EXPECT_EQ(m[Counter::kJobsSubmitted], 3);
   // Only two discoveries actually ran.
-  EXPECT_EQ(m.jobs_completed, 2);
+  EXPECT_EQ(m[Counter::kJobsCompleted], 2);
 
   // Forgetting: the primary is refused while its alias lives, then both go.
   EXPECT_FALSE(service.Forget(first));
@@ -345,7 +345,7 @@ TEST(ProfilingService, CancelQueuedJobReturnsIncompleteAndLeavesNoTrace) {
   // The victim never ran, so only the blocker's entry is in the catalog.
   EXPECT_EQ(service.catalog().size(), 1);
   EXPECT_FALSE(service.catalog().Contains(TableFingerprint(t)));
-  EXPECT_EQ(service.Metrics().jobs_cancelled, 1);
+  EXPECT_EQ(service.Metrics()[Counter::kJobsCancelled], 1);
 }
 
 TEST(ProfilingService, CancelMidDiscoveryReturnsIncompleteResult) {
@@ -414,7 +414,7 @@ TEST(ProfilingService, CsvJobFailureCarriesParserError) {
   ProfileOutcome out = service.Wait(id);
   EXPECT_EQ(out.info.state, JobState::kFailed);
   EXPECT_NE(out.info.error.find("/no/such/file.csv"), std::string::npos);
-  EXPECT_EQ(service.Metrics().jobs_failed, 1);
+  EXPECT_EQ(service.Metrics()[Counter::kJobsFailed], 1);
 }
 
 // --------------------------------------------------- advisor + metrics glue
@@ -459,25 +459,24 @@ constexpr char kZeroRateLines[] =
     "  mean latency       0.000 ms\n"
     "  max latency        0.000 ms\n";
 
-// FormatServiceMetrics of a snapshot whose only non-zero field is `field`,
+// FormatServiceMetrics of a snapshot whose only non-zero field is `counter`,
 // set to 1.
-std::string FormatWithOne(int64_t ServiceMetrics::Snapshot::*field) {
+std::string FormatWithOne(Counter counter) {
   ServiceMetrics::Snapshot s;
-  s.*field = 1;
+  s[counter] = 1;
   return FormatServiceMetrics(s);
 }
 
 TEST(ServiceMetrics, ReadReturnsCountsAndDerivedFigures) {
   ServiceMetrics metrics;
-  metrics.OnSubmitted();
-  metrics.OnCompleted();
-  metrics.OnCacheMiss();
-  metrics.OnJobFinished(0.25);
+  metrics.Add(Counter::kJobsSubmitted);
+  metrics.Add(Counter::kCacheMisses);
+  metrics.AddFinishedJob(Counter::kJobsCompleted, 0.25);
   ServiceMetrics::Snapshot s = metrics.Read();
-  EXPECT_EQ(s.jobs_submitted, 1);
+  EXPECT_EQ(s[Counter::kJobsSubmitted], 1);
   EXPECT_EQ(s.finished(), 1);
   EXPECT_DOUBLE_EQ(s.mean_latency_seconds(), 0.25);
-  EXPECT_DOUBLE_EQ(s.max_latency_seconds, 0.25);
+  EXPECT_DOUBLE_EQ(s.seconds(Counter::kMaxLatencyMicros), 0.25);
 }
 
 TEST(ServiceMetrics, FormatOfEmptySnapshot) {
@@ -489,54 +488,54 @@ TEST(ServiceMetrics, FormatOfEmptySnapshot) {
 // distinct values; times are whole microseconds.
 TEST(ServiceMetrics, FormatListsEveryCounter) {
   ServiceMetrics::Snapshot s;
-  s.jobs_submitted = 1;
-  s.jobs_completed = 2;
-  s.jobs_cancelled = 3;
-  s.jobs_failed = 4;
-  s.cache_hits = 5;
-  s.cache_misses = 6;
-  s.coalesced_jobs = 7;
-  s.tree_cache_hits = 8;
-  s.tree_cache_misses = 9;
-  s.trees_frozen = 10;
-  s.build_seconds = 0.001234;
-  s.frozen_tree_bytes = 1100;
-  s.frozen_tree_nodes = 70;
-  s.catalog_flushes = 13;
-  s.shards_flushed = 14;
-  s.dirty_shard_skips = 15;
-  s.catalog_flush_bytes = 16;
-  s.shards_recovered = 17;
-  s.shards_quarantined = 18;
-  s.appends = 19;
-  s.append_absorbs = 20;
-  s.delta_rows = 21;
-  s.warm_start_prunes = 22;
-  s.refreeze_seconds = 0.002345;
-  s.ingest_batches = 24;
-  s.ingest_rows = 25;
-  s.ingest_bytes = 26;
-  s.artifact_puts = 27;
-  s.artifact_put_bytes = 28;
-  s.artifact_put_errors = 29;
-  s.artifact_serves = 30;
-  s.artifact_get_errors = 31;
-  s.rpcs_in = 32;
-  s.rpcs_out = 33;
-  s.rpc_bytes_in = 34;
-  s.rpc_bytes_out = 35;
-  s.rpc_sheds = 36;
-  s.rpc_retries = 37;
-  s.worker_restarts = 38;
+  s[Counter::kJobsSubmitted] = 1;
+  s[Counter::kJobsCompleted] = 2;
+  s[Counter::kJobsCancelled] = 3;
+  s[Counter::kJobsFailed] = 4;
+  s[Counter::kCacheHits] = 5;
+  s[Counter::kCacheMisses] = 6;
+  s[Counter::kCoalescedJobs] = 7;
+  s[Counter::kTreeCacheHits] = 8;
+  s[Counter::kTreeCacheMisses] = 9;
+  s[Counter::kTreesFrozen] = 10;
+  s[Counter::kBuildMicros] = 1234;
+  s[Counter::kFrozenTreeBytes] = 1100;
+  s[Counter::kFrozenTreeNodes] = 70;
+  s[Counter::kCatalogFlushes] = 13;
+  s[Counter::kShardsFlushed] = 14;
+  s[Counter::kDirtyShardSkips] = 15;
+  s[Counter::kCatalogFlushBytes] = 16;
+  s[Counter::kShardsRecovered] = 17;
+  s[Counter::kShardsQuarantined] = 18;
+  s[Counter::kAppends] = 19;
+  s[Counter::kAppendAbsorbs] = 20;
+  s[Counter::kDeltaRows] = 21;
+  s[Counter::kWarmStartPrunes] = 22;
+  s[Counter::kRefreezeMicros] = 2345;
+  s[Counter::kIngestBatches] = 24;
+  s[Counter::kIngestRows] = 25;
+  s[Counter::kIngestBytes] = 26;
+  s[Counter::kArtifactPuts] = 27;
+  s[Counter::kArtifactPutBytes] = 28;
+  s[Counter::kArtifactPutErrors] = 29;
+  s[Counter::kArtifactServes] = 30;
+  s[Counter::kArtifactGetErrors] = 31;
+  s[Counter::kRpcsIn] = 32;
+  s[Counter::kRpcsOut] = 33;
+  s[Counter::kRpcBytesIn] = 34;
+  s[Counter::kRpcBytesOut] = 35;
+  s[Counter::kRpcSheds] = 36;
+  s[Counter::kRpcRetries] = 37;
+  s[Counter::kWorkerRestarts] = 38;
   s.queue_depth = 39;
   s.running_jobs = 40;
-  s.total_latency_seconds = 0.009999;
-  s.max_latency_seconds = 0.005;
+  s[Counter::kLatencyMicros] = 9999;
+  s[Counter::kMaxLatencyMicros] = 5000;
   // encode, tree_build, traverse, convert, validate
-  const double stage_seconds[] = {0.25, 0.5, 1.5, 0.002, 0.007};
-  for (int i = 0; i < 5; ++i) {
-    s.stage_seconds[i] = stage_seconds[i];
-    s.stage_runs[i] = 41 + i;
+  const int64_t stage_micros[] = {250000, 500000, 1500000, 2000, 7000};
+  for (int i = 0; i < kNumStages; ++i) {
+    s[StageMicros(i)] = stage_micros[i];
+    s[StageRuns(i)] = 41 + i;
   }
   EXPECT_EQ(FormatServiceMetrics(s),
             "profiling service metrics:\n"
@@ -601,7 +600,7 @@ TEST(ServiceMetrics, FormatGatesEachBlock) {
       "  build wall         0.000 ms\n"
       "  frozen bytes       0\n"
       "  frozen bytes/node  0.0\n";
-  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::trees_frozen),
+  EXPECT_EQ(FormatWithOne(Counter::kTreesFrozen),
             jobs + trees + kZeroQueueLines + kZeroRateLines);
 
   const std::string head = jobs + kZeroQueueLines;
@@ -612,7 +611,7 @@ TEST(ServiceMetrics, FormatGatesEachBlock) {
       "  flush bytes        0\n"
       "  shards recovered   0\n"
       "  shards quarantined 1\n";
-  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::shards_quarantined),
+  EXPECT_EQ(FormatWithOne(Counter::kShardsQuarantined),
             head + catalog + kZeroRateLines);
   const std::string appends =
       "  appends            1\n"
@@ -620,13 +619,13 @@ TEST(ServiceMetrics, FormatGatesEachBlock) {
       "  delta rows         0\n"
       "  warm-start prunes  0\n"
       "  refreeze wall      0.000 ms\n";
-  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::appends),
+  EXPECT_EQ(FormatWithOne(Counter::kAppends),
             head + appends + kZeroRateLines);
   const std::string ingest =
       "  ingest batches     1\n"
       "  ingest rows        0\n"
       "  ingest bytes       0\n";
-  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::ingest_batches),
+  EXPECT_EQ(FormatWithOne(Counter::kIngestBatches),
             head + ingest + kZeroRateLines);
   const std::string artifacts =
       "  artifact puts      0\n"
@@ -634,7 +633,7 @@ TEST(ServiceMetrics, FormatGatesEachBlock) {
       "  artifact put errors 0\n"
       "  artifact serves    0\n"
       "  artifact get errors 1\n";
-  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::artifact_get_errors),
+  EXPECT_EQ(FormatWithOne(Counter::kArtifactGetErrors),
             head + artifacts + kZeroRateLines);
   const std::string rpcs =
       "  rpcs in            0\n"
@@ -644,15 +643,15 @@ TEST(ServiceMetrics, FormatGatesEachBlock) {
       "  rpc sheds          0\n"
       "  rpc retries        0\n"
       "  worker restarts    0\n";
-  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::rpcs_out),
+  EXPECT_EQ(FormatWithOne(Counter::kRpcsOut),
             head + rpcs + kZeroRateLines);
   // Only rpcs in and rpcs out gate the RPC block.
-  EXPECT_EQ(FormatWithOne(&ServiceMetrics::Snapshot::worker_restarts),
+  EXPECT_EQ(FormatWithOne(Counter::kWorkerRestarts),
             head + kZeroRateLines);
 
   // A stage prints once it has run, even in no measurable time.
   ServiceMetrics::Snapshot validated;
-  validated.stage_runs[4] = 1;
+  validated[Counter::kValidateRuns] = 1;
   const std::string stages =
       "  per-stage wall clock:\n"
       "    validate         0.000 s over 1 run(s)\n";

@@ -290,7 +290,7 @@ TEST(SpillEquivalence, ServicePersistsArtifactsAndSpillsCsvJobs) {
       service.artifact_store()->Get(table_outcome.fingerprint, &back).ok());
   EXPECT_EQ(TableFingerprint(back), table_outcome.fingerprint);
   EXPECT_EQ(CanonicalReport(back), want_report);
-  EXPECT_GE(service.Metrics().artifact_puts, 1);
+  EXPECT_GE(service.Metrics()[Counter::kArtifactPuts], 1);
 
   // A CSV job under the 1 KB ingest budget spills during ingest and still
   // reports the same keys as the resident table.

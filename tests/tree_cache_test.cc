@@ -263,14 +263,14 @@ TEST(TreeCacheTest, ServiceJobsReuseTreesAcrossRepeatedProfiles) {
   }
 
   ServiceMetrics::Snapshot m = service.Metrics();
-  EXPECT_EQ(m.tree_cache_hits, 3);
-  EXPECT_EQ(m.tree_cache_misses, 1);
+  EXPECT_EQ(m[Counter::kTreeCacheHits], 3);
+  EXPECT_EQ(m[Counter::kTreeCacheMisses], 1);
   ASSERT_NE(service.tree_cache(), nullptr);
   EXPECT_EQ(service.tree_cache()->GetStats().hits, 3);
 
   // Per-stage metrics accumulated across all four discovery runs.
-  EXPECT_EQ(m.stage_runs[2], 4);  // "traverse"
-  EXPECT_EQ(m.stage_runs[1], 4);  // "tree_build" (a hit skips only Build)
+  EXPECT_EQ(m[Counter::kTraverseRuns], 4);
+  EXPECT_EQ(m[Counter::kTreeBuildRuns], 4);  // a hit skips only Build
 }
 
 TEST(TreeCacheTest, ConcurrentJobsOnIdenticalTablesStayCorrect) {
@@ -315,8 +315,8 @@ TEST(TreeCacheTest, ServiceTreeCacheCanBeDisabled) {
     EXPECT_FALSE(out.tree_cache_hit);
   }
   ServiceMetrics::Snapshot m = service.Metrics();
-  EXPECT_EQ(m.tree_cache_hits, 0);
-  EXPECT_EQ(m.tree_cache_misses, 0);
+  EXPECT_EQ(m[Counter::kTreeCacheHits], 0);
+  EXPECT_EQ(m[Counter::kTreeCacheMisses], 0);
 }
 
 }  // namespace
