@@ -12,7 +12,9 @@ KeyDiscoveryResult FindKeys(const Table& table, const GordianOptions& options) {
   // core/pipeline.h and docs/architecture.md.
   ProfileSession session(options);
   KeyDiscoveryResult result;
-  (void)session.Run(table, &result);  // the stages never fail
+  // Only a table wider than AttributeSet::kMaxAttributes fails, and its
+  // result is already incomplete.
+  (void)session.Run(table, &result);
   return result;
 }
 

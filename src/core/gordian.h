@@ -78,7 +78,9 @@ Status DecodeKeyLists(ByteReader* in, int num_attributes,
 // non-keys (Algorithm 4 with the configured prunings), and converts them to
 // the exact set of minimal composite keys (Algorithm 6). When
 // options.sample_rows selects a proper subset, discovery runs on that sample
-// and the result's keys carry T(K) strength estimates.
+// and the result's keys carry T(K) strength estimates. A table wider than
+// AttributeSet::kMaxAttributes yields an incomplete result with no keys
+// (AbortReason::kTooManyAttributes).
 KeyDiscoveryResult FindKeys(const Table& table,
                             const GordianOptions& options = {});
 

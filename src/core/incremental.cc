@@ -106,7 +106,8 @@ Table AppendState::Snapshot() const {
 
 Status ReprofileTree(FrozenTree* tree, const GordianOptions& options,
                      int num_attributes, int64_t num_rows,
-                     KeyDiscoveryResult* result) {
+                     KeyDiscoveryResult* result,
+                     std::vector<StageMetric>* stage_metrics) {
   if (options.sample_rows > 0) {
     return Status::InvalidArgument(
         "ReprofileTree: sampling requires the raw table");
@@ -126,11 +127,8 @@ Status ReprofileTree(FrozenTree* tree, const GordianOptions& options,
   ctx.frozen = tree;
   ctx.result.stats.num_attributes = num_attributes;
   ctx.result.stats.rows_processed = num_rows;
-  for (void (*stage)(ProfileContext*) :
-       {TreeBuildStage, TraverseStage, ConvertStage, ValidateStage}) {
-    stage(&ctx);
-    if (ctx.finished) break;
-  }
+  if (stage_metrics != nullptr) stage_metrics->clear();
+  RunStages(&ctx, TreeBuildStage, stage_metrics);
   *result = std::move(ctx.result);
   return Status::OK();
 }

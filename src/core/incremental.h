@@ -10,6 +10,7 @@
 #include "core/frozen_tree.h"
 #include "core/gordian.h"
 #include "core/options.h"
+#include "core/pipeline.h"
 #include "table/fingerprint.h"
 #include "table/table.h"
 
@@ -98,9 +99,12 @@ class AppendState {
 //
 // `options.sample_rows` must be 0 and null semantics kNullEqualsNull — both
 // need the raw table and are rejected with InvalidArgument.
+// `stage_metrics` (optional) receives the wall clock and bytes of the
+// stages that ran, as ProfileSession::stage_metrics() does.
 Status ReprofileTree(FrozenTree* tree, const GordianOptions& options,
                      int num_attributes, int64_t num_rows,
-                     KeyDiscoveryResult* result);
+                     KeyDiscoveryResult* result,
+                     std::vector<StageMetric>* stage_metrics = nullptr);
 
 // Keys-current profiling of a growing table: owns the AppendState, the
 // absorbed frozen tree, and the latest report; every Append re-encodes just

@@ -4,87 +4,116 @@
 
 namespace gordian {
 
-bool NonKeySet::Insert(const AttributeSet& non_key) {
-  if (stats_ != nullptr) ++stats_->non_key_insert_attempts;
-  const int c = non_key.Count();
-  // First pass: reject if covered by an existing non-key. Only members with
-  // cardinality >= c can cover the candidate.
-  for (int b = std::max(c, min_count_); b <= max_count_; ++b) {
-    for (const Member& m : buckets_[b]) {
-      if (m.attrs.Covers(non_key)) {
-        if (stats_ != nullptr) ++stats_->non_keys_rejected_covered;
-        return false;
-      }
-    }
-  }
-  // Second pass: evict members covered by the candidate — they all have
-  // cardinality <= c (and the equal-cardinality bucket can only hold an
-  // exact duplicate, which the reject pass already caught).
-  int64_t evicted = 0;
-  for (int b = min_count_; b < c && b <= max_count_; ++b) {
-    std::vector<Member>& bucket = buckets_[b];
-    if (bucket.empty()) continue;
-    auto keep = std::remove_if(bucket.begin(), bucket.end(),
-                               [&](const Member& m) {
-                                 return non_key.Covers(m.attrs);
-                               });
-    evicted += static_cast<int64_t>(bucket.end() - keep);
-    bucket.erase(keep, bucket.end());
-  }
-  if (stats_ != nullptr) stats_->non_keys_evicted += evicted;
-  count_ -= evicted;
+namespace {
 
-  buckets_[c].push_back(Member{non_key, next_seq_++});
-  ++count_;
-  min_count_ = std::min(min_count_, c);
-  max_count_ = std::max(max_count_, c);
-  // Eviction may have emptied the extreme buckets; the bounds are advisory
-  // (scans skip empty buckets cheaply), so no re-tightening pass is needed.
-  return true;
+// Writes the attributes of `s` to `out` in ascending order; returns how
+// many there are.
+int ListAttrs(const AttributeSet& s, uint8_t* out) {
+  int n = 0;
+  s.ForEach([&](int a) { out[n++] = static_cast<uint8_t>(a); });
+  return n;
 }
 
-bool NonKeySet::CoversSet(const AttributeSet& attrs) const {
-  // Only members at least as large as the probe can cover it; with the
-  // probe being cur_non_key | suffix (nearly the full schema) this visits
-  // the top sliver of the antichain.
-  for (int b = std::max(attrs.Count(), min_count_); b <= max_count_; ++b) {
-    for (const Member& m : buckets_[b]) {
-      if (m.attrs.Covers(attrs)) return true;
-    }
+}  // namespace
+
+bool NonKeySet::AnyLiveHasAll(const uint8_t* attrs, int n) const {
+  const uint64_t* has = has_.data();
+  for (size_t w = 0; w < live_.size(); ++w, has += width_) {
+    uint64_t acc = live_[w];
+    for (int i = 0; i < n && acc != 0; ++i) acc &= has[attrs[i]];
+    if (acc != 0) return true;
   }
   return false;
 }
 
-std::vector<AttributeSet> NonKeySet::non_keys() const {
-  std::vector<Member> all;
-  all.reserve(static_cast<size_t>(count_));
-  for (int b = std::max(0, min_count_); b <= max_count_; ++b) {
-    all.insert(all.end(), buckets_[b].begin(), buckets_[b].end());
+bool NonKeySet::Insert(const AttributeSet& non_key) {
+  if (stats_ != nullptr) ++stats_->non_key_insert_attempts;
+  uint8_t attrs[AttributeSet::kMaxAttributes];
+  const int n = ListAttrs(non_key, attrs);
+  // No member has an attribute at or past width_, so a candidate naming one
+  // is covered by none.
+  const bool fits = n == 0 || attrs[n - 1] < width_;
+  if (fits && AnyLiveHasAll(attrs, n)) {
+    if (stats_ != nullptr) ++stats_->non_keys_rejected_covered;
+    return false;
   }
-  std::sort(all.begin(), all.end(),
-            [](const Member& a, const Member& b) { return a.seq < b.seq; });
+  // Evict the members the candidate covers: those with no attribute outside
+  // it.
+  uint8_t outside[AttributeSet::kMaxAttributes];
+  int m = 0;
+  for (int a = 0; a < width_; ++a) {
+    if (!non_key.Test(a)) outside[m++] = static_cast<uint8_t>(a);
+  }
+  int64_t evicted = 0;
+  const uint64_t* has = has_.data();
+  for (size_t w = 0; w < live_.size(); ++w, has += width_) {
+    uint64_t gone = live_[w];
+    for (int i = 0; i < m && gone != 0; ++i) gone &= ~has[outside[i]];
+    live_[w] &= ~gone;
+    evicted += __builtin_popcountll(gone);
+  }
+  if (stats_ != nullptr) stats_->non_keys_evicted += evicted;
+  count_ -= evicted;
+
+  if (!fits) Widen(attrs[n - 1] + 1);
+  const size_t slot = FreeSlot();
+  const uint64_t bit = uint64_t{1} << (slot & 63);
+  uint64_t* words = has_.data() + (slot >> 6) * static_cast<size_t>(width_);
+  // A reused slot still carries its evicted member's bits.
+  slots_[slot].attrs.ForEach([&](int a) { words[a] &= ~bit; });
+  for (int i = 0; i < n; ++i) words[attrs[i]] |= bit;
+  live_[slot >> 6] |= bit;
+  slots_[slot] = Slot{non_key, next_seq_++};
+  ++count_;
+  return true;
+}
+
+bool NonKeySet::CoversSet(const AttributeSet& attrs) const {
+  uint8_t list[AttributeSet::kMaxAttributes];
+  const int n = ListAttrs(attrs, list);
+  if (n > 0 && list[n - 1] >= width_) return false;
+  return AnyLiveHasAll(list, n);
+}
+
+void NonKeySet::Widen(int width) {
+  std::vector<uint64_t> has(live_.size() * static_cast<size_t>(width), 0);
+  for (size_t w = 0; w < live_.size(); ++w) {
+    std::copy_n(has_.data() + w * width_, width_, has.data() + w * width);
+  }
+  has_ = std::move(has);
+  width_ = width;
+}
+
+size_t NonKeySet::FreeSlot() {
+  for (size_t w = 0; w < live_.size(); ++w) {
+    if (~live_[w] != 0) return w * 64 + __builtin_ctzll(~live_[w]);
+  }
+  live_.push_back(0);
+  has_.resize(live_.size() * static_cast<size_t>(width_), 0);
+  slots_.resize(live_.size() * 64);
+  return (live_.size() - 1) * 64;
+}
+
+std::vector<AttributeSet> NonKeySet::non_keys() const {
+  std::vector<const Slot*> members;
+  members.reserve(static_cast<size_t>(count_));
+  for (size_t w = 0; w < live_.size(); ++w) {
+    for (uint64_t bits = live_[w]; bits != 0; bits &= bits - 1) {
+      members.push_back(&slots_[w * 64 + __builtin_ctzll(bits)]);
+    }
+  }
+  std::sort(members.begin(), members.end(),
+            [](const Slot* a, const Slot* b) { return a->seq < b->seq; });
   std::vector<AttributeSet> out;
-  out.reserve(all.size());
-  for (const Member& m : all) out.push_back(m.attrs);
+  out.reserve(members.size());
+  for (const Slot* s : members) out.push_back(s->attrs);
   return out;
 }
 
-void NonKeySet::Clear() {
-  for (int b = std::max(0, min_count_); b <= max_count_; ++b) {
-    buckets_[b].clear();
-  }
-  min_count_ = AttributeSet::kMaxAttributes + 1;
-  max_count_ = -1;
-  count_ = 0;
-  next_seq_ = 0;
-}
-
 int64_t NonKeySet::ApproxBytes() const {
-  int64_t bytes = 0;
-  for (const std::vector<Member>& bucket : buckets_) {
-    bytes += static_cast<int64_t>(bucket.capacity() * sizeof(Member));
-  }
-  return bytes;
+  return static_cast<int64_t>((live_.capacity() + has_.capacity()) *
+                                  sizeof(uint64_t) +
+                              slots_.capacity() * sizeof(Slot));
 }
 
 }  // namespace gordian

@@ -11,12 +11,17 @@ namespace gordian {
 
 // Why a discovery run stopped before exhausting the search space. kNone for
 // complete runs; the other values correspond to the safety valves in
-// GordianOptions and to cooperative cancellation (profiling-service jobs).
+// GordianOptions, to cooperative cancellation (profiling-service jobs) and
+// to the attribute limit.
 enum class AbortReason {
   kNone = 0,
   kNonKeyBudget,  // max_non_keys tripped
   kTimeBudget,    // time_budget_seconds tripped
   kCancelled,     // *cancel_flag became true
+  // The table is wider than AttributeSet::kMaxAttributes, so no stage ran.
+  // Such a result never crosses the wire: its attribute count is past what
+  // the result codec accepts.
+  kTooManyAttributes,
 };
 
 // Tuning knobs for GORDIAN. The defaults reproduce the full algorithm of the

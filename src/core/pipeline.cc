@@ -255,17 +255,8 @@ void ValidateStage(ProfileContext* ctx) {
   }
 }
 
-Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
-  ProfileContext ctx;
-  ctx.input = &table;
-  ctx.options = options_;
-  ctx.frozen = shared_frozen_;
-  shared_frozen_ = nullptr;  // one Run per injection
-  metrics_.clear();
-  built_frozen_.reset();
-  cold_input_ = nullptr;
-  cold_order_.clear();
-
+void RunStages(ProfileContext* ctx, void (*first)(ProfileContext*),
+               std::vector<StageMetric>* metrics) {
   static constexpr struct {
     const char* name;
     void (*run)(ProfileContext*);
@@ -274,24 +265,56 @@ Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
                  {"traverse", TraverseStage},
                  {"convert", ConvertStage},
                  {"validate", ValidateStage}};
+  bool started = false;
   for (const auto& stage : kStages) {
+    started = started || stage.run == first;
+    if (!started) continue;
     Stopwatch watch;
-    stage.run(&ctx);
-    StageMetric m;
-    m.name = stage.name;
-    m.seconds = watch.ElapsedSeconds();
-    // Dominant footprint per stage; see StageMetric.
-    if (m.name == "encode") {
-      m.rows = ctx.result.stats.rows_processed;
-      if (ctx.result.sampled) m.bytes = ctx.sample_storage.ApproxBytes();
-    } else if (m.name == "tree_build" && ctx.frozen != nullptr) {
-      m.bytes = ctx.frozen->ApproxBytes();
-    } else if (m.name == "traverse") {
-      m.bytes = ctx.result.stats.peak_memory_bytes;
+    stage.run(ctx);
+    if (metrics != nullptr) {
+      StageMetric m;
+      m.name = stage.name;
+      m.seconds = watch.ElapsedSeconds();
+      // Dominant footprint per stage; see StageMetric.
+      if (stage.run == EncodeStage) {
+        m.rows = ctx->result.stats.rows_processed;
+        if (ctx->result.sampled) m.bytes = ctx->sample_storage.ApproxBytes();
+      } else if (stage.run == TreeBuildStage && ctx->frozen != nullptr) {
+        m.bytes = ctx->frozen->ApproxBytes();
+      } else if (stage.run == TraverseStage) {
+        m.bytes = ctx->result.stats.peak_memory_bytes;
+      }
+      metrics->push_back(std::move(m));
     }
-    metrics_.push_back(std::move(m));
-    if (ctx.finished) break;
+    if (ctx->finished) break;
   }
+}
+
+Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
+  FrozenTree* injected = shared_frozen_;
+  shared_frozen_ = nullptr;  // one Run per injection
+  metrics_.clear();
+  built_frozen_.reset();
+  cold_input_ = nullptr;
+  cold_order_.clear();
+  if (table.num_columns() > AttributeSet::kMaxAttributes) {
+    // Attribute sets are fixed-width bitmaps: no stage can address the
+    // columns past the limit.
+    *out = KeyDiscoveryResult{};
+    out->incomplete = true;
+    out->incomplete_reason = AbortReason::kTooManyAttributes;
+    out->stats.num_attributes = table.num_columns();
+    return Status::InvalidArgument(
+        "table has " + std::to_string(table.num_columns()) +
+        " columns; at most " + std::to_string(AttributeSet::kMaxAttributes) +
+        " are supported");
+  }
+
+  ProfileContext ctx;
+  ctx.input = &table;
+  ctx.options = options_;
+  ctx.frozen = injected;
+  RunStages(&ctx, EncodeStage, &metrics_);
   if (ctx.owned_frozen != nullptr && !ctx.result.sampled) {
     cold_input_ = &table;
     cold_order_ = ctx.attr_order;

@@ -108,6 +108,13 @@ void ConvertStage(ProfileContext* ctx);
 // for sampled runs (Section 3.9).
 void ValidateStage(ProfileContext* ctx);
 
+// Runs the stages in order from `first` (EncodeStage for a fresh context,
+// TreeBuildStage for one seeded by hand with EncodeStage's outputs),
+// stopping after one concludes the run. Appends each executed stage's
+// StageMetric to *metrics when it is non-null.
+void RunStages(ProfileContext* ctx, void (*first)(ProfileContext*),
+               std::vector<StageMetric>* metrics);
+
 // Runs the five stages over one table. Reusable: each Run resets the
 // context.
 //
@@ -129,8 +136,10 @@ class ProfileSession {
   void set_shared_frozen_tree(FrozenTree* frozen) { shared_frozen_ = frozen; }
 
   // Runs every stage in order (stopping early when a stage concludes the
-  // run) and moves the result into *out. No stage fails, so the returned
-  // Status is always OK.
+  // run) and moves the result into *out. No stage fails. A table wider than
+  // AttributeSet::kMaxAttributes runs no stage: *out is then an incomplete
+  // result (AbortReason::kTooManyAttributes) that certifies no key, and the
+  // Status is InvalidArgument.
   Status Run(const Table& table, KeyDiscoveryResult* out);
 
   // Per-stage wall/bytes of the last Run, in execution order.

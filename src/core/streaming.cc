@@ -293,7 +293,9 @@ KeyDiscoveryResult StreamingProfiler::Finish() {
   return result;
 }
 
-Status StreamingProfiler::Finish(KeyDiscoveryResult* out) {
+Status StreamingProfiler::Finish(KeyDiscoveryResult* out,
+                                 std::vector<StageMetric>* stage_metrics) {
+  if (stage_metrics != nullptr) stage_metrics->clear();
   if (inc_ != nullptr) {
     // Keys-current full mode: the incremental engine already holds the tree
     // and the last non-keys; a final (warm) refresh is the whole run.
@@ -345,6 +347,7 @@ Status StreamingProfiler::Finish(KeyDiscoveryResult* out) {
   discovery.sample_rows = 0;
   ProfileSession session(discovery);
   (void)session.Run(data, out);
+  if (stage_metrics != nullptr) *stage_metrics = session.stage_metrics();
   // Mark sampled runs so callers know keys carry estimates, and compute the
   // estimates the facade would have attached.
   if (reservoir_capacity_ > 0 && rows_seen_ > reservoir_capacity_) {
@@ -369,7 +372,9 @@ Status StreamingProfiler::Finish(KeyDiscoveryResult* out) {
 
 Status ProfileCsvFile(const std::string& path, const CsvOptions& csv_options,
                       const GordianOptions& options, const SpillPolicy& spill,
-                      KeyDiscoveryResult* out, IngestStats* stats) {
+                      KeyDiscoveryResult* out, IngestStats* stats,
+                      std::vector<StageMetric>* stage_metrics) {
+  if (stage_metrics != nullptr) stage_metrics->clear();
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open " + path);
 
@@ -414,7 +419,7 @@ Status ProfileCsvFile(const std::string& path, const CsvOptions& csv_options,
   // The profiler owns the authoritative ingest accounting (counted once per
   // AddBatch); copy it out before Finish resets the profiler.
   if (stats != nullptr) *stats = profiler.ingest_stats();
-  return profiler.Finish(out);
+  return profiler.Finish(out, stage_metrics);
 }
 
 Status ProfileCsvFile(const std::string& path, const CsvOptions& csv_options,

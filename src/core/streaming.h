@@ -11,6 +11,7 @@
 #include "core/gordian.h"
 #include "core/incremental.h"
 #include "core/options.h"
+#include "core/pipeline.h"
 #include "table/csv.h"
 #include "table/table.h"
 
@@ -106,8 +107,11 @@ class StreamingProfiler {
   // returns the result; the profiler is left empty and reusable. The
   // Status-returning form fails only when spilled ingest data could not be
   // recovered (TableBuilder::Build semantics); the legacy form asserts
-  // that never happened.
-  Status Finish(KeyDiscoveryResult* out);
+  // that never happened. `stage_metrics` (optional) receives the
+  // ProfileSession's per-stage wall clock and bytes; it is left empty in
+  // keys-current mode, whose last refresh re-traverses the standing tree.
+  Status Finish(KeyDiscoveryResult* out,
+                std::vector<StageMetric>* stage_metrics = nullptr);
   KeyDiscoveryResult Finish();
 
  private:
@@ -161,10 +165,13 @@ Status ProfileCsvFile(const std::string& path, const CsvOptions& csv_options,
 // exceed the budget, and each RowBatch's string arena is released right
 // after it is encoded — so profiling a file much larger than RAM needs
 // memory for dictionaries plus roughly the budget. Results are identical
-// to the unspilled overload's.
+// to the unspilled overload's. `stage_metrics` (optional) receives the
+// discovery run's per-stage wall clock and bytes (empty when ingest was
+// cancelled or failed).
 Status ProfileCsvFile(const std::string& path, const CsvOptions& csv_options,
                       const GordianOptions& options, const SpillPolicy& spill,
-                      KeyDiscoveryResult* out, IngestStats* stats = nullptr);
+                      KeyDiscoveryResult* out, IngestStats* stats = nullptr,
+                      std::vector<StageMetric>* stage_metrics = nullptr);
 
 }  // namespace gordian
 

@@ -214,7 +214,7 @@ class ServiceMetrics {
   // One finished job: counts its outcome (kJobsCompleted, kJobsCancelled or
   // kJobsFailed), adds its latency to the sum and raises the maximum.
   void AddFinishedJob(Counter outcome, double latency_seconds);
-  // Folds one table job's ProfileSession stage metrics into the counters.
+  // Folds one run's ProfileSession stage metrics into the counters.
   void AddStages(const std::vector<StageMetric>& stages);
 
   Snapshot Read() const;

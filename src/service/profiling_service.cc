@@ -273,12 +273,14 @@ void ProfilingService::RunCsvJob(Record* rec, const std::string& path,
   rec->started = true;
   KeyDiscoveryResult result;
   IngestStats ingest;
+  std::vector<StageMetric> stage_metrics;
   Status s =
       ProfileCsvFile(path, csv_options, EffectiveOptions(options, ctx),
-                     ingest_spill_, &result, &ingest);
+                     ingest_spill_, &result, &ingest, &stage_metrics);
   metrics_.Add(Counter::kIngestBatches, ingest.batches);
   metrics_.Add(Counter::kIngestRows, ingest.rows);
   metrics_.Add(Counter::kIngestBytes, ingest.bytes);
+  metrics_.AddStages(stage_metrics);
   if (!s.ok()) throw std::runtime_error(s.ToString());
   rec->result = std::move(result);
 }
@@ -393,8 +395,10 @@ Status ProfilingService::RegisterAppendable(const std::string& name,
 
   // Profile the base synchronously through the tree cache, so the first
   // append finds a resident tree to absorb into.
+  std::vector<StageMetric> stage_metrics;
   KeyDiscoveryResult result = ProfileWithTreeCache(
-      table, options, fp, tree_cache_.get(), nullptr, nullptr);
+      table, options, fp, tree_cache_.get(), nullptr, &stage_metrics);
+  metrics_.AddStages(stage_metrics);
   if (!result.incomplete) {
     chain->last_non_keys = result.non_keys;
     if (catalog_->Put(fp, name, table.num_columns(), result)) NotePut();
@@ -442,6 +446,7 @@ Status ProfilingService::AppendAndReprofile(uint64_t fingerprint,
   }
 
   KeyDiscoveryResult result;
+  std::vector<StageMetric> stage_metrics;
   bool tree_absorbed = false;
   double refreeze_seconds = 0;
 
@@ -468,7 +473,8 @@ Status ProfilingService::AppendAndReprofile(uint64_t fingerprint,
     (void)tree->Absorb(level_codes, delta_rows);
     refreeze_seconds = absorb_watch.ElapsedSeconds();
     Status rs = ReprofileTree(tree, run_options, num_columns,
-                              chain->state.num_rows(), &result);
+                              chain->state.num_rows(), &result,
+                              &stage_metrics);
     if (!rs.ok()) return rs;
     cache->Rekey(lease, MakeTreeCacheKey(new_fp, num_columns, chain->options));
     lease.Release();
@@ -480,8 +486,9 @@ Status ProfilingService::AppendAndReprofile(uint64_t fingerprint,
     // and admit the fresh tree under the new fingerprint.
     Table snapshot = chain->state.Snapshot();
     result = ProfileWithTreeCache(snapshot, run_options, new_fp, cache,
-                                  nullptr, nullptr);
+                                  nullptr, &stage_metrics);
   }
+  metrics_.AddStages(stage_metrics);
 
   if (!result.incomplete) {
     chain->last_non_keys = result.non_keys;

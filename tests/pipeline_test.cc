@@ -251,6 +251,42 @@ TEST(PipelineTest, PreCancelledRunFinishesIncomplete) {
   EXPECT_TRUE(r.keys.empty());
 }
 
+// Table::FromColumns does not check the width, so a table one column past
+// AttributeSet::kMaxAttributes can reach the session. It must run no stage
+// (no attribute set can name column 128), and FindKeys must certify
+// nothing.
+TEST(PipelineTest, TableWiderThanAttributeLimitRunsNoStage) {
+  const int d = AttributeSet::kMaxAttributes + 1;
+  std::vector<std::string> names;
+  std::vector<std::shared_ptr<Dictionary>> dicts;
+  std::vector<std::vector<uint32_t>> codes;
+  for (int c = 0; c < d; ++c) {
+    names.push_back("c" + std::to_string(c));
+    auto dict = std::make_shared<Dictionary>();
+    std::vector<uint32_t> column;
+    for (int64_t r = 0; r < 4; ++r) column.push_back(dict->Encode(r % 2));
+    dicts.push_back(std::move(dict));
+    codes.push_back(std::move(column));
+  }
+  const Table wide =
+      Table::FromColumns(Schema(names), std::move(dicts), std::move(codes));
+  ASSERT_EQ(wide.num_columns(), d);
+
+  ProfileSession session{GordianOptions{}};
+  KeyDiscoveryResult r;
+  EXPECT_EQ(session.Run(wide, &r).code(), Status::Code::kInvalidArgument);
+  EXPECT_TRUE(session.stage_metrics().empty());
+  EXPECT_EQ(session.TakeFrozenTree(), nullptr);
+  for (const KeyDiscoveryResult& result : {r, FindKeys(wide)}) {
+    EXPECT_TRUE(result.incomplete);
+    EXPECT_EQ(result.incomplete_reason, AbortReason::kTooManyAttributes);
+    EXPECT_FALSE(result.no_keys);
+    EXPECT_TRUE(result.keys.empty());
+    EXPECT_TRUE(result.non_keys.empty());
+    EXPECT_EQ(result.stats.num_attributes, d);
+  }
+}
+
 TEST(PipelineTest, StageMetricsCoverExecutedStages) {
   Table t = MakeTable(2000, 61);
   GordianOptions opt;

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <stdexcept>
 #include <string>
@@ -21,6 +24,7 @@
 #include "service/metrics.h"
 #include "service/profiling_service.h"
 #include "common/thread_pool.h"
+#include "table/csv.h"
 #include "table/fingerprint.h"
 
 namespace gordian {
@@ -415,6 +419,65 @@ TEST(ProfilingService, CsvJobFailureCarriesParserError) {
   EXPECT_EQ(out.info.state, JobState::kFailed);
   EXPECT_NE(out.info.error.find("/no/such/file.csv"), std::string::npos);
   EXPECT_EQ(service.Metrics()[Counter::kJobsFailed], 1);
+}
+
+// Every job kind folds its stages: the per-stage counters read one run of
+// each stage that the job ran.
+void ExpectStageRuns(const ServiceMetrics::Snapshot& s,
+                     const std::vector<int64_t>& runs) {
+  for (int i = 0; i < kNumStages; ++i) {
+    EXPECT_EQ(s[StageRuns(i)], runs[static_cast<size_t>(i)])
+        << CounterLabel(StageRuns(i));
+  }
+}
+
+TEST(ProfilingService, CsvJobFoldsStageMetrics) {
+  const std::string path = ::testing::TempDir() + "gordian_stages_" +
+                           std::to_string(::getpid()) + ".csv";
+  ASSERT_TRUE(WriteCsv(MakeTable(300, 90), CsvOptions{}, path).ok());
+  ProfilingService service;
+  ProfileOutcome out = service.Wait(service.SubmitCsv("t", path, {}));
+  std::remove(path.c_str());
+  ASSERT_EQ(out.info.state, JobState::kSucceeded);
+  ASSERT_FALSE(out.result.keys.empty());
+  const ServiceMetrics::Snapshot s = service.Metrics();
+  ExpectStageRuns(s, {1, 1, 1, 1, 1});
+  EXPECT_NE(FormatServiceMetrics(s).find("\n  per-stage wall clock:\n"),
+            std::string::npos);
+}
+
+TEST(ProfilingService, RegisterAppendableFoldsBaseRunStages) {
+  ProfilingService service;
+  ASSERT_TRUE(
+      service.RegisterAppendable("t", MakeTable(300, 91), {}, nullptr).ok());
+  ExpectStageRuns(service.Metrics(), {1, 1, 1, 1, 1});
+}
+
+TEST(ProfilingService, AppendAndReprofileFoldsStages) {
+  const Table base = MakeTable(300, 91);
+  const Table more = MakeTable(40, 92);
+  RowBatch batch(more.num_columns());
+  for (int64_t r = 0; r < more.num_rows(); ++r) {
+    std::vector<Value> row;
+    for (int c = 0; c < more.num_columns(); ++c) {
+      row.push_back(more.value(r, c));
+    }
+    batch.AppendRow(row);
+  }
+  // With the base tree cached, the append absorbs into it and re-runs every
+  // stage but encode; with no tree cache it profiles a snapshot cold.
+  for (int64_t cache_bytes :
+       {TreeArtifactCache::kDefaultByteBudget, int64_t{0}}) {
+    ServiceOptions options;
+    options.tree_cache_bytes = cache_bytes;
+    ProfilingService service(options);
+    uint64_t fp = 0;
+    ASSERT_TRUE(service.RegisterAppendable("t", base, {}, &fp).ok());
+    AppendOutcome out;
+    ASSERT_TRUE(service.AppendAndReprofile(fp, batch, &out).ok());
+    ASSERT_EQ(out.tree_absorbed, cache_bytes > 0);
+    ExpectStageRuns(service.Metrics(), {out.tree_absorbed ? 1 : 2, 2, 2, 2, 2});
+  }
 }
 
 // --------------------------------------------------- advisor + metrics glue
