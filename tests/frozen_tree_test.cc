@@ -452,6 +452,24 @@ TEST(FrozenTraversalTest, RandomizedFuzzAcrossShapes) {
   }
 }
 
+// A sampled table keeps its full dictionary, so a level's largest code can
+// far exceed its cell count. Merges there take the sort-based union rather
+// than the code-indexed one, over frozen nodes and over merge outputs alike.
+TEST(FrozenTraversalTest, SparseCodeDomainMatchesOracle) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Table full;
+    ASSERT_TRUE(
+        GenerateSynthetic(UniformSpec(6, 40000, 8000, 1.0, seed), &full).ok());
+    const Table t = full.SampleRows(300, seed);
+    GordianOptions opt;
+    opt.attribute_order = GordianOptions::AttributeOrder::kSchema;
+    KeyDiscoveryResult oracle = OracleFindKeys(t, opt);
+    KeyDiscoveryResult frozen = FindKeys(t, opt);
+    ExpectSameReport(t, oracle, frozen);
+    ExpectSameCounters(oracle.stats, frozen.stats);
+  }
+}
+
 TEST(FrozenTraversalTest, NonKeyBudgetAbortMatchesOracle) {
   Table t = MakeTable(3000, 53);
   GordianOptions opt;
