@@ -162,9 +162,8 @@ BENCHMARK(BM_FindKeysOrdering)
 Table MakeSliceHeavyTable();  // defined with the JSON helpers below
 
 // Warm traversal (the tree-cache-hit shape): the tree and its flat layout
-// already exist; each iteration pays only the non-key search, with merge
-// intermediates in a private pool, exactly like a service job hitting the
-// TreeArtifactCache.
+// already exist; each iteration pays only the non-key search, exactly like
+// a service job hitting the TreeArtifactCache.
 void BM_TraverseWarm(benchmark::State& state) {
   static Table t = MakeSliceHeavyTable();
   static PrefixTree tree =
@@ -174,9 +173,7 @@ void BM_TraverseWarm(benchmark::State& state) {
   for (auto _ : state) {
     GordianStats stats;
     NonKeySet set(&stats);
-    PrefixTree::NodePool merge_pool;
     FrozenNonKeyFinder finder(*frozen, o, &set, &stats);
-    finder.SetMergePool(&merge_pool);
     benchmark::DoNotOptimize(finder.Run());
     benchmark::DoNotOptimize(set.size());
   }
@@ -273,8 +270,8 @@ Table MakeSliceHeavyTable() { return MakeUniformTable(20000, 906); }
 
 // One dataset's FindKeys figures plus its warm traversal: the tree and its
 // flat layout prebuilt (the tree-cache-hit shape), best-of-`reps` wall time
-// of FrozenNonKeyFinder::Run with a private merge pool, the freeze pass's
-// one-time cost, and the flat layout's footprint.
+// of FrozenNonKeyFinder::Run, the freeze pass's one-time cost, and the flat
+// layout's footprint.
 void WriteDatasetJson(std::ostream& os, const std::string& name,
                       const Table& t, int reps) {
   const KernelSample full = MeasureFindKeys(t, reps);
@@ -288,9 +285,7 @@ void WriteDatasetJson(std::ostream& os, const std::string& name,
     GordianOptions o;
     GordianStats stats;
     NonKeySet set(&stats);
-    PrefixTree::NodePool merge_pool;
     FrozenNonKeyFinder finder(*frozen, o, &set, &stats);
-    finder.SetMergePool(&merge_pool);
     Stopwatch watch;
     finder.Run();
     const double secs = watch.ElapsedSeconds();

@@ -1,6 +1,7 @@
 #include "core/frozen_tree.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 
 #if defined(__x86_64__) && !defined(GORDIAN_DISABLE_SIMD) && \
@@ -380,16 +381,25 @@ FrozenNonKeyFinder::FrozenNonKeyFinder(FrozenTree& tree,
         suffix_attrs_[static_cast<size_t>(l) + 1];
     suffix_attrs_[static_cast<size_t>(l)].Set(tree_.attribute_at_level(l));
   }
-  child_buf_.resize(static_cast<size_t>(depth_ > 0 ? depth_ : 1));
-  fallback_pool_ = std::make_unique<PrefixTree::NodePool>();
-  merge_pool_ = fallback_pool_.get();
+  arena_.resize(static_cast<size_t>(depth_));
+  for (ArenaLevel& al : arena_) al.nodes.cell_begin.push_back(0);
+  node_marks_.resize(static_cast<size_t>(depth_) * static_cast<size_t>(depth_));
 }
 
 bool FrozenNonKeyFinder::Run() {
   if (depth_ == 0 || tree_.num_entities() == 0) return true;
   budget_watch_.Restart();
-  Visit(MakeFrozen(0, 0), 0);
+  Visit(NodeRef{0, 0, false}, 0);
   return !aborted_;
+}
+
+int64_t FrozenNonKeyFinder::ArenaBytes() const {
+  int64_t bytes = 0;
+  for (const ArenaLevel& al : arena_) {
+    bytes += LevelBytes(al.nodes) +
+             static_cast<int64_t>(al.child.capacity() * sizeof(NodeRef));
+  }
+  return bytes;
 }
 
 bool FrozenNonKeyFinder::OverBudget() {
@@ -424,34 +434,24 @@ bool FrozenNonKeyFinder::FutilityCovered(const AttributeSet& probe) {
   return non_keys_->CoversSet(probe);
 }
 
+inline FrozenNonKeyFinder::NodeView FrozenNonKeyFinder::View(NodeRef r) {
+  if (!r.arena) {
+    return NodeView{&tree_.level_mutable(r.level), nullptr, r.index, r.level};
+  }
+  ArenaLevel& al = arena_[r.level];
+  return NodeView{&al.nodes, r.level + 1 < depth_ ? al.child.data() : nullptr,
+                  r.index, r.level};
+}
+
 void FrozenNonKeyFinder::ProcessLeaf(NodeRef node, int level) {
   const int attr = tree_.attribute_at_level(level);
   // Lines 3-8: a duplicate within the current projection (count > 1) makes
   // curNonKey, including this level's attribute, a non-key.
   if (observer_ != nullptr) observer_->OnSegment(cur_non_key_);
-  size_t num_cells;
-  int64_t first_count = 0;
-  bool has_duplicate;
-  if (IsFrozen(node)) {
-    const FrozenTree::Level& lv = tree_.level(level);
-    const size_t idx = static_cast<size_t>(FrozenIndexOf(node));
-    const size_t b = lv.cell_begin[idx], e = lv.cell_begin[idx + 1];
-    num_cells = e - b;
-    has_duplicate = frozen_simd::AnyCountNotOne(lv.count.data() + b, e - b);
-    if (num_cells > 0) first_count = lv.count[b];
-  } else {
-    const PrefixTree::Node* n = AsNode(node);
-    num_cells = n->cells.size();
-    has_duplicate = false;
-    for (const PrefixTree::Cell& cell : n->cells) {
-      if (cell.count != 1) {
-        has_duplicate = true;
-        break;
-      }
-    }
-    if (num_cells > 0) first_count = n->cells[0].count;
-  }
-  if (has_duplicate) {
+  const NodeView v = View(node);
+  const int64_t* count = v.count();
+  const size_t num_cells = v.num_cells();
+  if (frozen_simd::AnyCountNotOne(count, num_cells)) {
     if (observer_ != nullptr) observer_->OnNonKey(cur_non_key_);
     non_keys_->Insert(cur_non_key_);
   }
@@ -460,7 +460,7 @@ void FrozenNonKeyFinder::ProcessLeaf(NodeRef node, int level) {
   // remaining prefix is a non-key.
   cur_non_key_.Reset(attr);
   if (observer_ != nullptr) observer_->OnSegment(cur_non_key_);
-  if (num_cells > 1 || (num_cells == 1 && first_count > 1)) {
+  if (num_cells > 1 || (num_cells == 1 && count[0] > 1)) {
     if (observer_ != nullptr) observer_->OnNonKey(cur_non_key_);
     non_keys_->Insert(cur_non_key_);
   }
@@ -478,23 +478,11 @@ void FrozenNonKeyFinder::Visit(NodeRef node, int level) {
     return;
   }
 
-  size_t span_begin = 0, span_end = 0;
-  PrefixTree::Node* pnode = nullptr;
-  int64_t entities;
-  if (IsFrozen(node)) {
-    const FrozenTree::Level& lv = tree_.level(level);
-    const size_t idx = static_cast<size_t>(FrozenIndexOf(node));
-    span_begin = lv.cell_begin[idx];
-    span_end = lv.cell_begin[idx + 1];
-    entities = lv.entity_total[idx];
-  } else {
-    pnode = AsNode(node);
-    assert(!pnode->is_leaf);
-    entities = pnode->EntityCount();
-  }
+  // Nothing below appends at this level, so the view stays valid.
+  const NodeView v = View(node);
 
   // Line 14: a slice holding a single entity cannot yield a non-key.
-  if (options_.single_entity_pruning && entities == 1) {
+  if (options_.single_entity_pruning && v.entity_total() == 1) {
     if (stats_ != nullptr) ++stats_->single_entity_prunes;
     if (observer_ != nullptr) observer_->OnPrune("single-entity", level);
     cur_non_key_.Reset(attr);
@@ -503,33 +491,16 @@ void FrozenNonKeyFinder::Visit(NodeRef node, int level) {
 
   // Lines 17-21: visit children depth-first, skipping shared (previously
   // traversed) subtrees — singleton pruning, Figure 10(a).
-  size_t num_children;
-  if (pnode == nullptr) {
-    num_children = span_end - span_begin;
-    const std::vector<int32_t>& child_refs = tree_.level(level + 1).ref;
-    for (size_t g = span_begin; g < span_end; ++g) {
-      if (aborted_) break;
-      if (options_.singleton_pruning && child_refs[g] > 1) {
-        if (stats_ != nullptr) ++stats_->singleton_traversal_prunes;
-        if (observer_ != nullptr) observer_->OnPrune("singleton", level);
-        continue;
-      }
-      Visit(MakeFrozen(level + 1, g), level + 1);
+  const size_t num_cells = v.num_cells();
+  for (size_t k = 0; k < num_cells; ++k) {
+    if (aborted_) break;
+    const NodeRef child = v.Child(k);
+    if (options_.singleton_pruning && View(child).ref() > 1) {
+      if (stats_ != nullptr) ++stats_->singleton_traversal_prunes;
+      if (observer_ != nullptr) observer_->OnPrune("singleton", level);
+      continue;
     }
-  } else {
-    num_children = pnode->cells.size();
-    for (const PrefixTree::Cell& cell : pnode->cells) {
-      if (aborted_) break;
-      const NodeRef child = FromChild(cell.child);
-      const int32_t child_refs =
-          IsFrozen(child) ? FrozenRefCount(child) : AsNode(child)->ref_count;
-      if (options_.singleton_pruning && child_refs > 1) {
-        if (stats_ != nullptr) ++stats_->singleton_traversal_prunes;
-        if (observer_ != nullptr) observer_->OnPrune("singleton", level);
-        continue;
-      }
-      Visit(child, level + 1);
-    }
+    Visit(child, level + 1);
   }
 
   cur_non_key_.Reset(attr);  // line 22
@@ -542,8 +513,8 @@ void FrozenNonKeyFinder::Visit(NodeRef node, int level) {
   // Algorithm 4 ("if there is more than one cell in root"), so it is not
   // gated on the pruning toggle: without it, chains of single-cell nodes
   // would double the traversal at every level (2^d on single-entity paths).
-  if (num_children <= 1) {
-    if (num_children == 1) {
+  if (num_cells <= 1) {
+    if (num_cells == 1) {
       if (stats_ != nullptr) ++stats_->singleton_merge_prunes;
       if (observer_ != nullptr) observer_->OnPrune("singleton-merge", level);
     }
@@ -561,52 +532,82 @@ void FrozenNonKeyFinder::Visit(NodeRef node, int level) {
     return;
   }
 
-  NodeRef merged = MergeChildren(node, level);
+  MarkArena(level);
+  const NodeRef merged = MergeChildren(v, level);
   if (observer_ != nullptr) observer_->OnMerge(level);
   Visit(merged, level + 1);
-  UnrefRef(merged);  // line 29: discard the merged tree
+  ReleaseArena(level);  // line 29: discard the merged tree
 }
 
-FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeChildren(NodeRef node,
-                                                              int level) {
-  if (IsFrozen(node)) {
-    // The children of a frozen node are the contiguous run of frozen nodes
-    // [b, e) at level + 1, so this is MergeRefs inlined over that run —
-    // same counter discipline, no materialized NodeRef list.
-    const FrozenTree::Level& lv = tree_.level(level);
-    const size_t idx = static_cast<size_t>(FrozenIndexOf(node));
-    const uint32_t b = lv.cell_begin[idx], e = lv.cell_begin[idx + 1];
-    assert(e > b);
-    if (stats_ != nullptr) ++stats_->merges_performed;
-    if (e - b == 1) {
-      const NodeRef child = MakeFrozen(level + 1, b);
-      AddRefRef(child);
-      return child;
+void FrozenNonKeyFinder::MarkArena(int level) {
+  uint32_t* mark = &node_marks_[static_cast<size_t>(level * depth_)];
+  for (int l = level + 1; l < depth_; ++l) {
+    mark[l] = static_cast<uint32_t>(
+        arena_[static_cast<size_t>(l)].nodes.num_nodes());
+  }
+}
+
+void FrozenNonKeyFinder::ReleaseArena(int level) {
+  // Every merge nested in the visit of the merged tree was released first,
+  // so the arena past the marks is exactly that tree. A merge makes nodes
+  // at a level only below the nodes it makes one level up, so the first
+  // level it left untouched ends the tree.
+  const uint32_t* mark = &node_marks_[static_cast<size_t>(level * depth_)];
+  int end = level + 1;
+  for (; end < depth_; ++end) {
+    const ArenaLevel& al = arena_[static_cast<size_t>(end)];
+    if (al.nodes.num_nodes() == mark[end]) break;
+    if (end + 1 == depth_) continue;
+    // Each cell holds one reference to its child: a node of the tree, which
+    // goes, or an older node it shares, whose count drops back.
+    for (size_t k = al.nodes.cell_begin[mark[end]]; k < al.child.size(); ++k) {
+      int32_t& rc = View(al.child[k]).ref();
+      assert(rc > 0);
+      --rc;
     }
-    if (e - b == 2) return MergePairFrozen(level + 1, b, b + 1);
-    const FrozenTree::Level& clv = tree_.level(level + 1);
-    if (static_cast<size_t>(clv.max_code) <= 4 * clv.num_cells() + 1024) {
-      return MergeFrozenRange(level + 1, b, e, 0);
-    }
   }
-  std::vector<NodeRef>& buf = child_buf_[static_cast<size_t>(level)];
-  buf.clear();
-  if (IsFrozen(node)) {
-    const FrozenTree::Level& lv = tree_.level(level);
-    const size_t idx = static_cast<size_t>(FrozenIndexOf(node));
-    const size_t b = lv.cell_begin[idx], e = lv.cell_begin[idx + 1];
-    buf.reserve(e - b);
-    for (size_t g = b; g < e; ++g) buf.push_back(MakeFrozen(level + 1, g));
-    // MergeRefs already ran its bookkeeping above; go straight to the
-    // sparse-domain sort union.
-    return MergeSorted(buf.data(), buf.size(), level + 1, 0);
+  for (int l = level + 1; l < end; ++l) {
+    ArenaLevel& al = arena_[static_cast<size_t>(l)];
+    FrozenTree::Level& lv = al.nodes;
+    const uint32_t nodes = mark[l];
+    const uint32_t cells = lv.cell_begin[nodes];
+    lv.cell_begin.resize(nodes + 1);
+    lv.code.resize(cells);
+    lv.count.resize(cells);
+    lv.entity_total.resize(nodes);
+    lv.ref.resize(nodes);
+    if (l + 1 < depth_) al.child.resize(cells);
   }
-  const PrefixTree::Node* n = AsNode(node);
-  buf.reserve(n->cells.size());
-  for (const PrefixTree::Cell& cell : n->cells) {
-    buf.push_back(FromChild(cell.child));
-  }
-  return MergeRefs(buf.data(), buf.size(), level + 1, 0);
+}
+
+inline void FrozenNonKeyFinder::Share(NodeRef r) { ++View(r).ref(); }
+
+inline void FrozenNonKeyFinder::AppendCell(int level, uint32_t code,
+                                           int64_t count, NodeRef child) {
+  ArenaLevel& al = arena_[static_cast<size_t>(level)];
+  al.nodes.code.push_back(code);
+  al.nodes.count.push_back(count);
+  if (level + 1 < depth_) al.child.push_back(child);
+}
+
+inline FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::CloseNode(
+    int level, int64_t entity_total) {
+  FrozenTree::Level& lv = arena_[static_cast<size_t>(level)].nodes;
+  assert(lv.num_cells() < UINT32_MAX && lv.num_nodes() < UINT32_MAX);
+  const uint32_t index = static_cast<uint32_t>(lv.num_nodes());
+  lv.cell_begin.push_back(static_cast<uint32_t>(lv.num_cells()));
+  lv.entity_total.push_back(entity_total);
+  lv.ref.push_back(1);
+  if (stats_ != nullptr) ++stats_->merge_nodes_created;
+  return NodeRef{index, static_cast<uint16_t>(level), true};
+}
+
+FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeChildren(
+    const NodeView& node, int level) {
+  child_buf_.clear();
+  const size_t num_cells = node.num_cells();
+  for (size_t k = 0; k < num_cells; ++k) child_buf_.push_back(node.Child(k));
+  return MergeRefs(child_buf_.data(), child_buf_.size(), level + 1, 0);
 }
 
 FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeRefs(
@@ -615,16 +616,22 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeRefs(
   if (stats_ != nullptr) ++stats_->merges_performed;
   if (n == 1) {
     // Algorithm 3, lines 1-2: nothing to merge; share the node.
-    AddRefRef(inputs[0]);
+    Share(inputs[0]);
     return inputs[0];
   }
-  if (n == 2 && IsFrozen(inputs[0]) && IsFrozen(inputs[1])) {
-    assert(FrozenLevelOf(inputs[0]) == level &&
-           FrozenLevelOf(inputs[1]) == level);
-    return MergePairFrozen(level, FrozenIndexOf(inputs[0]),
-                           FrozenIndexOf(inputs[1]));
+  if (n == 2 && !inputs[0].arena && !inputs[1].arena) {
+    return MergePairFrozen(level, inputs[0].index, inputs[1].index);
   }
-  return MergeGeneral(inputs, n, level, depth);
+  // Every code an n-way merge at `level` can see is a frozen code of that
+  // level (merge outputs only union them), so level(level).max_code bounds
+  // the whole domain. Dictionary codes are dense, which keeps the
+  // code-indexed tables proportional to the level itself; pathologically
+  // sparse domains fall back to the sort-based union.
+  const FrozenTree::Level& lv = tree_.level(level);
+  if (static_cast<size_t>(lv.max_code) <= 4 * lv.num_cells() + 1024) {
+    return MergeDirect(inputs, n, level, depth);
+  }
+  return MergeSorted(inputs, n, level, depth);
 }
 
 // The branch-light fast path: a 2-way union of two frozen spans. Distinct
@@ -633,54 +640,44 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeRefs(
 // 1-input merge would have produced, so the counters advance identically to
 // the general path.
 FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergePairFrozen(int level,
-                                                                uint64_t a,
-                                                                uint64_t b) {
-  FrozenTree::Level& lv = tree_.level_mutable(level);
+                                                                uint32_t a,
+                                                                uint32_t b) {
+  // Frozen levels never grow during a traversal, so these stay valid while
+  // the output is appended to the arena.
+  const FrozenTree::Level& lv = tree_.level(level);
   const bool leaf = (level == depth_ - 1);
   const uint32_t* code = lv.code.data();
   const int64_t* count = lv.count.data();
-  size_t i = lv.cell_begin[static_cast<size_t>(a)];
-  const size_t ie = lv.cell_begin[static_cast<size_t>(a) + 1];
-  size_t j = lv.cell_begin[static_cast<size_t>(b)];
-  const size_t je = lv.cell_begin[static_cast<size_t>(b) + 1];
-
-  PrefixTree::Node* out = merge_pool_->NewNode(leaf);
-  if (stats_ != nullptr) ++stats_->merge_nodes_created;
-  out->cells.reserve((ie - i) + (je - j));
+  size_t i = lv.cell_begin[a];
+  const size_t ie = lv.cell_begin[a + 1];
+  size_t j = lv.cell_begin[b];
+  const size_t je = lv.cell_begin[b + 1];
+  const uint16_t child_level = static_cast<uint16_t>(level + 1);
   int64_t total = 0;
 
-  std::vector<int32_t>* child_refs =
-      leaf ? nullptr : &tree_.level_mutable(level + 1).ref;
   auto copy_run = [&](size_t from, size_t to) {
     for (size_t k = from; k < to; ++k) {
-      PrefixTree::Cell c;
-      c.code = code[k];
-      c.count = count[k];
-      c.child = leaf ? nullptr : ToChild(MakeFrozen(level + 1, k));
-      out->cells.push_back(c);
-      total += c.count;
+      const NodeRef child{static_cast<uint32_t>(k), child_level, false};
+      if (!leaf) Share(child);
+      AppendCell(level, code[k], count[k], child);
+      total += count[k];
     }
-    if (!leaf && to > from) {
-      for (size_t k = from; k < to; ++k) ++(*child_refs)[k];
-      if (stats_ != nullptr) {
-        stats_->merges_performed += static_cast<int64_t>(to - from);
-      }
+    if (!leaf && stats_ != nullptr) {
+      stats_->merges_performed += static_cast<int64_t>(to - from);
     }
   };
 
   while (i < ie && j < je) {
     const uint32_t ci = code[i], cj = code[j];
     if (ci == cj) {
-      PrefixTree::Cell c;
-      c.code = ci;
-      c.count = count[i] + count[j];
-      c.child = nullptr;
+      NodeRef child{};
       if (!leaf) {
         if (stats_ != nullptr) ++stats_->merges_performed;
-        c.child = ToChild(MergePairFrozen(level + 1, i, j));
+        child = MergePairFrozen(level + 1, static_cast<uint32_t>(i),
+                                static_cast<uint32_t>(j));
       }
-      out->cells.push_back(c);
-      total += c.count;
+      AppendCell(level, ci, count[i] + count[j], child);
+      total += count[i] + count[j];
       ++i;
       ++j;
     } else if (ci < cj) {
@@ -697,24 +694,7 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergePairFrozen(int level,
   }
   copy_run(i, ie);
   copy_run(j, je);
-
-  out->entity_total = total;
-  merge_pool_->SyncCellBytes(out);
-  return FromNode(out);
-}
-
-FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeGeneral(
-    const NodeRef* inputs, size_t n, int level, size_t depth) {
-  // Every code an n-way merge at `level` can see is a frozen code of that
-  // level (merge outputs only union them), so level(level).max_code bounds
-  // the whole domain. Dictionary codes are dense, which keeps the
-  // code-indexed tables proportional to the level itself; pathologically
-  // sparse domains fall back to the sort-based union.
-  const FrozenTree::Level& lv = tree_.level(level);
-  if (static_cast<size_t>(lv.max_code) <= 4 * lv.num_cells() + 1024) {
-    return MergeDirect(inputs, n, level, depth);
-  }
-  return MergeSorted(inputs, n, level, depth);
+  return CloseNode(level, total);
 }
 
 // Comparison-free n-way union: bucket every input cell by dictionary code
@@ -726,14 +706,11 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeGeneral(
 // linear. Counter discipline is identical to MergeSorted: one node per
 // union, one merges_performed bump per output cell (the would-be MergeRefs
 // call, 1-input shares included), and runs keep gather order.
-template <typename ForEachCell, typename ForEachChild>
-FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeBucketed(
-    size_t total_cells, int level, size_t depth,
-    const ForEachCell& for_each_cell, const ForEachChild& for_each_child) {
+FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeDirect(
+    const NodeRef* inputs, size_t n, int level, size_t depth) {
   const bool leaf = (level == depth_ - 1);
-  const FrozenTree::Level& lv = tree_.level(level);
   MergeLevelScratch& sc = ScratchAt(depth);
-  const size_t table = static_cast<size_t>(lv.max_code) + 1;
+  const size_t table = static_cast<size_t>(tree_.level(level).max_code) + 1;
   if (sc.code_mult.size() < table) {
     // New entries are zeroed here and re-zeroed after every merge, so the
     // tables are always all-zero on entry.
@@ -747,24 +724,35 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeBucketed(
   int64_t* acc = sc.code_acc.data();
   uint32_t* cursor = sc.code_pos.data();
 
+  // The inputs are read only here, before the output is written.
+  size_t total_cells = 0;
+  for (size_t t = 0; t < n; ++t) total_cells += View(inputs[t]).num_cells();
+
   // Dense mode: the table is no bigger than a few times the input, so
   // walking it beats tracking and sorting the distinct codes.
   const bool dense = table <= 4 * total_cells + 16;
-  size_t distinct = 0;
   if (dense) {
-    for_each_cell([&](uint32_t c, int64_t count) {
-      distinct += (mult[c] == 0);
-      ++mult[c];
-      acc[c] += count;
-    });
+    for (size_t t = 0; t < n; ++t) {
+      const NodeView v = View(inputs[t]);
+      const uint32_t* code = v.code();
+      const int64_t* count = v.count();
+      for (size_t k = 0, e = v.num_cells(); k < e; ++k) {
+        ++mult[code[k]];
+        acc[code[k]] += count[k];
+      }
+    }
   } else {
     sc.distinct.clear();
-    for_each_cell([&](uint32_t c, int64_t count) {
-      if (mult[c]++ == 0) sc.distinct.push_back(c);
-      acc[c] += count;
-    });
+    for (size_t t = 0; t < n; ++t) {
+      const NodeView v = View(inputs[t]);
+      const uint32_t* code = v.code();
+      const int64_t* count = v.count();
+      for (size_t k = 0, e = v.num_cells(); k < e; ++k) {
+        if (mult[code[k]]++ == 0) sc.distinct.push_back(code[k]);
+        acc[code[k]] += count[k];
+      }
+    }
     std::sort(sc.distinct.begin(), sc.distinct.end());
-    distinct = sc.distinct.size();
   }
 
   if (!leaf) {
@@ -784,37 +772,34 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeBucketed(
     }
     sc.run_children.resize(total_cells);
     NodeRef* runs = sc.run_children.data();
-    for_each_child([&](uint32_t c, NodeRef child) {
-      runs[cursor[c]++] = child;
-    });
+    for (size_t t = 0; t < n; ++t) {
+      const NodeView v = View(inputs[t]);
+      const uint32_t* code = v.code();
+      for (size_t k = 0, e = v.num_cells(); k < e; ++k) {
+        runs[cursor[code[k]]++] = v.Child(k);
+      }
+    }
   }
 
-  PrefixTree::Node* out = merge_pool_->NewNode(leaf);
-  if (stats_ != nullptr) ++stats_->merge_nodes_created;
-  out->cells.resize(distinct);
-  PrefixTree::Cell* cells = out->cells.data();
   int64_t total = 0;
-  size_t d = 0;
   auto emit = [&](uint32_t c) {
-    PrefixTree::Cell& cell = cells[d++];
-    cell.code = c;
-    cell.count = acc[c];
-    cell.child = nullptr;
-    total += cell.count;
+    NodeRef child{};
     if (!leaf) {
       const uint32_t m = static_cast<uint32_t>(mult[c]);
-      NodeRef* run = sc.run_children.data() + (cursor[c] - m);
+      const NodeRef* run = sc.run_children.data() + (cursor[c] - m);
       if (m == 1) {
         // The MergeRefs n == 1 share, inlined: this is by far the most
         // common run shape, and skipping the call keeps the emit loop
         // tight.
         if (stats_ != nullptr) ++stats_->merges_performed;
-        AddRefRef(run[0]);
-        cell.child = ToChild(run[0]);
+        Share(run[0]);
+        child = run[0];
       } else {
-        cell.child = ToChild(MergeRefs(run, m, level + 1, depth + 1));
+        child = MergeRefs(run, m, level + 1, depth + 1);
       }
     }
+    AppendCell(level, c, acc[c], child);
+    total += acc[c];
     mult[c] = 0;  // restore the all-zero invariant for reuse
     acc[c] = 0;
   };
@@ -825,71 +810,7 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeBucketed(
   } else {
     for (uint32_t c : sc.distinct) emit(c);
   }
-  assert(d == distinct);
-  out->entity_total = total;
-  merge_pool_->SyncCellBytes(out);
-  return FromNode(out);
-}
-
-FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeDirect(
-    const NodeRef* inputs, size_t n, int level, size_t depth) {
-  const FrozenTree::Level& lv = tree_.level(level);
-  const uint32_t* code = lv.code.data();
-  const int64_t* count = lv.count.data();
-  size_t total_cells = 0;
-  for (size_t t = 0; t < n; ++t) {
-    if (IsFrozen(inputs[t])) {
-      assert(FrozenLevelOf(inputs[t]) == level);
-      const size_t idx = static_cast<size_t>(FrozenIndexOf(inputs[t]));
-      total_cells += lv.cell_begin[idx + 1] - lv.cell_begin[idx];
-    } else {
-      total_cells += AsNode(inputs[t])->cells.size();
-    }
-  }
-  const auto for_each_cell = [&](auto&& fn) {
-    for (size_t t = 0; t < n; ++t) {
-      if (IsFrozen(inputs[t])) {
-        const size_t idx = static_cast<size_t>(FrozenIndexOf(inputs[t]));
-        const size_t b = lv.cell_begin[idx], e = lv.cell_begin[idx + 1];
-        for (size_t g = b; g < e; ++g) fn(code[g], count[g]);
-      } else {
-        for (const PrefixTree::Cell& cell : AsNode(inputs[t])->cells) {
-          assert(cell.code <= lv.max_code);
-          fn(cell.code, cell.count);
-        }
-      }
-    }
-  };
-  const auto for_each_child = [&](auto&& fn) {
-    for (size_t t = 0; t < n; ++t) {
-      if (IsFrozen(inputs[t])) {
-        const size_t idx = static_cast<size_t>(FrozenIndexOf(inputs[t]));
-        const size_t b = lv.cell_begin[idx], e = lv.cell_begin[idx + 1];
-        for (size_t g = b; g < e; ++g) fn(code[g], MakeFrozen(level + 1, g));
-      } else {
-        for (const PrefixTree::Cell& cell : AsNode(inputs[t])->cells) {
-          fn(cell.code, FromChild(cell.child));
-        }
-      }
-    }
-  };
-  return MergeBucketed(total_cells, level, depth, for_each_cell,
-                       for_each_child);
-}
-
-FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeFrozenRange(
-    int level, uint32_t node_lo, uint32_t node_hi, size_t depth) {
-  const FrozenTree::Level& lv = tree_.level(level);
-  const size_t b = lv.cell_begin[node_lo], e = lv.cell_begin[node_hi];
-  const uint32_t* code = lv.code.data();
-  const int64_t* count = lv.count.data();
-  const auto for_each_cell = [&](auto&& fn) {
-    for (size_t g = b; g < e; ++g) fn(code[g], count[g]);
-  };
-  const auto for_each_child = [&](auto&& fn) {
-    for (size_t g = b; g < e; ++g) fn(code[g], MakeFrozen(level + 1, g));
-  };
-  return MergeBucketed(e - b, level, depth, for_each_cell, for_each_child);
+  return CloseNode(level, total);
 }
 
 FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeSorted(
@@ -900,106 +821,44 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeSorted(
   sc.counts.clear();
   sc.children.clear();
 
-  size_t total_cells = 0;
-  const FrozenTree::Level& lv = tree_.level(level);
-  for (size_t t = 0; t < n; ++t) {
-    if (IsFrozen(inputs[t])) {
-      const size_t idx = static_cast<size_t>(FrozenIndexOf(inputs[t]));
-      total_cells += lv.cell_begin[idx + 1] - lv.cell_begin[idx];
-    } else {
-      total_cells += AsNode(inputs[t])->cells.size();
-    }
-  }
-  assert(total_cells < UINT32_MAX);
-  sc.keys.reserve(total_cells);
-  sc.counts.reserve(total_cells);
-  if (!leaf) sc.children.reserve(total_cells);
-
   // Gather every input cell as a packed (code, gather-index) sort key with
   // parallel count/child arrays: sorting the keys groups equal codes, and
-  // the gather index finds each cell's count and child again.
+  // the gather index finds each cell's count and child again. The inputs
+  // are read only here, before the output is written.
   uint32_t gi = 0;
   for (size_t t = 0; t < n; ++t) {
-    if (IsFrozen(inputs[t])) {
-      assert(FrozenLevelOf(inputs[t]) == level);
-      const size_t idx = static_cast<size_t>(FrozenIndexOf(inputs[t]));
-      const size_t b = lv.cell_begin[idx], e = lv.cell_begin[idx + 1];
-      for (size_t g = b; g < e; ++g) {
-        sc.keys.push_back((static_cast<uint64_t>(lv.code[g]) << 32) | gi++);
-        sc.counts.push_back(lv.count[g]);
-        if (!leaf) sc.children.push_back(MakeFrozen(level + 1, g));
-      }
-    } else {
-      const PrefixTree::Node* in = AsNode(inputs[t]);
-      for (const PrefixTree::Cell& cell : in->cells) {
-        sc.keys.push_back((static_cast<uint64_t>(cell.code) << 32) | gi++);
-        sc.counts.push_back(cell.count);
-        if (!leaf) sc.children.push_back(FromChild(cell.child));
-      }
+    const NodeView v = View(inputs[t]);
+    const uint32_t* code = v.code();
+    const int64_t* count = v.count();
+    const size_t num_cells = v.num_cells();
+    assert(num_cells < UINT32_MAX - gi);
+    for (size_t k = 0; k < num_cells; ++k) {
+      sc.keys.push_back((static_cast<uint64_t>(code[k]) << 32) | gi++);
+      sc.counts.push_back(count[k]);
+      if (!leaf) sc.children.push_back(v.Child(k));
     }
   }
   std::sort(sc.keys.begin(), sc.keys.end());
 
-  size_t distinct = 0;
-  for (size_t i = 0; i < sc.keys.size(); ++i) {
-    if (i == 0 || (sc.keys[i] >> 32) != (sc.keys[i - 1] >> 32)) ++distinct;
-  }
-  PrefixTree::Node* out = merge_pool_->NewNode(leaf);
-  if (stats_ != nullptr) ++stats_->merge_nodes_created;
-  out->cells.reserve(distinct);
-
+  int64_t total = 0;
   size_t i = 0;
   while (i < sc.keys.size()) {
     const uint32_t c = static_cast<uint32_t>(sc.keys[i] >> 32);
-    PrefixTree::Cell cell;
-    cell.code = c;
-    cell.count = 0;
-    cell.child = nullptr;
+    int64_t count = 0;
     sc.run.clear();
     for (; i < sc.keys.size() && (sc.keys[i] >> 32) == c; ++i) {
       const uint32_t src = static_cast<uint32_t>(sc.keys[i]);
-      cell.count += sc.counts[src];
+      count += sc.counts[src];
       if (!leaf) sc.run.push_back(sc.children[src]);
     }
+    NodeRef child{};
     if (!leaf) {
-      cell.child =
-          ToChild(MergeRefs(sc.run.data(), sc.run.size(), level + 1,
-                            depth + 1));
+      child = MergeRefs(sc.run.data(), sc.run.size(), level + 1, depth + 1);
     }
-    out->cells.push_back(cell);
-    out->entity_total += cell.count;
+    AppendCell(level, c, count, child);
+    total += count;
   }
-  merge_pool_->SyncCellBytes(out);
-  return FromNode(out);
-}
-
-void FrozenNonKeyFinder::AddRefRef(NodeRef r) {
-  if (IsFrozen(r)) {
-    ++FrozenRefCount(r);
-  } else {
-    ++AsNode(r)->ref_count;
-  }
-}
-
-void FrozenNonKeyFinder::UnrefRef(NodeRef r) {
-  if (IsFrozen(r)) {
-    int32_t& rc = FrozenRefCount(r);
-    assert(rc > 1 && "the frozen tree always holds the final reference");
-    --rc;
-    return;
-  }
-  PrefixTree::Node* node = AsNode(r);
-  assert(node->ref_count > 0);
-  if (--node->ref_count > 0) return;
-  // The pool's own Unref would chase Cell::child as a raw pointer; merge
-  // outputs hold tagged frozen references there, so this finder owns the
-  // recursion and hands the pool only the zero-ref node itself.
-  if (!node->is_leaf) {
-    for (const PrefixTree::Cell& cell : node->cells) {
-      UnrefRef(FromChild(cell.child));
-    }
-  }
-  merge_pool_->Reclaim(node);
+  return CloseNode(level, total);
 }
 
 }  // namespace gordian

@@ -2,7 +2,6 @@
 #define GORDIAN_CORE_FROZEN_TREE_H_
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -52,15 +51,15 @@ const char* ActiveKernel();
 // level l+1 holds exactly one node per cell of level l, in cell order, and
 // the child of the cell with global index g at level l IS node g at level
 // l+1. (The base tree is share-free — every ref starts at 1; sharing only
-// ever arises from traversal merges, which are pool nodes, never frozen
-// ones.)
+// ever arises from traversal merges, whose outputs live in the finder's
+// arena, never in these arrays.)
 //
 // Between traversals the tree grows only through Absorb (appended rows).
-// During one, the only mutable state is the per-node `ref` array: the
-// traversal's merge sharing temporarily raises reference counts exactly as
-// it does on pointer nodes, and restores them on unwind (aborted runs
-// included), so a frozen tree served by the TreeArtifactCache comes back
-// bit-identical. A frozen tree can therefore serve only one run at a time.
+// During one, the only mutable state is the per-node `ref` array: a merge
+// output that shares a frozen node raises its count, and the release of
+// that output lowers it again (aborted runs included), so a frozen tree
+// served by the TreeArtifactCache comes back bit-identical. A frozen tree
+// can therefore serve only one run at a time.
 class FrozenTree {
  public:
   struct Level {
@@ -194,11 +193,15 @@ class TraversalObserver {
 //
 // Visit runs over contiguous code spans, the leaf duplicate test is a SIMD
 // scan, and the 2-way merge (the dominant shape inside merge recursions) is
-// a branch-light galloping span union. Merge outputs are ordinary NodePool
-// nodes whose Cell::child fields hold either a pool node or a tagged
-// reference to a frozen node (bit 0 set — real node pointers are always
-// even), so merge intermediates share untouched frozen subtrees the way
-// Algorithm 3 shares subtrees of the base tree.
+// a branch-light galloping span union. Merge outputs live in the finder's
+// own arena, in the frozen layout: per level, the cell arrays (code, count)
+// and node arrays (cell_begin, entity_total, ref) of a FrozenTree::Level,
+// plus one child per non-leaf cell. That child names a node of either kind,
+// so merge outputs share untouched frozen subtrees the way Algorithm 3
+// shares subtrees of the base tree. Algorithm 4 discards each merged tree
+// right after visiting it, so merge outputs live and die in stack order:
+// releasing a merged tree truncates the arena to the mark taken before its
+// merge and lowers the reference counts that merge raised on older nodes.
 //
 // This is the library's only non-key search. The pointer-tree finder in
 // tests/oracle/ replays Algorithm 4 over PrefixTree nodes; the equivalence
@@ -206,10 +209,6 @@ class TraversalObserver {
 // work counters between the two.
 class FrozenNonKeyFinder {
  public:
-  // Merge intermediates are allocated from the pool passed via
-  // SetMergePool; without one the finder falls back to a private pool it
-  // owns (convenient for tests — pipeline callers always inject the pool
-  // whose peak they account).
   FrozenNonKeyFinder(FrozenTree& tree, const GordianOptions& options,
                      NonKeySet* non_keys, GordianStats* stats,
                      TraversalObserver* observer = nullptr);
@@ -223,7 +222,9 @@ class FrozenNonKeyFinder {
   // Why the traversal stopped early, or kNone after a complete run.
   AbortReason abort_reason() const { return abort_reason_; }
 
-  void SetMergePool(PrefixTree::NodePool* pool) { merge_pool_ = pool; }
+  // Ignored: merge outputs live in the finder's own arena. It remains only
+  // because perfbench's csv_cold still calls it.
+  void SetMergePool(PrefixTree::NodePool* /*pool*/) {}
 
   // Warm-start cover (options.warm_start_non_keys materialized as a
   // NonKeySet): consulted by the futility test before the working set, so
@@ -231,38 +232,56 @@ class FrozenNonKeyFinder {
   // warm_start_prunes. Read-only here; it must outlive the traversal.
   void SetWarmCover(const NonKeySet* warm) { warm_cover_ = warm; }
 
- private:
-  // Tagged node handle: either a PrefixTree::Node* (bit 0 clear) or a
-  // frozen node reference (bit 0 set) packing the node's level and index.
-  using NodeRef = uintptr_t;
-  static constexpr int kIndexBits = 40;
+  // Heap bytes of the merge arena's arrays. They only grow, so after Run
+  // this is the arena's high-water mark.
+  int64_t ArenaBytes() const;
 
-  static bool IsFrozen(NodeRef r) { return (r & 1) != 0; }
-  static NodeRef MakeFrozen(int level, uint64_t index) {
-    assert(index < (uint64_t{1} << kIndexBits));
-    return (static_cast<NodeRef>(level) << (kIndexBits + 1)) | (index << 1) |
-           1;
-  }
-  static int FrozenLevelOf(NodeRef r) {
-    return static_cast<int>(r >> (kIndexBits + 1));
-  }
-  static uint64_t FrozenIndexOf(NodeRef r) {
-    return (r >> 1) & ((uint64_t{1} << kIndexBits) - 1);
-  }
-  static PrefixTree::Node* AsNode(NodeRef r) {
-    assert(!IsFrozen(r));
-    return reinterpret_cast<PrefixTree::Node*>(r);
-  }
-  static NodeRef FromNode(PrefixTree::Node* n) {
-    return reinterpret_cast<NodeRef>(n);
-  }
-  // Cell::child of merge outputs stores a NodeRef bit pattern.
-  static NodeRef FromChild(PrefixTree::Node* child) {
-    return reinterpret_cast<NodeRef>(child);
-  }
-  static PrefixTree::Node* ToChild(NodeRef r) {
-    return reinterpret_cast<PrefixTree::Node*>(r);
-  }
+ private:
+  // Names a node by kind, level and index, never by pointer: a frozen node
+  // of the tree, or an arena node made by a merge.
+  struct NodeRef {
+    uint32_t index;
+    uint16_t level;
+    bool arena;
+  };
+
+  // A node of either kind as the traversal reads it: the arrays of its
+  // level, frozen or arena, and its index there. Each field is read when
+  // asked for, so a visit that prunes early reads only what it tests. A view
+  // must not be held across an append to the node's level. Every merge
+  // reads all its inputs before it writes its output, and a merge's
+  // recursion appends only at deeper levels.
+  struct NodeView {
+    FrozenTree::Level* lv;
+    // The arena level's children, one per cell; nullptr for a frozen node,
+    // whose cell g has frozen node g at the next level as its child.
+    const NodeRef* level_children;
+    uint32_t index;
+    uint16_t level;
+
+    uint32_t first_cell() const { return lv->cell_begin[index]; }
+    size_t num_cells() const {
+      return lv->cell_begin[index + 1] - lv->cell_begin[index];
+    }
+    const uint32_t* code() const { return lv->code.data() + first_cell(); }
+    const int64_t* count() const { return lv->count.data() + first_cell(); }
+    int64_t entity_total() const { return lv->entity_total[index]; }
+    int32_t& ref() const { return lv->ref[index]; }
+    // The child of cell k (non-leaf nodes only).
+    NodeRef Child(size_t k) const {
+      const uint32_t g = first_cell() + static_cast<uint32_t>(k);
+      if (level_children != nullptr) return level_children[g];
+      return NodeRef{g, static_cast<uint16_t>(level + 1), false};
+    }
+  };
+
+  // One level of the merge arena: the merge outputs made at that level, in
+  // the frozen layout (max_code unused), and the child of each cell above
+  // the leaf level.
+  struct ArenaLevel {
+    FrozenTree::Level nodes;
+    std::vector<NodeRef> child;
+  };
 
   // Per-recursion-depth merge scratch. MergeDirect buckets through the
   // code-indexed tables (code_mult/code_acc/code_pos, kept all-zero between
@@ -282,40 +301,38 @@ class FrozenNonKeyFinder {
     std::vector<NodeRef> run_children;
   };
 
+  // The one accessor over both node kinds.
+  NodeView View(NodeRef r);
+
   void Visit(NodeRef node, int level);
   void ProcessLeaf(NodeRef node, int level);
   // Merges the children of `node` (a non-leaf at `level`) into one node at
   // level + 1 (the merge step of Algorithm 4, lines 23-30).
-  NodeRef MergeChildren(NodeRef node, int level);
+  NodeRef MergeChildren(const NodeView& node, int level);
   // Algorithm 3 over NodeRefs: inputs are same-level nodes at `level`.
   NodeRef MergeRefs(const NodeRef* inputs, size_t n, int level, size_t depth);
-  NodeRef MergePairFrozen(int level, uint64_t a, uint64_t b);
-  NodeRef MergeGeneral(const NodeRef* inputs, size_t n, int level,
-                       size_t depth);
+  NodeRef MergePairFrozen(int level, uint32_t a, uint32_t b);
   NodeRef MergeDirect(const NodeRef* inputs, size_t n, int level,
                       size_t depth);
   NodeRef MergeSorted(const NodeRef* inputs, size_t n, int level,
                       size_t depth);
-  // MergeRefs specialized for a contiguous run of frozen sibling nodes
-  // [node_lo, node_hi) at `level` — what MergeChildren of a frozen node
-  // merges, without materializing the NodeRef list.
-  NodeRef MergeFrozenRange(int level, uint32_t node_lo, uint32_t node_hi,
-                           size_t depth);
-  // Core of the comparison-free union (defined in the .cc, used only
-  // there). The callbacks re-enumerate the gathered input cells on every
-  // invocation: for_each_cell(fn) feeds fn(code, count) to histogram, and
-  // for_each_child(fn) feeds fn(code, child NodeRef) to scatter children
-  // into per-code runs (never invoked at the leaf level).
-  template <typename ForEachCell, typename ForEachChild>
-  NodeRef MergeBucketed(size_t total_cells, int level, size_t depth,
-                        const ForEachCell& for_each_cell,
-                        const ForEachChild& for_each_child);
-  void AddRefRef(NodeRef r);
-  void UnrefRef(NodeRef r);
-  int32_t& FrozenRefCount(NodeRef r) {
-    return tree_.level_mutable(FrozenLevelOf(r))
-        .ref[static_cast<size_t>(FrozenIndexOf(r))];
-  }
+
+  // A merge output shares the existing node `r`: raises its reference
+  // count, which the release of that output lowers again.
+  void Share(NodeRef r);
+  // Appends a cell to the arena node being built at `level`; `child` is
+  // ignored at the leaf level. Nothing else appends at that level until the
+  // node closes: the deeper merges that make its children append deeper.
+  void AppendCell(int level, uint32_t code, int64_t count, NodeRef child);
+  // Closes that node: its cells are those appended at `level` since the
+  // previous node there closed.
+  NodeRef CloseNode(int level, int64_t entity_total);
+  // Before the merge of a node at `level`, records where the arena stands;
+  // after the merged tree is visited, undoes that merge's shares and
+  // truncates the arena back to it.
+  void MarkArena(int level);
+  void ReleaseArena(int level);
+
   MergeLevelScratch& ScratchAt(size_t depth) {
     if (depth >= scratch_.size()) scratch_.resize(depth + 1);
     return scratch_[depth];
@@ -333,14 +350,16 @@ class FrozenNonKeyFinder {
   AttributeSet cur_non_key_;
   std::vector<AttributeSet> suffix_attrs_;
 
-  // Gather buffer for MergeChildren, one per tree level (Visit recursion
-  // holds level l's buffer across the merge call, which gathers at deeper
-  // levels through the per-depth scratch, never this buffer).
-  std::vector<std::vector<NodeRef>> child_buf_;
+  // Gather buffer for MergeChildren. The merge reads it only before it
+  // returns, so the merges nested in the visit of its output may reuse it.
+  std::vector<NodeRef> child_buf_;
   std::deque<MergeLevelScratch> scratch_;
 
-  std::unique_ptr<PrefixTree::NodePool> fallback_pool_;
-  PrefixTree::NodePool* merge_pool_ = nullptr;
+  std::vector<ArenaLevel> arena_;  // one per tree level
+  // At most one merge per Visit level is live, so the marks are indexed by
+  // that level: node_marks_[level * depth_ + l] is arena level l's node
+  // count before the merge.
+  std::vector<uint32_t> node_marks_;
 
   const NonKeySet* warm_cover_ = nullptr;
 

@@ -92,8 +92,8 @@ class AppendState {
 // Re-runs the post-encode stages of the profiling pipeline over an
 // already-built (and possibly just-absorbed) frozen tree: duplicate-entity
 // check, traversal, key conversion, validation. The tree is treated as
-// external — merge intermediates come from a private pool — but unlike a
-// cache-hit run there is no Table in sight: the tree IS the data.
+// external, as on a cache hit (the traversal only borrows its reference
+// counts), but there is no Table in sight: the tree IS the data.
 // `num_attributes` is the profiled table's column count
 // (== tree.num_levels()).
 //

@@ -142,7 +142,8 @@ struct GordianStats {
   // Memory (bytes): the frozen tree's arrays plus the larger of the two
   // phases that run on top of them — the build's row permutation and
   // prefix bytes (FrozenTree::BuildScratchBytes; none for an injected
-  // tree), or the traversal's merge-pool peak plus the NonKeySet.
+  // tree), or the traversal's merge arena (its high-water mark) plus the
+  // NonKeySet.
   int64_t peak_memory_bytes = 0;
 
   // The frozen tree's byte footprint, and the wall clock of a separate

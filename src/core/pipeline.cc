@@ -213,7 +213,6 @@ void TraverseStage(ProfileContext* ctx) {
   }
   FrozenNonKeyFinder finder(*ctx->frozen, ctx->options, &non_key_set,
                             &result.stats);
-  finder.SetMergePool(&ctx->merge_pool);
   if (warm) finder.SetWarmCover(&warm_set);
   result.incomplete = !finder.Run();
   result.incomplete_reason = finder.abort_reason();
@@ -224,10 +223,11 @@ void TraverseStage(ProfileContext* ctx) {
   result.stats.find_seconds = watch.ElapsedSeconds();
   // The frozen arrays live throughout; the build's scratch is gone before
   // the first merge, so the larger of the two phases sits on top of them.
+  // The merge arena only grows, so its final size is its high-water mark.
   result.stats.peak_memory_bytes =
       ctx->frozen->ApproxBytes() +
       std::max(ctx->build_scratch_bytes,
-               ctx->merge_pool.peak_bytes() + non_key_set.ApproxBytes());
+               finder.ArenaBytes() + non_key_set.ApproxBytes());
   // A partial non-key set cannot certify keys: later stages must not run.
   if (result.incomplete) ctx->finished = true;
 }

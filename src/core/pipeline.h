@@ -45,7 +45,7 @@ struct StageMetric {
 
 // Shared state threaded through the stages of one profiling run. Owns the
 // result under construction plus every intermediate the stages exchange.
-// Not copyable (it embeds a NodePool); lives on the session's stack.
+// Not copyable (it owns the tree it builds); lives on the session's stack.
 struct ProfileContext {
   // Inputs, set by ProfileSession::Run before the first stage.
   const Table* input = nullptr;
@@ -62,12 +62,11 @@ struct ProfileContext {
   // — or ReprofileTree's absorbed tree), or the stage builds `owned_frozen`
   // with FrozenTree::Build, whose scratch bytes it records in
   // `build_scratch_bytes` (0 for an injected tree). TraverseStage runs
-  // FrozenNonKeyFinder over `frozen` and allocates its merge intermediates
-  // from `merge_pool`.
+  // FrozenNonKeyFinder over `frozen`; the finder keeps its merge
+  // intermediates in its own arena.
   std::unique_ptr<FrozenTree> owned_frozen;
   FrozenTree* frozen = nullptr;
   int64_t build_scratch_bytes = 0;
-  PrefixTree::NodePool merge_pool;
 
   // The result being assembled. A stage that concludes the run (duplicate
   // entities, cancellation, aborted traversal, null-projection hand-off)

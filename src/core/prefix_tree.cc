@@ -41,11 +41,6 @@ void PrefixTree::NodePool::Unref(Node* n) {
   if (!n->is_leaf) {
     for (const Cell& c : n->cells) Unref(c.child);
   }
-  Reclaim(n);
-}
-
-void PrefixTree::NodePool::Reclaim(Node* n) {
-  assert(n->ref_count == 0);
   tracker_.Release(static_cast<int64_t>(sizeof(Node)) + n->accounted_bytes);
   n->accounted_bytes = 0;
   n->cells.clear();  // keeps capacity for the next user of this node

@@ -54,21 +54,22 @@ class PrefixTree {
     }
   };
 
-  // Allocates, frees, and byte-accounts nodes. Merge intermediates of a
-  // run over its own tree flow through the same pool as the base tree, so
-  // peak_bytes is the honest maximum footprint of the whole tree phase.
+  // Allocates, frees, and byte-accounts nodes. The pointer-tree oracle in
+  // tests/oracle/ merges through the same pool as the base tree, so
+  // peak_bytes is the maximum footprint of its whole tree phase. (The
+  // library's traversal, FrozenNonKeyFinder, keeps its merge outputs in its
+  // own arena and uses no pool.)
   //
   // Storage is a block arena plus a free list: nodes are carved out of
   // fixed-size blocks and recycled (retaining their cell-vector capacity)
-  // when their reference count drops to zero. The traversal's merge phase
-  // creates and discards millions of short-lived intermediate nodes; with
-  // recycling, the steady state performs no heap allocation at all. Byte
-  // accounting covers in-use nodes only — a recycled node's retained
-  // capacity is allocator slack, exactly like memory returned to malloc was
-  // before the arena, so current/peak semantics are unchanged.
+  // when their reference count drops to zero, so a merge phase that creates
+  // and discards millions of short-lived nodes reaches a steady state with
+  // no heap allocation. Byte accounting covers in-use nodes only — a
+  // recycled node's retained capacity is allocator slack, exactly like
+  // memory returned to malloc was before the arena, so current/peak
+  // semantics are unchanged.
   //
-  // Not thread-safe; a traversal over a shared (cached) tree allocates its
-  // merge intermediates from a private pool.
+  // Not thread-safe.
   class NodePool {
    public:
     NodePool() = default;
@@ -84,13 +85,6 @@ class PrefixTree {
     // Drops one reference; recycles the node (and recursively unrefs its
     // children) when the count reaches zero.
     void Unref(Node* n);
-
-    // Releases a node whose reference count has already reached zero
-    // WITHOUT touching its children. This is the non-recursive tail of
-    // Unref, exposed for callers that own the child recursion themselves —
-    // the frozen traversal's merge outputs store tagged frozen references
-    // in Cell::child, which Unref would chase as raw pointers.
-    void Reclaim(Node* n);
 
     // Call after appending cells to `n` so capacity growth is accounted.
     void SyncCellBytes(Node* n);

@@ -36,8 +36,7 @@ Status FlattenRecords(const std::vector<Record>& records, Table* out) {
     for (const auto& [path, value] : rec) row[position[path]] = value;
     builder.AddRow(row);
   }
-  *out = builder.Build();
-  return Status::OK();
+  return builder.Build(out);
 }
 
 }  // namespace gordian

@@ -21,7 +21,8 @@ namespace gordian {
 using Record = std::vector<std::pair<std::string, Value>>;
 
 // Flattens the records into a table. Duplicate field names within one
-// record are rejected.
+// record are rejected, and so is a union of more than
+// AttributeSet::kMaxAttributes paths (InvalidArgument).
 Status FlattenRecords(const std::vector<Record>& records, Table* out);
 
 }  // namespace gordian

@@ -12,6 +12,7 @@
 #include "core/frozen_tree.h"
 #include "core/gordian.h"
 #include "core/prefix_tree.h"
+#include "datagen/synthetic.h"
 #include "oracle/non_key_finder.h"
 #include "table/table.h"
 
@@ -152,24 +153,60 @@ TEST(FrozenNonKeyFinderTest, EmptyTreeIsANoOp) {
   EXPECT_EQ(stats.nodes_visited, 0);
 }
 
+// One finder run over `frozen`: its non-keys and counters.
+RunOutcome RunOnTree(FrozenTree& frozen, const GordianOptions& o,
+                     bool expect_complete) {
+  RunOutcome out;
+  NonKeySet set(&out.stats);
+  FrozenNonKeyFinder finder(frozen, o, &set, &out.stats);
+  EXPECT_EQ(finder.Run(), expect_complete);
+  EXPECT_GT(finder.ArenaBytes(), 0);
+  out.non_keys = set.non_keys();
+  return out;
+}
+
+void ExpectSameRun(const RunOutcome& a, const RunOutcome& b) {
+  EXPECT_EQ(a.non_keys, b.non_keys);
+  EXPECT_EQ(a.stats.nodes_visited, b.stats.nodes_visited);
+  EXPECT_EQ(a.stats.merges_performed, b.stats.merges_performed);
+  EXPECT_EQ(a.stats.merge_nodes_created, b.stats.merge_nodes_created);
+  EXPECT_EQ(a.stats.singleton_traversal_prunes,
+            b.stats.singleton_traversal_prunes);
+  EXPECT_EQ(a.stats.singleton_merge_prunes, b.stats.singleton_merge_prunes);
+  EXPECT_EQ(a.stats.single_entity_prunes, b.stats.single_entity_prunes);
+  EXPECT_EQ(a.stats.futility_prunes, b.stats.futility_prunes);
+  EXPECT_EQ(a.stats.non_key_insert_attempts, b.stats.non_key_insert_attempts);
+}
+
 TEST(FrozenNonKeyFinderTest, MergeIntermediatesAreReleased) {
-  Table t = PaperDataset();
-  GordianOptions o;
-  GordianStats stats;
-  PrefixTree tree =
-      PrefixTree::Build(t, SchemaOrder(4), GordianOptions::TreeBuild::kSorted);
-  std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
-  const int64_t base_nodes = tree.pool().live_nodes();
-  NonKeySet set(&stats);
-  FrozenNonKeyFinder finder(*frozen, o, &set, &stats);
-  finder.SetMergePool(&tree.pool());
-  EXPECT_TRUE(finder.Run());
-  EXPECT_GT(stats.merge_nodes_created, 0);
-  // Every merge intermediate must have been released back to the pool, and
-  // every temporary share of a frozen node unwound.
-  EXPECT_EQ(tree.pool().live_nodes(), base_nodes);
-  EXPECT_GE(tree.pool().peak_bytes(), tree.pool().current_bytes());
-  EXPECT_TRUE(frozen->AllRefsAreOne());
+  // Six columns of cardinality 10: merges nest several levels deep, and
+  // without futility pruning they also share older merge outputs.
+  SyntheticSpec spec = UniformSpec(6, 2000, 10, 0.5, 77);
+  Table t;
+  ASSERT_TRUE(GenerateSynthetic(spec, &t).ok());
+  std::unique_ptr<FrozenTree> frozen = FrozenTree::Build(t, SchemaOrder(6));
+  ASSERT_FALSE(frozen->has_duplicate_entities());
+
+  for (bool futility : {true, false}) {
+    // Releasing every merged tree undoes every share it took of a frozen
+    // node, so the tree is as built and the next run sees the same tree.
+    GordianOptions o;
+    o.futility_pruning = futility;
+    const RunOutcome first = RunOnTree(*frozen, o, true);
+    EXPECT_GT(first.stats.merge_nodes_created, 0);
+    EXPECT_TRUE(frozen->AllRefsAreOne());
+    ExpectSameRun(first, RunOnTree(*frozen, o, true));
+    EXPECT_TRUE(frozen->AllRefsAreOne());
+
+    // An abort mid-recursion releases the merged trees still open too.
+    GordianOptions capped = o;
+    capped.max_non_keys = 1;
+    const RunOutcome aborted = RunOnTree(*frozen, capped, false);
+    EXPECT_TRUE(frozen->AllRefsAreOne());
+    ExpectSameRun(aborted, RunOnTree(*frozen, capped, false));
+    EXPECT_TRUE(frozen->AllRefsAreOne());
+    ExpectSameRun(first, RunOnTree(*frozen, o, true));
+  }
 }
 
 TEST(FrozenNonKeyFinderTest, FutilityPruningNeedsDiscoveredNonKeys) {

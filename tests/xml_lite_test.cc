@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
 
+#include "common/attribute_set.h"
 #include "core/gordian.h"
 
 namespace gordian {
@@ -127,6 +129,30 @@ TEST(XmlLite, ReadXmlCollectionEndToEndKeyDiscovery) {
   composite.Set(author);
   composite.Set(title);
   EXPECT_NE(std::find(keys.begin(), keys.end(), composite), keys.end());
+}
+
+TEST(XmlLite, TooManyFieldPathsIsInvalidArgument) {
+  // One entity per field path: 129 distinct paths, one more than an
+  // attribute set can address.
+  std::string xml = "<db>";
+  for (int i = 0; i <= AttributeSet::kMaxAttributes; ++i) {
+    const std::string field = "f" + std::to_string(i);
+    xml += "<e><" + field + ">1</" + field + "></e>";
+  }
+  xml += "</db>";
+  std::vector<Record> records;
+  ASSERT_TRUE(Parse(xml, &records).ok());
+  Table t;
+  EXPECT_EQ(FlattenRecords(records, &t).code(),
+            Status::Code::kInvalidArgument);
+
+  std::string path = ::testing::TempDir() + "gordian_wide.xml";
+  {
+    std::ofstream os(path);
+    os << xml;
+  }
+  EXPECT_EQ(ReadXmlCollection(path, &t).code(),
+            Status::Code::kInvalidArgument);
 }
 
 TEST(XmlLite, MissingFileAndEmptyCollection) {
