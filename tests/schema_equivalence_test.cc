@@ -3,8 +3,10 @@
 // planted one- and two-column references) are profiled along independent
 // paths that must agree byte-for-byte:
 //   - DiscoverForeignKeys vs the value-materializing oracle
-//     (oracle/foreign_key.h), resident and spilled, with the two-column
-//     candidates compared counted so that arity stays covered;
+//     (oracle/foreign_key.h), resident, sampled and spilled, with the
+//     two-column candidates compared counted so that arity stays covered,
+//     plus a fixed schema at the edges of value identity (NULL-first
+//     dictionaries, all-NULL columns, -0.0, mixed-type columns);
 //   - SchemaProfiler at 1 worker thread vs a full pool;
 //   - resident vs spilled (CodeColumn under a tiny budget) base tables;
 //   - DiscoverFds vs the distinct-count oracle (oracle/fd.h), resident and
@@ -272,16 +274,111 @@ int ExpectFksMatchOracle(const std::vector<ProfiledTable>& profiled,
   return arity2;
 }
 
+// Half of every table's rows. A sample shares its parent's dictionaries,
+// so some dictionary values occur in no row, on the referencing side and
+// on the referenced side alike.
+std::vector<Table> HalfSamples(const std::vector<Table>& tables,
+                               uint64_t seed) {
+  std::vector<Table> samples;
+  for (const Table& t : tables) {
+    samples.push_back(t.SampleRows(t.num_rows() / 2, seed));
+  }
+  return samples;
+}
+
 TEST(SchemaEquivalence, DictionaryFirstMatchesLegacy) {
   const int iters = FuzzIters();
   int arity2 = 0;
   for (int iter = 0; iter < iters; ++iter) {
-    Random rng(0x5eed0001 + iter * 977);
+    const uint64_t seed = 0x5eed0001 + iter * 977;
+    Random rng(seed);
     std::vector<Table> tables = RandomSchema(&rng, SpillPolicy());
-    arity2 += ExpectFksMatchOracle(ProfileAll(tables), FuzzFkOptions(&rng),
-                                   "iter " + std::to_string(iter));
+    const ForeignKeyOptions options = FuzzFkOptions(&rng);
+    const std::string where = "iter " + std::to_string(iter);
+    arity2 += ExpectFksMatchOracle(ProfileAll(tables), options, where);
+    const std::vector<Table> samples = HalfSamples(tables, seed);
+    arity2 += ExpectFksMatchOracle(ProfileAll(samples), options,
+                                   where + " samples");
   }
   EXPECT_GT(arity2, 0);
+}
+
+// Fixed tables at the edges of value identity, where a foreign-key value
+// must match exactly the referenced values that Dictionary::Lookup would
+// find:
+//   t0 holds three single-column keys over one number domain, typed int,
+//      double and string, so 7, 7.0 and "7" are three different values;
+//      its doubles include +0.0.
+//   t1 has a NULL-first id column (a key holding one NULL), an all-NULL
+//      column, a double column whose zeros are -0.0, a column typed int
+//      by its first entry that also holds 7.0 and "7", and a column pair
+//      referencing t2's composite key.
+//   t2's composite key is (int, double), its zeros -0.0.
+std::vector<Table> ValueEdgeSchema() {
+  std::vector<Table> tables;
+  TableBuilder b0(Schema(std::vector<std::string>{"i", "d", "s"}));
+  for (int64_t i = 0; i < 30; ++i) {
+    b0.AddRow({Value(i), Value(static_cast<double>(i)),
+               Value(std::to_string(i))});
+  }
+  tables.push_back(b0.Build());
+
+  TableBuilder b1(Schema(std::vector<std::string>{"id", "nulls", "rd",
+                                                  "mixed", "pa", "pb"}));
+  for (int64_t i = 0; i < 40; ++i) {
+    Value mixed;
+    switch (i % 4) {
+      case 0: mixed = Value(i % 28); break;
+      case 1: mixed = Value(7.0); break;
+      case 2: mixed = Value("7"); break;
+      default: mixed = Value(int64_t{7}); break;
+    }
+    b1.AddRow({i == 0 ? Value() : Value(i), Value(),
+               Value(i % 10 == 0 ? -0.0 : static_cast<double>(i % 25)),
+               std::move(mixed), Value(i / 8 % 5),
+               Value(static_cast<double>(i % 5))});
+  }
+  tables.push_back(b1.Build());
+
+  TableBuilder b2(Schema(std::vector<std::string>{"a", "b"}));
+  for (int64_t i = 0; i < 25; ++i) {
+    b2.AddRow({Value(i / 5),
+               Value(i % 5 == 0 ? -0.0 : static_cast<double>(i % 5))});
+  }
+  tables.push_back(b2.Build());
+  return tables;
+}
+
+TEST(SchemaEquivalence, ValueIdentityMatchesOracle) {
+  const std::vector<Table> tables = ValueEdgeSchema();
+  const std::vector<ProfiledTable> profiled = ProfileAll(tables);
+  ASSERT_EQ(profiled[2].keys, std::vector<AttributeSet>{AttributeSet({0, 1})});
+  ForeignKeyOptions options;
+  options.max_arity = 1;
+  options.min_coverage = 0.5;
+  options.min_distinct_values = 5;
+  const std::vector<Table> samples = HalfSamples(tables, 0x7e57);
+  int arity2 = ExpectFksMatchOracle(profiled, options, "full");
+  arity2 += ExpectFksMatchOracle(ProfileAll(samples), options, "samples");
+  EXPECT_GT(arity2, 0);
+
+  // -0.0 and 0.0 are one value: t1's (pa, pb) covers t2's key, and t1.rd
+  // covers t0.d.
+  bool pair_found = false, zero_found = false;
+  for (const ForeignKeyCandidate& fk :
+       DiscoverForeignKeys(profiled, OracleOptions(options)[1])) {
+    if (fk.referencing_table != 1) continue;
+    if (fk.referenced_table == 2 &&
+        fk.foreign_key_columns == std::vector<int>{4, 5}) {
+      pair_found = true;
+    }
+    if (fk.referenced_table == 0 &&
+        fk.foreign_key_columns == std::vector<int>{2}) {
+      zero_found = true;
+    }
+  }
+  EXPECT_TRUE(pair_found);
+  EXPECT_TRUE(zero_found);
 }
 
 TEST(SchemaEquivalence, SerialAndParallelReportsIdentical) {
