@@ -56,7 +56,7 @@ class Dictionary {
   uint32_t Encode(double v) {
     MaybeRehash();
     size_t i = Probe(Value::HashOf(v), [&](const Value& u) {
-      return u.type() == ValueType::kDouble && u.dbl() == v;
+      return u.type() == ValueType::kDouble && Value::SameDouble(u.dbl(), v);
     });
     if (slots_[i] != kEmpty) return slots_[i];
     return Insert(i, Value(v));

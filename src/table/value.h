@@ -1,7 +1,9 @@
 #ifndef GORDIAN_TABLE_VALUE_H_
 #define GORDIAN_TABLE_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -20,7 +22,8 @@ enum class ValueType { kNull, kInt64, kDouble, kString };
 // NULL is modeled as a first-class value that compares equal to itself,
 // i.e., two rows that are both NULL in a column "match" there. This is the
 // conservative choice for key discovery: a column containing two NULLs can
-// never be part of a key by itself.
+// never be part of a key by itself. Likewise every NaN equals every other
+// NaN, and -0.0 equals 0.0; a dictionary stores the first one it sees.
 class Value {
  public:
   Value() : v_(std::monostate{}) {}
@@ -52,13 +55,22 @@ class Value {
     return Mix64(static_cast<uint64_t>(i));
   }
   static uint64_t HashOf(double d) {
-    if (d == 0.0) d = 0.0;  // -0.0 == 0.0 must hash identically
+    // -0.0 == 0.0, and NaN is one value (SameDouble): each hashes as one.
+    if (d == 0.0) d = 0.0;
+    if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(d));
     __builtin_memcpy(&bits, &d, sizeof(bits));
     return Mix64(bits ^ 0xd0e1f2a3ULL);
   }
   static uint64_t HashOf(std::string_view s) { return HashBytes(s); }
+
+  // Double identity: == except that every NaN is one value, whatever its
+  // payload, as NULL equals NULL. operator== and the typed double probe
+  // (Dictionary::Encode(double)) both compare through this.
+  static bool SameDouble(double a, double b) {
+    return a == b || (std::isnan(a) && std::isnan(b));
+  }
 
   uint64_t Hash() const {
     switch (v_.index()) {
@@ -78,7 +90,12 @@ class Value {
     }
   }
 
-  friend bool operator==(const Value& a, const Value& b) { return a.v_ == b.v_; }
+  friend bool operator==(const Value& a, const Value& b) {
+    if (a.type() == ValueType::kDouble && b.type() == ValueType::kDouble) {
+      return SameDouble(a.dbl(), b.dbl());
+    }
+    return a.v_ == b.v_;
+  }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
   friend bool operator<(const Value& a, const Value& b) { return a.v_ < b.v_; }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,40 @@ TEST(BatchIngest, StreamingAddBatchMatchesAddRow) {
   }
   EXPECT_EQ(want.non_keys, got.non_keys);
   EXPECT_EQ(want.sampled, got.sampled);
+}
+
+double NanWithPayload(uint64_t payload) {
+  const uint64_t bits = 0x7ff8000000000000ull | payload;
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// Every NaN is one value whatever its payload: all NaN cells of a column
+// get one code, which keeps the first-seen NaN's bits, on the row path and
+// on the batch path alike.
+TEST(BatchIngest, NansWithDifferentPayloadsShareOneCode) {
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 6; ++i) {
+    rows.push_back({Value(NanWithPayload(1 + i % 3)), Value(i),
+                    Value(i % 2 == 0 ? 2.5 : NanWithPayload(7))});
+  }
+  const Table row_table = BuildRowAtATime(rows);
+  const Table batch_table = BuildBatched(rows, 4, nullptr);
+  ExpectIdenticalEncoding(row_table, batch_table);
+  for (const Table* t : {&row_table, &batch_table}) {
+    EXPECT_EQ(t->dictionary(0).size(), 1u);
+    EXPECT_EQ(t->dictionary(2).size(), 2u);
+    EXPECT_EQ(DoubleBits(t->dictionary(0).Decode(0).dbl()),
+              DoubleBits(NanWithPayload(1)));
+    EXPECT_EQ(t->code(1, 2), t->code(3, 2));
+  }
 }
 
 TEST(BatchIngest, ReservoirMemoryStaysBoundedOnStringStream) {

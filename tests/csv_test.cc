@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "core/gordian.h"
+
 namespace gordian {
 namespace {
 
@@ -237,6 +239,18 @@ TEST_F(CsvTest, RejectsMoreColumnsThanAttributeSetsHold) {
   WriteFile(at_limit, WideCsv(AttributeSet::kMaxAttributes, 50));
   ASSERT_TRUE(ReadCsv(at_limit, CsvOptions{}, &t).ok());
   EXPECT_EQ(t.num_columns(), AttributeSet::kMaxAttributes);
+}
+
+// NaN equals NaN, as NULL equals NULL: the two "nan" rows are duplicates,
+// so no attribute set is a key, and the NaNs are one distinct value of a.
+TEST_F(CsvTest, NanCellsAreOneValue) {
+  std::string p = Path("nan.csv");
+  WriteFile(p, "a,b\nnan,1\nnan,1\n2.5,3\n");
+  Table t;
+  ASSERT_TRUE(ReadCsv(p, CsvOptions{}, &t).ok());
+  EXPECT_EQ(t.code(0, 0), t.code(1, 0));
+  EXPECT_EQ(t.ColumnCardinality(0), 2);
+  EXPECT_TRUE(FindKeys(t).no_keys);
 }
 
 TEST_F(CsvTest, TableBuilderRejectsMoreColumnsThanAttributeSetsHold) {

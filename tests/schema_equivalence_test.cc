@@ -6,7 +6,7 @@
 //     (oracle/foreign_key.h), resident, sampled and spilled, with the
 //     two-column candidates compared counted so that arity stays covered,
 //     plus a fixed schema at the edges of value identity (NULL-first
-//     dictionaries, all-NULL columns, -0.0, mixed-type columns);
+//     dictionaries, all-NULL columns, -0.0, NaN, mixed-type columns);
 //   - SchemaProfiler at 1 worker thread vs a full pool;
 //   - resident vs spilled (CodeColumn under a tiny budget) base tables;
 //   - DiscoverFds vs the distinct-count oracle (oracle/fd.h), resident and
@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -314,6 +316,9 @@ TEST(SchemaEquivalence, DictionaryFirstMatchesLegacy) {
 //      by its first entry that also holds 7.0 and "7", and a column pair
 //      referencing t2's composite key.
 //   t2's composite key is (int, double), its zeros -0.0.
+//   t3 has a two-column key (x, y) whose y holds NaN, referenced by its
+//      own (x2, y2) with NaNs of another payload, and a NaN-bearing
+//      column rn referencing the NaN-bearing key kd.
 std::vector<Table> ValueEdgeSchema() {
   std::vector<Table> tables;
   TableBuilder b0(Schema(std::vector<std::string>{"i", "d", "s"}));
@@ -346,6 +351,24 @@ std::vector<Table> ValueEdgeSchema() {
                Value(i % 5 == 0 ? -0.0 : static_cast<double>(i % 5))});
   }
   tables.push_back(b2.Build());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const uint64_t other_bits = 0x7ff8000000000123ull;  // NaN, another payload
+  double other_nan;
+  std::memcpy(&other_nan, &other_bits, sizeof(other_nan));
+  TableBuilder b3(Schema(std::vector<std::string>{"x", "y", "x2", "y2", "kd",
+                                                  "rn"}));
+  auto y_of = [&](int64_t i, double nan_value) {
+    return i % 4 == 3 ? nan_value : static_cast<double>(i % 4);
+  };
+  for (int64_t i = 0; i < 24; ++i) {
+    const int64_t j = (i + 5) % 24;
+    b3.AddRow({Value(i / 4), Value(y_of(i, nan)), Value(j / 4),
+               Value(y_of(j, other_nan)),
+               Value(i == 23 ? nan : static_cast<double>(i) + 0.5),
+               Value(i % 3 == 0 ? nan : static_cast<double>(i % 23) + 0.5)});
+  }
+  tables.push_back(b3.Build());
   return tables;
 }
 
@@ -363,22 +386,20 @@ TEST(SchemaEquivalence, ValueIdentityMatchesOracle) {
   EXPECT_GT(arity2, 0);
 
   // -0.0 and 0.0 are one value: t1's (pa, pb) covers t2's key, and t1.rd
-  // covers t0.d.
-  bool pair_found = false, zero_found = false;
+  // covers t0.d. Every NaN is one value: t3's (x2, y2) covers (x, y), and
+  // rn covers kd.
+  std::set<std::vector<int>> strict;
   for (const ForeignKeyCandidate& fk :
        DiscoverForeignKeys(profiled, OracleOptions(options)[1])) {
-    if (fk.referencing_table != 1) continue;
-    if (fk.referenced_table == 2 &&
-        fk.foreign_key_columns == std::vector<int>{4, 5}) {
-      pair_found = true;
-    }
-    if (fk.referenced_table == 0 &&
-        fk.foreign_key_columns == std::vector<int>{2}) {
-      zero_found = true;
-    }
+    std::vector<int> id = {fk.referencing_table, fk.referenced_table};
+    id.insert(id.end(), fk.foreign_key_columns.begin(),
+              fk.foreign_key_columns.end());
+    strict.insert(id);
   }
-  EXPECT_TRUE(pair_found);
-  EXPECT_TRUE(zero_found);
+  EXPECT_EQ(strict.count({1, 2, 4, 5}), 1u);
+  EXPECT_EQ(strict.count({1, 0, 2}), 1u);
+  EXPECT_EQ(strict.count({3, 3, 2, 3}), 1u);
+  EXPECT_EQ(strict.count({3, 3, 5}), 1u);
 }
 
 TEST(SchemaEquivalence, SerialAndParallelReportsIdentical) {
