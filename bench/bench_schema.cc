@@ -5,7 +5,8 @@
 // in BENCH_schema.json (overridable via GORDIAN_BENCH_SCHEMA_JSON).
 //
 // Usage: bench_schema [--tpch_scale=0.01] [--baseball_scale=0.25]
-//                     [--threads=N] [--repeats=3]
+//                     [--repeats=3] [--min_distinct=5]
+//                     [--min_ref_coverage=0.05]
 
 #include <algorithm>
 #include <cstdint>

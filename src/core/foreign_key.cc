@@ -1,11 +1,19 @@
 #include "core/foreign_key.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+
+#include "common/hashing.h"
 
 namespace gordian {
 
 namespace {
+
+// No value id: a dictionary code that occurs in no row, or the NULL code.
+constexpr uint32_t kNoId = UINT32_MAX;
+// A key pair's NULL component. Never a value id: ids count distinct
+// values, which are uint32-coded like the dictionaries.
+constexpr uint32_t kNullId = UINT32_MAX - 1;
 
 std::vector<int> ToCols(const AttributeSet& attrs) {
   std::vector<int> cols;
@@ -13,96 +21,126 @@ std::vector<int> ToCols(const AttributeSet& attrs) {
   return cols;
 }
 
-// The type of the column's first non-NULL dictionary entry; kNull when the
-// dictionary holds nothing else.
-ValueType ColumnType(const Table& t, int col) {
-  const Dictionary& d = t.dictionary(col);
-  for (uint32_t code = 0; code < d.size(); ++code) {
-    if (!d.Decode(code).is_null()) return d.Decode(code).type();
-  }
-  return ValueType::kNull;
-}
-
-bool TypesCompatible(const Table& a, const std::vector<int>& a_cols,
-                     const Table& b, const std::vector<int>& b_cols) {
-  for (size_t i = 0; i < a_cols.size(); ++i) {
-    if (ColumnType(a, a_cols[i]) != ColumnType(b, b_cols[i])) return false;
-  }
-  return true;
-}
-
-// Per-column facts derivable without decoding rows into Values: which
-// dictionary codes actually occur in the rows (a sample or column view may
-// carry a parent dictionary with absent values), how many distinct NULL-free
-// values that is, and where NULL lives. One chunk-streamed pass per column —
-// spilled columns are read through their mmap a chunk at a time, never
-// materialized.
-struct ColumnArtifact {
-  uint32_t null_code = UINT32_MAX;
-  std::vector<uint8_t> present;   // indexed by dictionary code
-  int64_t present_total = 0;      // distinct codes occurring in rows
-  int64_t present_nonnull = 0;    // ... excluding the NULL code
-};
-
-ColumnArtifact BuildColumnArtifact(const Table& t, int col) {
-  ColumnArtifact a;
-  const Dictionary& d = t.dictionary(col);
-  a.null_code = d.Lookup(Value::Null());
-  a.present.assign(d.size(), 0);
-  const CodeColumn& codes = t.column_codes(col);
-  for (int64_t ch = 0; ch < codes.num_chunks(); ++ch) {
-    CodeColumn::Span span = codes.Scan(ch);
-    for (int64_t i = 0; i < span.count; ++i) a.present[span.data[i]] = 1;
-  }
-  for (uint32_t c = 0; c < d.size(); ++c) {
-    if (!a.present[c]) continue;
-    ++a.present_total;
-    if (c != a.null_code) ++a.present_nonnull;
-  }
-  return a;
-}
-
-// Code translation from the referencing column's dictionary into the
-// referenced column's: trans[fc_code] is the referenced code carrying the
-// same Value, or UINT32_MAX when the value is absent there. Only codes that
-// occur in rows are probed (absent ones can never appear in a tuple).
-std::vector<uint32_t> BuildTranslation(const Dictionary& from,
-                                       const ColumnArtifact& from_art,
-                                       const Dictionary& to) {
-  std::vector<uint32_t> trans(from.size(), UINT32_MAX);
-  for (uint32_t c = 0; c < from.size(); ++c) {
-    if (!from_art.present[c] || c == from_art.null_code) continue;
-    trans[c] = to.Lookup(from.Decode(c));
-  }
-  return trans;
-}
-
-// Lazily built, memoized per VerifyForeignKeysAgainstKey call (calls are
-// independent, so concurrent verification units never share one).
-class ArtifactSet {
- public:
-  explicit ArtifactSet(const Table& table) : table_(table) {}
-
-  const ColumnArtifact& Get(int col) {
-    if (arts_.empty()) {
-      arts_.resize(table_.num_columns());
-      built_.assign(table_.num_columns(), false);
-    }
-    if (!built_[col]) {
-      arts_[col] = BuildColumnArtifact(table_, col);
-      built_[col] = true;
-    }
-    return arts_[col];
-  }
-
- private:
-  const Table& table_;
-  std::vector<ColumnArtifact> arts_;
-  std::vector<bool> built_;
-};
-
 uint64_t PackPair(uint32_t a, uint32_t b) {
   return (static_cast<uint64_t>(a) << 32) | b;
+}
+
+// An open-addressing set of packed pairs, sized by Reset to stay at most
+// half full. No pair of codes or ids packs to UINT64_MAX, so it marks an
+// empty slot.
+class PairSet {
+ public:
+  // Empties the set and sizes it for up to `max_keys` insertions.
+  void Reset(int64_t max_keys) {
+    size_t capacity = 16;
+    while (capacity < static_cast<size_t>(2 * max_keys)) capacity <<= 1;
+    slots_.assign(capacity, kEmpty);
+    size_ = 0;
+  }
+
+  // Adds `key`; false when it was already present.
+  bool Insert(uint64_t key) {
+    uint64_t& slot = slots_[Find(key)];
+    if (slot == key) return false;
+    slot = key;
+    ++size_;
+    return true;
+  }
+
+  bool Contains(uint64_t key) const { return slots_[Find(key)] == key; }
+  int64_t size() const { return size_; }
+
+ private:
+  static constexpr uint64_t kEmpty = UINT64_MAX;
+
+  size_t Find(uint64_t key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(Mix64(key)) & mask;
+    while (slots_[i] != kEmpty && slots_[i] != key) i = (i + 1) & mask;
+    return i;
+  }
+
+  std::vector<uint64_t> slots_;
+  int64_t size_ = 0;
+};
+
+// What verification needs of one column, derived without decoding rows.
+struct ColumnIds {
+  ValueType type = ValueType::kNull;  // first non-NULL dictionary entry's
+  uint32_t null_code = UINT32_MAX;
+  bool null_present = false;    // the NULL code occurs in rows
+  int64_t present_total = 0;    // distinct codes occurring in rows
+  std::vector<uint32_t> id_of;  // per dictionary code, kNoId if absent/NULL
+  std::vector<uint32_t> ids;    // ids of the occurring non-NULL codes
+};
+
+// The schema-wide value index, [table][column]: every present non-NULL
+// dictionary code gets the id of its value. Ids come from one
+// open-addressing table of pointers into the dictionaries (const for the
+// call), probed with Value::Hash() and resolved with Value ==, so two
+// codes share an id exactly when Dictionary::Lookup would translate one
+// into the other. *num_ids receives the number of distinct values.
+std::vector<std::vector<ColumnIds>> BuildValueIndex(
+    const std::vector<ProfiledTable>& tables, uint32_t* num_ids) {
+  size_t entries = 0;  // bounds the ids, so the table stays half full
+  for (const ProfiledTable& t : tables) {
+    for (int c = 0; c < t.table->num_columns(); ++c) {
+      entries += t.table->dictionary(c).size();
+    }
+  }
+  size_t capacity = 16;
+  while (capacity < 2 * entries) capacity <<= 1;
+  std::vector<const Value*> values;  // by id
+  std::vector<uint32_t> slots(capacity, kNoId);
+  auto intern = [&](const Value& v) {
+    size_t i = static_cast<size_t>(v.Hash()) & (capacity - 1);
+    while (slots[i] != kNoId && !(*values[slots[i]] == v)) {
+      i = (i + 1) & (capacity - 1);
+    }
+    if (slots[i] == kNoId) {
+      slots[i] = static_cast<uint32_t>(values.size());
+      values.push_back(&v);
+    }
+    return slots[i];
+  };
+
+  std::vector<std::vector<ColumnIds>> index(tables.size());
+  for (size_t t = 0; t < tables.size(); ++t) {
+    const Table& table = *tables[t].table;
+    index[t].resize(table.num_columns());
+    for (int c = 0; c < table.num_columns(); ++c) {
+      ColumnIds& col = index[t][c];
+      const Dictionary& d = table.dictionary(c);
+      for (uint32_t code = 0; code < d.size(); ++code) {
+        if (!d.Decode(code).is_null()) {
+          col.type = d.Decode(code).type();
+          break;
+        }
+      }
+      col.null_code = d.Lookup(Value::Null());
+      // One chunk-streamed presence pass: spilled columns are read through
+      // their mmap a chunk at a time, never materialized.
+      col.id_of.assign(d.size(), kNoId);
+      const CodeColumn& codes = table.column_codes(c);
+      for (int64_t ch = 0; ch < codes.num_chunks(); ++ch) {
+        const CodeColumn::Span span = codes.Scan(ch);
+        for (int64_t i = 0; i < span.count; ++i) col.id_of[span.data[i]] = 0;
+      }
+      for (uint32_t code = 0; code < d.size(); ++code) {
+        if (col.id_of[code] == kNoId) continue;
+        ++col.present_total;
+        if (code == col.null_code) {
+          col.null_present = true;
+          col.id_of[code] = kNoId;
+          continue;
+        }
+        col.id_of[code] = intern(d.Decode(code));
+        col.ids.push_back(col.id_of[code]);
+      }
+    }
+  }
+  *num_ids = static_cast<uint32_t>(values.size());
+  return index;
 }
 
 // Applies the shared tail filters and appends the candidate when it passes.
@@ -133,173 +171,183 @@ void EmitIfQualified(int fi, int ki, const std::vector<int>& fcols,
   out->push_back(std::move(cand));
 }
 
-// All candidate column tuples of `ft` with the key's arity: ordered tuples
-// of distinct columns, first column outermost.
-std::vector<std::vector<int>> EnumerateCandidates(const Table& ft,
-                                                  size_t arity) {
+// All candidate column tuples of a `width`-column table with the key's
+// arity: ordered tuples of distinct columns, first column outermost.
+std::vector<std::vector<int>> EnumerateCandidates(int width, size_t arity) {
   std::vector<std::vector<int>> candidates;
-  if (arity == 1) {
-    for (int c = 0; c < ft.num_columns(); ++c) candidates.push_back({c});
-  } else if (arity == 2) {
-    for (int c1 = 0; c1 < ft.num_columns(); ++c1) {
-      for (int c2 = 0; c2 < ft.num_columns(); ++c2) {
-        if (c1 != c2) candidates.push_back({c1, c2});
-      }
+  for (int c1 = 0; c1 < width; ++c1) {
+    if (arity == 1) candidates.push_back({c1});
+    for (int c2 = 0; arity == 2 && c2 < width; ++c2) {
+      if (c1 != c2) candidates.push_back({c1, c2});
     }
   }
   return candidates;
 }
 
-}  // namespace
-
-std::vector<ForeignKeyCandidate> VerifyForeignKeysAgainstKey(
-    const std::vector<ProfiledTable>& tables, int referencing_table,
-    int referenced_table, const AttributeSet& key,
-    const ForeignKeyOptions& options) {
-  std::vector<ForeignKeyCandidate> out;
-  const std::vector<int> kcols = ToCols(key);
-  if (kcols.empty() || static_cast<int>(kcols.size()) > options.max_arity ||
-      kcols.size() > 2) {
-    return out;
-  }
-  const Table& ft = *tables[referencing_table].table;
-  const Table& kt = *tables[referenced_table].table;
-  const bool strict = options.min_coverage >= 1.0;
-
-  ArtifactSet fk_arts(ft);
-  ArtifactSet key_arts(kt);
-  // Key-side artifacts are always needed; referencing-side ones only for
-  // columns that survive the type check.
-  std::vector<const ColumnArtifact*> karts;
-  for (int kc : kcols) karts.push_back(&key_arts.Get(kc));
-
-  // The referenced key's distinct code-pair set, built once per call and
-  // only for arity-2 keys (arity 1 reads presence straight off the
-  // artifact). Chunk-streamed over both key columns.
-  std::unordered_set<uint64_t> key_pairs;
-  if (kcols.size() == 2) {
-    const CodeColumn& k1 = kt.column_codes(kcols[0]);
-    const CodeColumn& k2 = kt.column_codes(kcols[1]);
-    key_pairs.reserve(static_cast<size_t>(kt.num_rows()));
-    const uint32_t* d2 = k2.data();
-    for (int64_t ch = 0; ch < k1.num_chunks(); ++ch) {
-      CodeColumn::Span span = k1.Scan(ch);
-      for (int64_t i = 0; i < span.count; ++i) {
-        key_pairs.insert(PackPair(span.data[i], d2[span.begin + i]));
-      }
+// Calls fn(a, b) with the codes of columns c1 and c2 of each row in order,
+// streaming c1 chunk by chunk, until fn returns false.
+template <typename Fn>
+void ForEachCodePair(const Table& t, int c1, int c2, Fn fn) {
+  const CodeColumn& first = t.column_codes(c1);
+  const uint32_t* second = t.column_codes(c2).data();
+  for (int64_t ch = 0; ch < first.num_chunks(); ++ch) {
+    const CodeColumn::Span span = first.Scan(ch);
+    for (int64_t i = 0; i < span.count; ++i) {
+      if (!fn(span.data[i], second[span.begin + i])) return;
     }
   }
+}
 
-  // Memoized translations, keyed by (fk column, key position).
-  std::vector<std::vector<std::vector<uint32_t>>> trans_memo(
-      ft.num_columns(),
-      std::vector<std::vector<uint32_t>>(kcols.size()));
-  std::vector<std::vector<uint8_t>> trans_built(
-      ft.num_columns(), std::vector<uint8_t>(kcols.size(), 0));
-  auto translation = [&](int fc, size_t kpos) -> const std::vector<uint32_t>& {
-    if (!trans_built[fc][kpos]) {
-      trans_memo[fc][kpos] = BuildTranslation(
-          ft.dictionary(fc), fk_arts.Get(fc), kt.dictionary(kcols[kpos]));
-      trans_built[fc][kpos] = 1;
-    }
-    return trans_memo[fc][kpos];
-  };
+// One DiscoverForeignKeys call: the index, the scratch verification reuses,
+// and the candidates found.
+class Search {
+ public:
+  Search(const std::vector<ProfiledTable>& tables,
+         const ForeignKeyOptions& options)
+      : tables_(tables),
+        options_(options),
+        strict_(options.min_coverage >= 1.0),
+        index_(BuildValueIndex(tables, &num_ids_)),
+        mark_(num_ids_, 0) {}
 
-  for (const std::vector<int>& fcols : EnumerateCandidates(ft, kcols.size())) {
-    // The key referencing itself.
-    if (referencing_table == referenced_table && fcols == kcols) continue;
-    if (!TypesCompatible(ft, fcols, kt, kcols)) continue;
-
-    if (kcols.size() == 1) {
-      // Arity 1 is decided entirely from dictionaries + presence: coverage
-      // counts the referencing column's occurring NULL-free values whose
-      // translation lands on a referenced code that itself occurs.
-      const ColumnArtifact& fa = fk_arts.Get(fcols[0]);
-      const ColumnArtifact& ka = *karts[0];
-      const std::vector<uint32_t>& trans = translation(fcols[0], 0);
-      int64_t covered = 0;
-      bool viable = true;
-      for (uint32_t c = 0; c < trans.size(); ++c) {
-        if (!fa.present[c] || c == fa.null_code) continue;
-        uint32_t k = trans[c];
-        if (k != UINT32_MAX && ka.present[k]) {
-          ++covered;
-        } else if (strict) {
-          viable = false;  // strict inclusion already broken
-          break;
-        }
+  std::vector<ForeignKeyCandidate> Run() {
+    for (size_t ki = 0; ki < tables_.size(); ++ki) {
+      covered_.assign(tables_.size(), {});
+      for (const AttributeSet& key : tables_[ki].keys) {
+        VerifyKey(static_cast<int>(ki), key);
       }
-      if (!viable) continue;
-      EmitIfQualified(referencing_table, referenced_table, fcols, key,
-                      covered, fa.present_nonnull, ka.present_total, options,
-                      &out);
-      continue;
     }
+    SortForeignKeyCandidates(&found_);
+    return std::move(found_);
+  }
 
-    // Arity 2. Column-level dictionary prune first: under strict inclusion
-    // every component of a NULL-free tuple must translate to an occurring
-    // referenced code, so a failing value in one column kills the pair —
-    // provided the *other* column is NULL-free in the rows (otherwise the
-    // failing value might only ever co-occur with NULLs, which the
-    // denominator excludes, and the prune would be unsound).
-    const ColumnArtifact& fa1 = fk_arts.Get(fcols[0]);
-    const ColumnArtifact& fa2 = fk_arts.Get(fcols[1]);
-    if (strict) {
-      bool pruned = false;
-      for (int side = 0; side < 2 && !pruned; ++side) {
-        const ColumnArtifact& fa = side == 0 ? fa1 : fa2;
-        const ColumnArtifact& other = side == 0 ? fa2 : fa1;
-        const bool other_nullfree =
-            other.null_code == UINT32_MAX || !other.present[other.null_code];
-        if (!other_nullfree) continue;
-        const ColumnArtifact& ka = *karts[side];
-        const std::vector<uint32_t>& trans = translation(fcols[side], side);
-        for (uint32_t c = 0; c < trans.size(); ++c) {
-          if (!fa.present[c] || c == fa.null_code) continue;
-          uint32_t k = trans[c];
-          if (k == UINT32_MAX || !ka.present[k]) {
-            pruned = true;
-            break;
+ private:
+  void VerifyKey(int ki, const AttributeSet& key) {
+    const std::vector<int> kcols = ToCols(key);
+    if (kcols.empty() || static_cast<int>(kcols.size()) > options_.max_arity ||
+        kcols.size() > 2) {
+      return;
+    }
+    if (kcols.size() == 2) BuildKeyPairs(ki, kcols);
+    for (int fi = 0; fi < static_cast<int>(tables_.size()); ++fi) {
+      for (const std::vector<int>& fcols : EnumerateCandidates(
+               tables_[fi].table->num_columns(), kcols.size())) {
+        // The key referencing itself.
+        if (fi == ki && fcols == kcols) continue;
+        bool types_match = true;
+        for (size_t i = 0; i < kcols.size(); ++i) {
+          if (index_[fi][fcols[i]].type != index_[ki][kcols[i]].type) {
+            types_match = false;
           }
         }
+        if (!types_match) continue;
+        if (kcols.size() == 2) {
+          VerifyPair(fi, fcols, ki, kcols, key);
+          continue;
+        }
+        // Arity 1 is decided from the index alone: coverage counts the
+        // referencing column's present non-NULL values the key column holds.
+        const int64_t covered = Covered(fi, fcols[0], ki, kcols[0]);
+        const int64_t distinct = index_[fi][fcols[0]].ids.size();
+        if (strict_ && covered != distinct) continue;
+        EmitIfQualified(fi, ki, fcols, key, covered, distinct,
+                        index_[ki][kcols[0]].present_total, options_, &found_);
       }
-      if (pruned) continue;
     }
+  }
 
-    // Survivors: verify over translated code pairs, streaming the
-    // referencing columns chunk by chunk.
-    const std::vector<uint32_t>& t1 = translation(fcols[0], 0);
-    const std::vector<uint32_t>& t2 = translation(fcols[1], 1);
-    const CodeColumn& c1 = ft.column_codes(fcols[0]);
-    const CodeColumn& c2 = ft.column_codes(fcols[1]);
-    const uint32_t* d2 = c2.data();
-    std::unordered_set<uint64_t> seen;
+  void VerifyPair(int fi, const std::vector<int>& fcols, int ki,
+                  const std::vector<int>& kcols, const AttributeSet& key) {
+    const ColumnIds& f1 = index_[fi][fcols[0]];
+    const ColumnIds& f2 = index_[fi][fcols[1]];
+    // Column-level prune first: under strict inclusion every component of
+    // a NULL-free tuple must occur in its key column, so a failing value in
+    // one column kills the pair — provided the *other* column holds no
+    // NULL in the rows (otherwise the failing value might only ever
+    // co-occur with NULLs, which the denominator excludes, and the prune
+    // would be unsound).
+    auto included = [&](int side) {
+      return Covered(fi, fcols[side], ki, kcols[side]) ==
+             static_cast<int64_t>(index_[fi][fcols[side]].ids.size());
+    };
+    if (strict_ && ((!f2.null_present && !included(0)) ||
+                    (!f1.null_present && !included(1)))) {
+      return;
+    }
+    // Survivors: dedupe the referencing code pairs and probe the key's id
+    // pairs with them.
+    const Table& ft = *tables_[fi].table;
+    seen_.Reset(ft.num_rows());
     int64_t covered = 0;
     bool viable = true;
-    for (int64_t ch = 0; ch < c1.num_chunks() && viable; ++ch) {
-      CodeColumn::Span span = c1.Scan(ch);
-      for (int64_t i = 0; i < span.count; ++i) {
-        uint32_t a = span.data[i];
-        uint32_t b = d2[span.begin + i];
-        if (a == fa1.null_code || b == fa2.null_code) continue;  // SQL NULLs
-        if (!seen.insert(PackPair(a, b)).second) continue;
-        uint32_t ta = t1[a], tb = t2[b];
-        if (ta != UINT32_MAX && tb != UINT32_MAX &&
-            key_pairs.count(PackPair(ta, tb)) > 0) {
-          ++covered;
-        } else if (strict) {
-          viable = false;
-          break;
-        }
+    ForEachCodePair(ft, fcols[0], fcols[1], [&](uint32_t a, uint32_t b) {
+      if (a == f1.null_code || b == f2.null_code) return true;  // SQL NULLs
+      if (!seen_.Insert(PackPair(a, b))) return true;
+      if (key_pairs_.Contains(PackPair(f1.id_of[a], f2.id_of[b]))) {
+        ++covered;
+      } else {
+        viable = !strict_;
+      }
+      return viable;
+    });
+    if (!viable) return;
+    EmitIfQualified(fi, ki, fcols, key, covered, seen_.size(),
+                    key_pairs_.size(), options_, &found_);
+  }
+
+  // The key's distinct (id, id) pairs, built once per key. A NULL
+  // component maps to kNullId, so there are as many pairs as the key has
+  // distinct code pairs, NULL-bearing ones included.
+  void BuildKeyPairs(int ki, const std::vector<int>& kcols) {
+    const ColumnIds& k1 = index_[ki][kcols[0]];
+    const ColumnIds& k2 = index_[ki][kcols[1]];
+    key_pairs_.Reset(tables_[ki].table->num_rows());
+    ForEachCodePair(*tables_[ki].table, kcols[0], kcols[1],
+                    [&](uint32_t a, uint32_t b) {
+                      key_pairs_.Insert(PackPair(
+                          a == k1.null_code ? kNullId : k1.id_of[a],
+                          b == k2.null_code ? kNullId : k2.id_of[b]));
+                      return true;
+                    });
+  }
+
+  // |ids(fc) ∩ ids(kc)|, memoized per (referencing table, fc, kc) for the
+  // current referenced table. A miss marks kc's ids in the scratch array
+  // once and counts every column of the referencing table with kc's type.
+  int64_t Covered(int fi, int fc, int ki, int kc) {
+    const size_t key_width = index_[ki].size();
+    std::vector<int64_t>& memo = covered_[fi];
+    if (memo.empty()) memo.assign(index_[fi].size() * key_width, -1);
+    if (memo[fc * key_width + kc] < 0) {
+      const ColumnIds& k = index_[ki][kc];
+      ++epoch_;
+      for (uint32_t id : k.ids) mark_[id] = epoch_;
+      for (size_t c = 0; c < index_[fi].size(); ++c) {
+        if (index_[fi][c].type != k.type) continue;
+        int64_t n = 0;
+        for (uint32_t id : index_[fi][c].ids) n += mark_[id] == epoch_;
+        memo[c * key_width + kc] = n;
       }
     }
-    if (!viable) continue;
-    EmitIfQualified(referencing_table, referenced_table, fcols, key, covered,
-                    static_cast<int64_t>(seen.size()),
-                    static_cast<int64_t>(key_pairs.size()), options, &out);
+    return memo[fc * key_width + kc];
   }
-  return out;
-}
+
+  const std::vector<ProfiledTable>& tables_;
+  const ForeignKeyOptions& options_;
+  const bool strict_;
+  uint32_t num_ids_ = 0;
+  const std::vector<std::vector<ColumnIds>> index_;
+  std::vector<uint32_t> mark_;  // by id: epoch_ when the marked column has it
+  uint32_t epoch_ = 0;
+  // Per referencing table, Covered's memo for the current referenced
+  // table: [fc * key_width + kc], -1 until counted.
+  std::vector<std::vector<int64_t>> covered_;
+  PairSet key_pairs_;
+  PairSet seen_;
+  std::vector<ForeignKeyCandidate> found_;
+};
+
+}  // namespace
 
 bool ForeignKeyCandidateLess(const ForeignKeyCandidate& a,
                              const ForeignKeyCandidate& b) {
@@ -323,18 +371,7 @@ void SortForeignKeyCandidates(std::vector<ForeignKeyCandidate>* candidates) {
 std::vector<ForeignKeyCandidate> DiscoverForeignKeys(
     const std::vector<ProfiledTable>& tables,
     const ForeignKeyOptions& options) {
-  std::vector<ForeignKeyCandidate> found;
-  for (size_t ki = 0; ki < tables.size(); ++ki) {
-    for (const AttributeSet& key : tables[ki].keys) {
-      for (size_t fi = 0; fi < tables.size(); ++fi) {
-        std::vector<ForeignKeyCandidate> unit = VerifyForeignKeysAgainstKey(
-            tables, static_cast<int>(fi), static_cast<int>(ki), key, options);
-        found.insert(found.end(), unit.begin(), unit.end());
-      }
-    }
-  }
-  SortForeignKeyCandidates(&found);
-  return found;
+  return Search(tables, options).Run();
 }
 
 }  // namespace gordian

@@ -26,15 +26,17 @@ namespace gordian {
 // the coverage denominator entirely (it is neither covered nor uncovered,
 // and does not count toward distinct_fk_tuples).
 //
-// Discovery is dictionary-first: candidate column pairs are pruned by
-// comparing per-column dictionaries (value type, then value-set containment
-// probed dictionary-to-dictionary) before any row is touched, and the
-// survivors are verified in code space — referencing codes are translated
-// through a dictionary-to-dictionary mapping and probed against the
-// referenced key's code tuples, streaming CodeColumn chunks so spilled
-// tables verify without residency. A value-materializing reference
-// (tests/oracle/foreign_key.h) decodes every tuple instead; tests pin the
-// two to identical candidate lists.
+// Discovery works on schema-wide value ids. Each call first builds one
+// index: every dictionary code that occurs in a column's rows (one
+// chunk-streamed pass, so spilled tables verify without residency) and is
+// not NULL gets the id of its value, shared by every column of every table
+// that holds that value. Inclusion is then a gather over ids: a
+// single-column candidate is decided, and a two-column one pruned, from
+// per-column id sets before any row is touched, and surviving two-column
+// candidates probe the referenced key's id pairs with the referencing
+// tuples. A value-materializing reference (tests/oracle/foreign_key.h)
+// decodes every tuple instead; tests pin the two to identical candidate
+// lists.
 //
 // Value types must match position-wise: a column's type is that of the
 // first non-NULL entry in its dictionary, so a numeric FK never references
@@ -88,21 +90,10 @@ struct ProfiledTable {
 // table. Self-references are allowed (hierarchies) but the identical column
 // set is excluded. The result is in the documented total order (see
 // ForeignKeyCandidateLess), so it is byte-stable across runs and paths.
+// Reads only const Table accessors without lazy caches, so concurrent
+// calls over the same tables are safe.
 std::vector<ForeignKeyCandidate> DiscoverForeignKeys(
     const std::vector<ProfiledTable>& tables,
-    const ForeignKeyOptions& options = {});
-
-// One verification work unit: all candidate column tuples of
-// tables[referencing_table] checked against the single discovered key
-// `key` of tables[referenced_table]. DiscoverForeignKeys is exactly the
-// loop over every (referenced table, key, referencing table) unit followed
-// by SortForeignKeyCandidates; schedulers (service/schema_profiler.h) fan
-// these units across a thread pool and sort the concatenation to get the
-// identical list. Thread-safe for concurrent calls over the same tables
-// (only const Table accessors whose caches are pre-warmed or guarded).
-std::vector<ForeignKeyCandidate> VerifyForeignKeysAgainstKey(
-    const std::vector<ProfiledTable>& tables, int referencing_table,
-    int referenced_table, const AttributeSet& key,
     const ForeignKeyOptions& options = {});
 
 // The documented total order over candidates: coverage descending, then

@@ -1,10 +1,12 @@
 // EncodeKeyLists and DecodeKeyLists (core/gordian.h). They sit in their own
-// file, listed after the traversal's code in the library (as is
-// frozen_build.cc, for the same reason), so that the traversal code linked
-// after gordian.cc keeps its alignment: with them in gordian.cc, the node
-// pool and non-key set functions moved by 32 bytes and perfbench's
-// routed_reprofile traversal read about 20% slower (4-vCPU x86-64 VM,
-// GCC 12, -O2).
+// file, listed after the traversal's code in the library (as are
+// frozen_build.cc and foreign_key.cc, for the same reason), so that the
+// traversal code linked after gordian.cc keeps its alignment: with them in
+// gordian.cc, the node pool and non-key set functions moved by 32 bytes and
+// perfbench's routed_reprofile traversal read about 20% slower (4-vCPU
+// x86-64 VM, GCC 12, -O2). Foreign-key discovery, which the traversal never
+// calls, was listed before frozen_tree.cc, so every change to its size
+// moved every FrozenNonKeyFinder and NonKeySet function.
 
 #include "common/byte_codec.h"
 #include "core/gordian.h"

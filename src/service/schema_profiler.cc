@@ -1,6 +1,5 @@
 #include "service/schema_profiler.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -108,51 +107,20 @@ Status SchemaProfiler::Profile(
     report->fd_seconds = watch.ElapsedSeconds();
   }
 
-  // Stage 3: FK verification units fanned across the pool. Units are
-  // enumerated in the exact order DiscoverForeignKeys uses, land in
-  // preallocated slots, and the sorted concatenation therefore matches a
-  // serial run byte for byte at any thread count.
+  // Stage 3: FK discovery as one job. It builds one schema-wide value
+  // index and verifies every key against it; the result is already sorted.
   if (options.discover_foreign_keys) {
     watch.Restart();
     const std::vector<ProfiledTable> profiled = report->AsProfiledTables();
-    struct FkUnit {
-      int referencing = 0;
-      int referenced = 0;
-      AttributeSet key;
-    };
-    std::vector<FkUnit> units;
-    for (size_t ki = 0; ki < profiled.size(); ++ki) {
-      for (const AttributeSet& key : profiled[ki].keys) {
-        for (size_t fi = 0; fi < profiled.size(); ++fi) {
-          units.push_back(
-              {static_cast<int>(fi), static_cast<int>(ki), key});
-        }
-      }
-    }
-    std::vector<std::vector<ForeignKeyCandidate>> slots(units.size());
-    std::vector<JobId> fk_jobs;
-    fk_jobs.reserve(units.size());
+    std::vector<ForeignKeyCandidate>* out = &report->foreign_keys;
     const ForeignKeyOptions fk_options = options.fk;
-    for (size_t u = 0; u < units.size(); ++u) {
-      const FkUnit& unit = units[u];
-      std::vector<ForeignKeyCandidate>* slot = &slots[u];
-      fk_jobs.push_back(scheduler.Submit(
-          [&profiled, unit, slot, fk_options](const JobContext& ctx) {
-            if (ctx.Cancelled()) return;
-            *slot = VerifyForeignKeysAgainstKey(
-                profiled, unit.referencing, unit.referenced, unit.key,
-                fk_options);
-          }));
-    }
-    for (JobId id : fk_jobs) {
-      scheduler.Wait(id);
-      scheduler.Forget(id);
-    }
-    for (std::vector<ForeignKeyCandidate>& slot : slots) {
-      report->foreign_keys.insert(report->foreign_keys.end(), slot.begin(),
-                                  slot.end());
-    }
-    SortForeignKeyCandidates(&report->foreign_keys);
+    const JobId fk_job = scheduler.Submit(
+        [&profiled, out, fk_options](const JobContext& ctx) {
+          if (ctx.Cancelled()) return;
+          *out = DiscoverForeignKeys(profiled, fk_options);
+        });
+    scheduler.Wait(fk_job);
+    scheduler.Forget(fk_job);
     report->fk_seconds = watch.ElapsedSeconds();
   }
 

@@ -23,11 +23,10 @@ namespace gordian {
 //   1. keys — one SubmitTable job per table (catalog + tree cache reuse);
 //   2. FDs  — one DiscoverFds job per table (independent tables, so the
 //      jobs run concurrently without sharing mutable state);
-//   3. FKs  — one VerifyForeignKeysAgainstKey job per (referenced table,
-//      key, referencing table) unit, fanned across the pool.
-// Stage 3's units land in preallocated slots in enumeration order and the
-// concatenation is sorted with SortForeignKeyCandidates, so the report is
-// byte-identical to a serial DiscoverForeignKeys run at any thread count.
+//   3. FKs  — one DiscoverForeignKeys job over the whole schema: it
+//      builds one schema-wide value index and verifies every key against
+//      it, so the report is DiscoverForeignKeys's sorted list at any
+//      thread count.
 // Every job is forgotten as soon as it is waited on: stage 1 jobs through
 // ProfilingService::Forget, stage 2 and 3 jobs in the scheduler.
 

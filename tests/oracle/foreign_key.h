@@ -13,10 +13,13 @@ namespace gordian {
 // referencing and referenced tuple is decoded back into Values and hashed
 // into a fingerprint set, row by row. It has its own candidate enumeration,
 // type check, SQL NULL exclusion, strict early break and filters, and
-// shares only SortForeignKeyCandidates with the library, so the
-// dictionary-first verifier in core/foreign_key is pinned against code it
-// does not call. Same signatures and contract as VerifyForeignKeysAgainstKey
-// and DiscoverForeignKeys.
+// shares only SortForeignKeyCandidates with the library, so the value-id
+// verifier in core/foreign_key is pinned against code it does not call.
+// OracleVerifyForeignKeysAgainstKey checks one unit: every candidate column
+// tuple of tables[referencing_table] against the single key `key` of
+// tables[referenced_table]. OracleDiscoverForeignKeys loops over every
+// (referenced table, key, referencing table) unit and sorts, with the
+// signature and contract of DiscoverForeignKeys.
 std::vector<ForeignKeyCandidate> OracleVerifyForeignKeysAgainstKey(
     const std::vector<ProfiledTable>& tables, int referencing_table,
     int referenced_table, const AttributeSet& key,

@@ -313,9 +313,10 @@ TEST(SchemaEquivalence, DictionaryFirstMatchesLegacy) {
 //      its doubles include +0.0.
 //   t1 has a NULL-first id column (a key holding one NULL), an all-NULL
 //      column, a double column whose zeros are -0.0, a column typed int
-//      by its first entry that also holds 7.0 and "7", and a column pair
-//      referencing t2's composite key.
-//   t2's composite key is (int, double), its zeros -0.0.
+//      by its first dictionary entry that also holds 7.0, "7" and, last,
+//      "last", and a column pair referencing t2's composite key.
+//   t2's composite key is (int, double), its zeros -0.0, and one of its
+//      rows is all NULL.
 //   t3 has a two-column key (x, y) whose y holds NaN, referenced by its
 //      own (x2, y2) with NaNs of another payload, and a NaN-bearing
 //      column rn referencing the NaN-bearing key kd.
@@ -332,11 +333,12 @@ std::vector<Table> ValueEdgeSchema() {
                                                   "mixed", "pa", "pb"}));
   for (int64_t i = 0; i < 40; ++i) {
     Value mixed;
-    switch (i % 4) {
+    switch (i == 39 ? 4 : i % 4) {
       case 0: mixed = Value(i % 28); break;
       case 1: mixed = Value(7.0); break;
       case 2: mixed = Value("7"); break;
-      default: mixed = Value(int64_t{7}); break;
+      case 3: mixed = Value(int64_t{7}); break;
+      default: mixed = Value("last"); break;
     }
     b1.AddRow({i == 0 ? Value() : Value(i), Value(),
                Value(i % 10 == 0 ? -0.0 : static_cast<double>(i % 25)),
@@ -350,6 +352,7 @@ std::vector<Table> ValueEdgeSchema() {
     b2.AddRow({Value(i / 5),
                Value(i % 5 == 0 ? -0.0 : static_cast<double>(i % 5))});
   }
+  b2.AddRow({Value(), Value()});
   tables.push_back(b2.Build());
 
   const double nan = std::numeric_limits<double>::quiet_NaN();

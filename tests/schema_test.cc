@@ -302,31 +302,44 @@ NullFkFixture MakeNullFkFixture(bool dangling) {
   return f;
 }
 
-// Every case runs the library's verifier and the value-materializing
+// Every case runs the library's discovery and the value-materializing
 // oracle (oracle/foreign_key.h) and expects the same figures from both.
-using FkVerifier = std::vector<ForeignKeyCandidate> (*)(
-    const std::vector<ProfiledTable>&, int, int, const AttributeSet&,
-    const ForeignKeyOptions&);
-const std::pair<const char*, FkVerifier> kVerifiers[] = {
-    {"library", &VerifyForeignKeysAgainstKey},
-    {"oracle", &OracleVerifyForeignKeysAgainstKey},
+using FkDiscovery = std::vector<ForeignKeyCandidate> (*)(
+    const std::vector<ProfiledTable>&, const ForeignKeyOptions&);
+const std::pair<const char*, FkDiscovery> kVerifiers[] = {
+    {"library", &DiscoverForeignKeys},
+    {"oracle", &OracleDiscoverForeignKeys},
 };
 
+// The candidates of one (referencing table, referenced table, key) unit.
+std::vector<ForeignKeyCandidate> UnitOf(
+    const std::vector<ForeignKeyCandidate>& all, int referencing_table,
+    int referenced_table, const AttributeSet& key) {
+  std::vector<ForeignKeyCandidate> unit;
+  for (const ForeignKeyCandidate& fk : all) {
+    if (fk.referencing_table == referencing_table &&
+        fk.referenced_table == referenced_table && fk.referenced_key == key) {
+      unit.push_back(fk);
+    }
+  }
+  return unit;
+}
+
 // orders -> customers{cust_id}.
-std::vector<ForeignKeyCandidate> VerifyOrders(FkVerifier verify,
+std::vector<ForeignKeyCandidate> VerifyOrders(FkDiscovery discover,
                                               const NullFkFixture& f,
                                               double min_coverage) {
   ForeignKeyOptions options;
   options.min_distinct_values = 10;
   options.min_coverage = min_coverage;
-  return verify(f.tables, /*referencing_table=*/1, /*referenced_table=*/0,
-                AttributeSet{0}, options);
+  return UnitOf(discover(f.tables, options), /*referencing_table=*/1,
+                /*referenced_table=*/0, AttributeSet{0});
 }
 
 TEST(ForeignKeyNullSemantics, NullTuplesExcludedFromDenominator) {
   NullFkFixture f = MakeNullFkFixture(/*dangling=*/false);
-  for (const auto& [path, verify] : kVerifiers) {
-    std::vector<ForeignKeyCandidate> fks = VerifyOrders(verify, f, 1.0);
+  for (const auto& [path, discover] : kVerifiers) {
+    std::vector<ForeignKeyCandidate> fks = VerifyOrders(discover, f, 1.0);
     bool found = false;
     for (const ForeignKeyCandidate& fk : fks) {
       if (fk.foreign_key_columns == std::vector<int>{1}) {
@@ -343,8 +356,8 @@ TEST(ForeignKeyNullSemantics, NullTuplesExcludedFromDenominator) {
 
 TEST(ForeignKeyNullSemantics, DanglingValueStillCountsBothPaths) {
   NullFkFixture f = MakeNullFkFixture(/*dangling=*/true);
-  for (const auto& [path, verify] : kVerifiers) {
-    std::vector<ForeignKeyCandidate> fks = VerifyOrders(verify, f, 0.5);
+  for (const auto& [path, discover] : kVerifiers) {
+    std::vector<ForeignKeyCandidate> fks = VerifyOrders(discover, f, 0.5);
     bool found = false;
     for (const ForeignKeyCandidate& fk : fks) {
       if (fk.foreign_key_columns == std::vector<int>{1}) {
@@ -388,10 +401,10 @@ TEST(ForeignKeyNullSemantics, AbsentValueBesideNullPartnerKeepsPair) {
     ForeignKeyOptions options;
     options.min_distinct_values = 10;
     options.min_coverage = min_coverage;
-    for (const auto& [path, verify] : kVerifiers) {
+    for (const auto& [path, discover] : kVerifiers) {
       bool found = false;
       for (const ForeignKeyCandidate& fk :
-           verify(tables, 1, 0, AttributeSet{0, 1}, options)) {
+           UnitOf(discover(tables, options), 1, 0, AttributeSet{0, 1})) {
         if (fk.foreign_key_columns == std::vector<int>{0, 1}) {
           found = true;
           EXPECT_DOUBLE_EQ(fk.coverage, 1.0) << path;
