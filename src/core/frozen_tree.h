@@ -89,11 +89,22 @@ class FrozenTree {
   // pass per level writes it. Every array, count and flag equals
   // Freeze(PrefixTree::Build(table, attr_order, mode)) under either mode,
   // duplicate entities included.
+  //
+  // Build also computes agree_seeds() from two orders of the rows. Order A
+  // is the sort above: an adjacent pair agrees on its common prefix, and the
+  // level passes note each deeper level where a row that opens a node there
+  // repeats the code of the cell it closes. Order B sorts by the shortest
+  // suffix of levels whose ColumnCardinality product reaches the row count,
+  // the last level most significant, ties kept in order A (one stable
+  // counting sort per level); its pairs are compared on every level.
   static std::unique_ptr<FrozenTree> Build(const Table& table,
                                            const std::vector<int>& attr_order);
 
   // Scratch Build holds beside the arrays it writes: one int64 row id and
-  // one prefix byte per row.
+  // one prefix byte per row, plus the larger of order A's agree-again set per
+  // row and order B's second int64 row id per row with its bucket offsets
+  // (at most one per row, plus one). The distinct agree sets it collects,
+  // at most two per row and in practice a few hundred, are not counted.
   static int64_t BuildScratchBytes(int64_t num_rows);
 
   // Flattens `tree`, which must be freshly built or fully unwound (every
@@ -132,6 +143,19 @@ class FrozenTree {
   int64_t node_count() const { return node_count_; }
   int64_t cell_count() const { return cell_count_; }
 
+  // Non-keys known before any traversal. Each is the set of attributes on
+  // which two distinct rows adjacent in order A or order B (see Build) agree;
+  // two distinct rows agreeing on X make X a non-key. The sets are reduced
+  // to an antichain by Algorithm 5, larger sets inserted first.
+  // TraverseStage inserts them into the working NonKeySet when
+  // GordianOptions::agree_set_seeding is on, so the futility test fires
+  // earlier while a complete run returns the same maximal non-keys. Build
+  // computes them, and they stay with the tree in the TreeArtifactCache.
+  // Absorb leaves them unchanged: appended rows never retract a non-key.
+  // Freeze leaves them empty, as does Build for fewer than two rows or a
+  // repeated row.
+  const std::vector<AttributeSet>& agree_seeds() const { return agree_seeds_; }
+
   const Level& level(int l) const { return levels_[static_cast<size_t>(l)]; }
   Level& level_mutable(int l) { return levels_[static_cast<size_t>(l)]; }
 
@@ -158,6 +182,7 @@ class FrozenTree {
   int64_t cell_count_ = 0;
   int64_t approx_bytes_ = 0;
   bool has_duplicate_entities_ = false;
+  std::vector<AttributeSet> agree_seeds_;
 };
 
 // Observation hooks into the traversal, for debugging, tracing, and the

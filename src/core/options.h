@@ -25,8 +25,9 @@ enum class AbortReason {
 };
 
 // Tuning knobs for GORDIAN. The defaults reproduce the full algorithm of the
-// paper; the pruning toggles exist for the Figure 13 ablation and for
-// property tests (every combination must produce identical keys).
+// paper plus agree-set seeding; the pruning and seeding toggles exist for the
+// Figure 13 ablation and for property tests (every combination must produce
+// identical keys).
 struct GordianOptions {
   // Section 3.4.1, Figure 10(a): skip traversal of shared
   // (already-traversed) subtrees. (The companion Figure 10(b) skip — never
@@ -41,6 +42,14 @@ struct GordianOptions {
   // Section 3.4.2: consult the NonKeySet before merging; skip merges that
   // can only produce covered (redundant) non-keys (Algorithm 4, line 24).
   bool futility_pruning = true;
+
+  // Seed the traversal's NonKeySet with the frozen tree's agree sets
+  // (FrozenTree::agree_seeds): the attributes on which two distinct rows,
+  // adjacent in one of two sorted orders, agree. Each is a genuine non-key,
+  // so the futility test above fires earlier, and a complete run returns the
+  // same non-keys and keys either way. Like warm-start seeds, they count
+  // toward max_non_keys.
+  bool agree_set_seeding = true;
 
   // Order in which attributes become prefix-tree levels (Section 3.2.1).
   // GORDIAN finds the same keys under any order; kCardinalityDesc is the
@@ -132,6 +141,9 @@ struct GordianStats {
   // seeded cover rather than non-keys discovered in this run.
   int64_t warm_start_seeds = 0;
   int64_t warm_start_prunes = 0;
+  // Agree-set seeding: the frozen tree's seeds inserted into the working
+  // set before traversal began (see GordianOptions::agree_set_seeding).
+  int64_t agree_seeds = 0;
 
   // NonKeySet container.
   int64_t non_key_insert_attempts = 0;

@@ -211,6 +211,14 @@ void TraverseStage(ProfileContext* ctx) {
     }
     result.stats.warm_start_seeds += static_cast<int64_t>(warm_seeds->size());
   }
+  // The tree's agree sets are genuine non-keys too, so they seed the working
+  // set the same way; they stay out of the warm cover, whose prunes count
+  // only what a prior run settled.
+  if (ctx->options.agree_set_seeding) {
+    const std::vector<AttributeSet>& seeds = ctx->frozen->agree_seeds();
+    for (const AttributeSet& nk : seeds) non_key_set.Insert(nk);
+    result.stats.agree_seeds += static_cast<int64_t>(seeds.size());
+  }
   FrozenNonKeyFinder finder(*ctx->frozen, ctx->options, &non_key_set,
                             &result.stats);
   if (warm) finder.SetWarmCover(&warm_set);

@@ -72,6 +72,14 @@ class Value {
     return a == b || (std::isnan(a) && std::isnan(b));
   }
 
+  // Double order: < except that every NaN sorts after every other double,
+  // so the order is strict weak and its equivalence is SameDouble (-0.0
+  // and 0.0 are equivalent too). operator< compares doubles through this.
+  static bool DoubleLess(double a, double b) {
+    if (std::isnan(a)) return false;
+    return std::isnan(b) || a < b;
+  }
+
   uint64_t Hash() const {
     switch (v_.index()) {
       case 0: return NullHash();
@@ -97,7 +105,14 @@ class Value {
     return a.v_ == b.v_;
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
-  friend bool operator<(const Value& a, const Value& b) { return a.v_ < b.v_; }
+  // Values of different types keep std::variant's order: NULL, int64,
+  // double, string.
+  friend bool operator<(const Value& a, const Value& b) {
+    if (a.type() == ValueType::kDouble && b.type() == ValueType::kDouble) {
+      return DoubleLess(a.dbl(), b.dbl());
+    }
+    return a.v_ < b.v_;
+  }
 
  private:
   std::variant<std::monostate, int64_t, double, std::string> v_;

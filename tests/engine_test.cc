@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -92,6 +95,35 @@ TEST(CompositeIndex, ValueRangeMatchesScanCount) {
   // Empty range.
   auto [eb, ee] = idx.ValueRange(-10, -5);
   EXPECT_EQ(eb, ee);
+}
+
+// Every NaN sorts after every other double, so a double column holding one
+// is still a sorted index: each value's EqualRange finds exactly its row.
+TEST(CompositeIndex, NanSortsLastAndEveryValueIsFound) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> column = {5, 1, 7, nan, 3, 9, 2, 8, 4, 6, 0};
+  TableBuilder b(Schema(std::vector<std::string>{"d"}));
+  for (double v : column) b.AddRow({Value(v)});
+  Table t = b.Build();
+  RowStore store(t);
+  CompositeIndex idx(t, store, {0});
+  ASSERT_EQ(idx.num_entries(), 11);
+  const Dictionary& dict = t.dictionary(0);
+  for (int64_t e = 0; e < 10; ++e) {
+    EXPECT_EQ(dict.Decode(idx.key(e, 0)).dbl(), static_cast<double>(e));
+  }
+  EXPECT_TRUE(std::isnan(dict.Decode(idx.key(10, 0)).dbl()));
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    auto [begin, end] = idx.EqualRange({t.code(r, 0)});
+    ASSERT_EQ(end - begin, 1) << "row " << r;
+    EXPECT_EQ(idx.row_id(begin), r);
+  }
+  // -0.0 and 0.0 are equivalent, as == treats them; NaN is equivalent to
+  // itself and above every other double.
+  EXPECT_FALSE(Value(-0.0) < Value(0.0));
+  EXPECT_FALSE(Value(0.0) < Value(-0.0));
+  EXPECT_TRUE(Value(9.0) < Value(nan));
+  EXPECT_FALSE(Value(nan) < Value(nan));
 }
 
 TEST(Executor, IndexPlansMatchScansOnTheWholeWorkload) {

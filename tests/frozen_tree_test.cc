@@ -2,14 +2,15 @@
 // invariants after Freeze, the direct-build layout fuzz (FrozenTree::Build
 // equals Freeze of either PrefixTree build, array for array), the absorb
 // layout fuzz (every absorbed batch leaves arrays equal to a fresh build of
-// the concatenated rows), byte-identical equivalence of the frozen
-// traversal against the pointer-tree oracle (complete and aborted runs,
-// work counters included), SIMD kernel agreement with the scalar
-// reference, and the tree-cache integration that serves prefrozen
-// artifacts on hits.
+// the concatenated rows), the agree-seed fuzz (Build's seeds equal the
+// oracle's, are non-keys by brute force and survive an Absorb),
+// byte-identical equivalence of the frozen traversal against the
+// pointer-tree oracle (complete and aborted runs, work counters included),
+// SIMD kernel agreement with the scalar reference, and the tree-cache
+// integration that serves prefrozen artifacts on hits.
 //
-// The layout fuzzes' iteration counts honour GORDIAN_FUZZ_ITERS (CI's
-// incremental-fuzz leg raises it).
+// The layout and seed fuzzes' iteration counts honour GORDIAN_FUZZ_ITERS
+// (CI's incremental-fuzz leg raises it).
 
 #include "core/frozen_tree.h"
 
@@ -290,6 +291,133 @@ TEST(FrozenBuildTest, LayoutMatchesFreezeOfBothBuildModes) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+// True iff two distinct rows of `t` agree on every attribute of `attrs`:
+// the definition of a non-key, checked over the codes.
+bool IsNonKeyByBruteForce(const Table& t, const AttributeSet& attrs) {
+  std::set<std::vector<uint32_t>> seen;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    std::vector<uint32_t> projected;
+    attrs.ForEach([&](int c) { projected.push_back(t.code(r, c)); });
+    if (!seen.insert(std::move(projected)).second) return true;
+  }
+  return false;
+}
+
+// Build's agree seeds equal the oracle's as a set, with no member repeated
+// or covered by another, each is a non-key, and there are none exactly when
+// the table has fewer than two rows or a repeated row.
+void ExpectSeedsMatchOracle(const Table& t, const std::vector<int>& order) {
+  std::unique_ptr<FrozenTree> built = FrozenTree::Build(t, order);
+  const std::vector<AttributeSet>& seeds = built->agree_seeds();
+  const std::set<AttributeSet> got(seeds.begin(), seeds.end());
+  const std::vector<AttributeSet> oracle = OracleAgreeSeeds(t, order);
+  EXPECT_EQ(got, std::set<AttributeSet>(oracle.begin(), oracle.end()));
+  EXPECT_EQ(got.size(), seeds.size());
+  EXPECT_EQ(seeds.empty(), t.num_rows() < 2 || built->has_duplicate_entities());
+  for (const AttributeSet& s : seeds) {
+    EXPECT_TRUE(IsNonKeyByBruteForce(t, s)) << s.ToString();
+    for (const AttributeSet& other : seeds) {
+      EXPECT_TRUE(s == other || !s.Covers(other))
+          << s.ToString() << " covers " << other.ToString();
+    }
+  }
+}
+
+// Agree-set seeds over the layout fuzz's random shapes (distinct rows, or
+// one repeated row in one shape of three), two rows, one column, a
+// NULL-bearing table and a sample, whose code domain is sparse. Every other
+// shape is then built from its first half and absorbs the rest: the seeds
+// stay as they were and are still non-keys of the grown table.
+TEST(FrozenBuildTest, AgreeSeedsMatchOracleAndAreNonKeys) {
+  std::mt19937_64 rng(20261020);
+  const int iters = FuzzIters();
+  for (int iter = 0; iter < iters; ++iter) {
+    for (int shape = 0; shape < 8; ++shape) {
+      int width = 1 + static_cast<int>(rng() % 10);
+      if (shape == 0) width = 1;
+      if (shape == 1) width = 11 + static_cast<int>(rng() % 118);  // 11..128
+      size_t n = rng() % 500;
+      if (shape == 2) n = 2;
+      const int64_t card = 1 + static_cast<int64_t>(rng() % 6);
+      Rows rows;
+      std::set<std::vector<int64_t>> seen;
+      for (size_t r = 0; r < n; ++r) {
+        for (int attempt = 0; attempt < 32; ++attempt) {
+          std::vector<int64_t> row(static_cast<size_t>(width));
+          for (int64_t& v : row) v = static_cast<int64_t>(rng() % card);
+          if (seen.insert(row).second) {
+            rows.push_back(std::move(row));
+            break;
+          }
+        }
+      }
+      if (rows.size() > 1 && rng() % 3 == 0) {
+        rows[rng() % rows.size()] = rows[rng() % rows.size()];
+      }
+      std::vector<int> order(static_cast<size_t>(width));
+      std::iota(order.begin(), order.end(), 0);
+      std::shuffle(order.begin(), order.end(), rng);
+      SCOPED_TRACE("iter=" + std::to_string(iter) +
+                   " shape=" + std::to_string(shape) +
+                   " width=" + std::to_string(width) +
+                   " rows=" + std::to_string(rows.size()));
+      const Table t = RowsTable(rows, rows.size(), width);
+      ExpectSeedsMatchOracle(t, order);
+
+      if ((iter + shape) % 2 == 0) continue;
+      const size_t base = rows.size() / 2;
+      std::unique_ptr<FrozenTree> tree =
+          FrozenTree::Build(RowsTable(rows, base, width), order);
+      const std::vector<AttributeSet> before = tree->agree_seeds();
+      std::vector<const uint32_t*> level_codes;
+      for (int c : order) {
+        level_codes.push_back(t.column_codes(c).data() + base);
+      }
+      const int64_t delta = static_cast<int64_t>(rows.size() - base);
+      ASSERT_EQ(tree->Absorb(level_codes, delta), delta);
+      EXPECT_EQ(tree->agree_seeds(), before);
+      for (const AttributeSet& s : before) {
+        EXPECT_TRUE(IsNonKeyByBruteForce(t, s)) << s.ToString();
+      }
+    }
+
+    // NULL is an ordinary code here (kNullEqualsNull): a column may repeat
+    // it, and an agree set may rest on it.
+    {
+      const int width = 4;
+      RowBatch batch(width);
+      for (int r = 0; r < 300; ++r) {
+        batch.column(0).AppendValue(Value(static_cast<int64_t>(r)));
+        for (int c = 1; c < width; ++c) {
+          if (rng() % 4 == 0) {
+            batch.column(c).AppendValue(Value::Null());
+          } else {
+            batch.column(c).AppendValue(Value(static_cast<int64_t>(rng() % 3)));
+          }
+        }
+      }
+      TableBuilder b{Schema(std::vector<std::string>{"a", "b", "c", "d"})};
+      b.AddBatch(batch);
+      Table t;
+      ASSERT_TRUE(b.Build(&t).ok());
+      SCOPED_TRACE("NULL-bearing, iter=" + std::to_string(iter));
+      ExpectSeedsMatchOracle(t, {2, 0, 3, 1});
+    }
+
+    // A sample keeps its full dictionary, so order B's deep levels can hold
+    // codes at or past the row count.
+    {
+      Table full;
+      const Status s =
+          GenerateSynthetic(UniformSpec(5, 4000, 900, 0.8, 100 + iter), &full);
+      ASSERT_TRUE(s.ok());
+      const Table t = full.SampleRows(150 + iter, 7 + iter);
+      SCOPED_TRACE("sampled, iter=" + std::to_string(iter));
+      ExpectSeedsMatchOracle(t, {4, 2, 0, 1, 3});
+    }
+  }
 }
 
 TEST(FrozenAbsorbTest, LayoutMatchesFreezeOfConcatenation) {

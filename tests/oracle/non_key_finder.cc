@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <set>
 #include <utility>
 
 #include "core/pipeline.h"
@@ -169,6 +170,69 @@ bool HasNull(const Table& table, int column) {
 
 }  // namespace
 
+std::vector<AttributeSet> OracleAgreeSeeds(const Table& table,
+                                           const std::vector<int>& attr_order) {
+  const int depth = static_cast<int>(attr_order.size());
+  const int64_t n = table.num_rows();
+  if (n < 2) return {};
+  auto code = [&](int64_t row, int level) {
+    return table.code(row, attr_order[static_cast<size_t>(level)]);
+  };
+  auto order_a = [&](int64_t a, int64_t b) {
+    for (int l = 0; l < depth; ++l) {
+      if (code(a, l) != code(b, l)) return code(a, l) < code(b, l);
+    }
+    return false;
+  };
+  int first = depth;
+  double product = 1;
+  while (first > 0 && product < static_cast<double>(n)) {
+    --first;
+    product *= static_cast<double>(
+        table.ColumnCardinality(attr_order[static_cast<size_t>(first)]));
+  }
+  auto order_b = [&](int64_t a, int64_t b) {
+    for (int l = depth - 1; l >= first; --l) {
+      if (code(a, l) != code(b, l)) return code(a, l) < code(b, l);
+    }
+    return order_a(a, b);
+  };
+
+  std::vector<int64_t> rows(static_cast<size_t>(n));
+  for (int64_t r = 0; r < n; ++r) rows[static_cast<size_t>(r)] = r;
+  std::set<AttributeSet> agree;
+  const AttributeSet all = [&] {
+    AttributeSet s;
+    for (int c : attr_order) s.Set(c);
+    return s;
+  }();
+  for (int pass = 0; pass < 2; ++pass) {
+    if (pass == 0) {
+      std::sort(rows.begin(), rows.end(), order_a);
+    } else {
+      std::sort(rows.begin(), rows.end(), order_b);
+    }
+    for (size_t i = 1; i < rows.size(); ++i) {
+      AttributeSet s;
+      for (int l = 0; l < depth; ++l) {
+        if (code(rows[i - 1], l) == code(rows[i], l)) {
+          s.Set(attr_order[static_cast<size_t>(l)]);
+        }
+      }
+      if (s == all) return {};  // a repeated row
+      agree.insert(s);
+    }
+  }
+  std::vector<AttributeSet> sets(agree.begin(), agree.end());
+  std::stable_sort(sets.begin(), sets.end(),
+                   [](const AttributeSet& a, const AttributeSet& b) {
+                     return a.Count() > b.Count();
+                   });
+  NonKeySet maximal;
+  for (const AttributeSet& s : sets) maximal.Insert(s);
+  return maximal.non_keys();
+}
+
 KeyDiscoveryResult OracleFindKeys(const Table& table,
                                   const GordianOptions& options,
                                   GordianOptions::TreeBuild build) {
@@ -230,6 +294,12 @@ KeyDiscoveryResult OracleFindKeys(const Table& table,
       non_key_set.Insert(nk);
     }
     result.stats.warm_start_seeds += static_cast<int64_t>(warm_seeds->size());
+  }
+  if (opts.agree_set_seeding) {
+    const std::vector<AttributeSet> seeds =
+        OracleAgreeSeeds(*ctx.data, ctx.attr_order);
+    for (const AttributeSet& nk : seeds) non_key_set.Insert(nk);
+    result.stats.agree_seeds += static_cast<int64_t>(seeds.size());
   }
   NonKeyFinder finder(tree, opts, &non_key_set, &result.stats);
   if (warm) finder.SetWarmCover(&warm_set);

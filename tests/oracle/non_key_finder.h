@@ -73,11 +73,23 @@ class NonKeyFinder {
   AbortReason abort_reason_ = AbortReason::kNone;
 };
 
+// FrozenTree::agree_seeds recomputed from the table's codes alone, with no
+// tree: the row ids are sorted with std::sort under order A (level codes,
+// level 0 first) and order B (the shortest suffix of levels whose
+// ColumnCardinality product reaches the row count, last level first, then
+// order A), every adjacent pair's agree set is taken over all levels, and
+// the distinct sets are reduced through a NonKeySet, larger sets first.
+// Empty for fewer than two rows or a repeated row. Members come in the
+// NonKeySet's insertion order; compare them as a set.
+std::vector<AttributeSet> OracleAgreeSeeds(const Table& table,
+                                           const std::vector<int>& attr_order);
+
 // FindKeys with the traversal swapped for the pointer oracle and no frozen
 // layout anywhere: the production stages encode the table (sampling,
 // attribute order), convert and validate, while the tree build, the
-// duplicate and cancellation checks, warm-start seeding, NonKeyFinder and
-// the canonical non-key order are written out here. Nullable-column
+// duplicate and cancellation checks, warm-start and agree-set seeding
+// (OracleAgreeSeeds), NonKeyFinder and the canonical non-key order are
+// written out here. Nullable-column
 // exclusion projects and recurses here too, so no production traversal
 // runs. The pointer tree is built in mode `build`; both modes give the
 // same tree. Reports and work counters must equal FindKeys' byte for byte.

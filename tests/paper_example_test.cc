@@ -99,13 +99,16 @@ TEST(PaperExample, ResultIsIndependentOfAttributeOrderAndPruning) {
     for (bool singleton : {false, true}) {
       for (bool futility : {false, true}) {
         for (bool single_entity : {false, true}) {
-          GordianOptions o;
-          o.attribute_order = order;
-          o.order_seed = 7;
-          o.singleton_pruning = singleton;
-          o.futility_pruning = futility;
-          o.single_entity_pruning = single_entity;
-          EXPECT_EQ(Sorted(FindKeys(t, o).KeySets()), expected);
+          for (bool seeding : {false, true}) {
+            GordianOptions o;
+            o.attribute_order = order;
+            o.order_seed = 7;
+            o.singleton_pruning = singleton;
+            o.futility_pruning = futility;
+            o.single_entity_pruning = single_entity;
+            o.agree_set_seeding = seeding;
+            EXPECT_EQ(Sorted(FindKeys(t, o).KeySets()), expected);
+          }
         }
       }
     }

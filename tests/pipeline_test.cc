@@ -111,6 +111,12 @@ TEST(PipelineTest, SharedFrozenTreeRunMatchesAndStaysReusable) {
   std::unique_ptr<FrozenTree> frozen = builder.TakeFrozenTree();
   ASSERT_NE(tree, nullptr);
   ASSERT_NE(frozen, nullptr);
+  // The cold run seeded its traversal from the tree it built; the tree
+  // keeps those seeds for every hit.
+  const std::vector<AttributeSet> seeds = frozen->agree_seeds();
+  ASSERT_FALSE(seeds.empty());
+  EXPECT_EQ(first.stats.agree_seeds, static_cast<int64_t>(seeds.size()));
+  ExpectSameReport(t, baseline, first);
 
   for (int round = 0; round < 2; ++round) {
     ProfileSession reuser(opt);
@@ -118,6 +124,12 @@ TEST(PipelineTest, SharedFrozenTreeRunMatchesAndStaysReusable) {
     KeyDiscoveryResult reused;
     ASSERT_TRUE(reuser.Run(t, &reused).ok());
     ExpectSameReport(t, baseline, reused);
+    EXPECT_EQ(frozen->agree_seeds(), seeds);
+    EXPECT_EQ(reused.stats.agree_seeds, first.stats.agree_seeds);
+    EXPECT_EQ(reused.stats.nodes_visited, first.stats.nodes_visited);
+    EXPECT_EQ(reused.stats.merges_performed, first.stats.merges_performed);
+    EXPECT_EQ(reused.stats.futility_prunes, first.stats.futility_prunes);
+    EXPECT_EQ(reused.stats.final_non_keys, first.stats.final_non_keys);
     EXPECT_EQ(reused.stats.freeze_seconds, 0.0);
     EXPECT_EQ(reuser.TakeFrozenTree(), nullptr);  // froze nothing
     EXPECT_TRUE(frozen->AllRefsAreOne());
