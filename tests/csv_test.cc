@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -191,6 +193,60 @@ TEST_F(CsvTest, EmbeddedNewlineRoundTrip) {
   ASSERT_EQ(back.num_rows(), 2);
   EXPECT_EQ(back.value(0, 1), Value("a\nb"));
   EXPECT_EQ(back.value(1, 1), Value("c\r\nd,e\"f"));
+}
+
+// Numeric inference at its edges: a field is an int64 when strtoll consumes
+// all of it without overflow, else a double when strtod does without a
+// range error, else a string. These pin that chain's answers token by token.
+TEST_F(CsvTest, NumericInferenceEdges) {
+  struct Case {
+    std::string field;
+    Value want;
+  };
+  const std::vector<Case> cases = {
+      {"9223372036854775807", Value(int64_t{9223372036854775807})},
+      {"-9223372036854775808", Value(std::numeric_limits<int64_t>::min())},
+      {"9223372036854775808", Value(9223372036854775808.0)},
+      {"-9223372036854775809", Value(-9223372036854775809.0)},
+      {"123456789012345678", Value(int64_t{123456789012345678})},
+      {"-123456789012345678", Value(int64_t{-123456789012345678})},
+      {"999999999999999999", Value(int64_t{999999999999999999})},
+      {"1234567890123456789", Value(int64_t{1234567890123456789})},
+      {"-1234567890123456789", Value(int64_t{-1234567890123456789})},
+      {"9999999999999999999", Value(9999999999999999999.0)},
+      {"12345678901234567890", Value(12345678901234567890.0)},
+      {"-12345678901234567890", Value(-12345678901234567890.0)},
+      {"0000000000000000000000123", Value(int64_t{123})},
+      {"000123", Value(int64_t{123})},
+      {"-0", Value(int64_t{0})},
+      {"+7", Value(int64_t{7})},
+      {" 7", Value(int64_t{7})},
+      {"7 ", Value("7 ")},
+      {"-", Value("-")},
+      {"--7", Value("--7")},
+      {"1e500", Value("1e500")},
+      {"1e-310", Value("1e-310")},
+      {"0x1F", Value(31.0)},
+      {"1.5", Value(1.5)},
+      {"inf", Value(std::numeric_limits<double>::infinity())},
+      {"\"42\"", Value(int64_t{42})},
+  };
+  std::string content = "v\n";
+  for (const Case& c : cases) content += c.field + "\n";
+  content += "nan\n";
+  std::string p = Path("numeric_edges.csv");
+  WriteFile(p, content);
+  Table t;
+  ASSERT_TRUE(ReadCsv(p, CsvOptions{}, &t).ok());
+  ASSERT_EQ(t.num_rows(), static_cast<int64_t>(cases.size()) + 1);
+  for (size_t r = 0; r < cases.size(); ++r) {
+    const Value& got = t.value(static_cast<int64_t>(r), 0);
+    EXPECT_EQ(got.type(), cases[r].want.type()) << cases[r].field;
+    EXPECT_EQ(got, cases[r].want) << cases[r].field;
+  }
+  const Value& nan = t.value(static_cast<int64_t>(cases.size()), 0);
+  ASSERT_EQ(nan.type(), ValueType::kDouble);
+  EXPECT_TRUE(std::isnan(nan.dbl()));
 }
 
 TEST_F(CsvTest, CustomDelimiter) {
