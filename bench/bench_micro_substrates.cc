@@ -22,6 +22,7 @@
 #include "engine/executor.h"
 #include "engine/index.h"
 #include "engine/row_store.h"
+#include "oracle/csv.h"
 #include "table/csv.h"
 #include "table/serialize.h"
 

@@ -13,30 +13,6 @@
 
 namespace gordian {
 
-Value ParseCsvField(const std::string& field, bool infer_types) {
-  if (!infer_types) return Value(field);
-  if (field.empty()) return Value::Null();
-  // Integer?
-  {
-    errno = 0;
-    char* end = nullptr;
-    long long i = std::strtoll(field.c_str(), &end, 10);
-    if (errno == 0 && end == field.c_str() + field.size()) {
-      return Value(static_cast<int64_t>(i));
-    }
-  }
-  // Double?
-  {
-    errno = 0;
-    char* end = nullptr;
-    double d = std::strtod(field.c_str(), &end);
-    if (errno == 0 && end == field.c_str() + field.size()) {
-      return Value(d);
-    }
-  }
-  return Value(field);
-}
-
 namespace {
 
 bool NeedsQuoting(const std::string& s, char delimiter) {
@@ -60,42 +36,6 @@ void WriteField(std::ostream& os, const std::string& s, char delimiter) {
 }
 
 }  // namespace
-
-Status SplitCsvRecord(const std::string& line, char delimiter,
-                      std::vector<std::string>* fields) {
-  fields->clear();
-  std::string cur;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur += c;
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == delimiter) {
-      fields->push_back(std::move(cur));
-      cur.clear();
-    } else if (c == '\r') {
-      // Tolerate CRLF line endings.
-    } else {
-      cur += c;
-    }
-  }
-  if (in_quotes) {
-    return Status::InvalidArgument("unterminated quoted field: " + line);
-  }
-  fields->push_back(std::move(cur));
-  return Status::OK();
-}
 
 CsvBatchReader::CsvBatchReader(std::istream& in, const CsvOptions& options)
     : in_(in), options_(options), buf_(1 << 16) {}

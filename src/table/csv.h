@@ -116,15 +116,6 @@ Status ReadCsv(const std::string& path, const CsvOptions& options,
 Status WriteCsv(const Table& table, const CsvOptions& options,
                 const std::string& path);
 
-// Parsing helpers exposed for reuse and tests.
-// Splits one CSV record respecting RFC-4180 quoting (single-line form; the
-// batch scanner generalizes this across lines).
-Status SplitCsvRecord(const std::string& line, char delimiter,
-                      std::vector<std::string>* fields);
-
-// Converts one raw field to a Value (type inference as in CsvOptions).
-Value ParseCsvField(const std::string& field, bool infer_types);
-
 }  // namespace gordian
 
 #endif  // GORDIAN_TABLE_CSV_H_

@@ -5,7 +5,7 @@
 
 #include "core/gordian.h"
 #include "datagen/synthetic.h"
-#include "table/csv.h"
+#include "oracle/csv.h"
 
 namespace gordian {
 namespace {

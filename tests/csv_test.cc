@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/gordian.h"
+#include "oracle/csv.h"
 
 namespace gordian {
 namespace {

@@ -1,13 +1,19 @@
 // Robustness fuzzing for the text ingestion paths: random and mutated
 // CSV/XML inputs must never crash the parsers; whatever loads must be
-// internally consistent.
+// internally consistent. ReadCsv is also fuzzed differentially against the
+// reference reader in tests/oracle/; that fuzz's file count honours
+// GORDIAN_FUZZ_ITERS.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
+#include "oracle/csv.h"
 #include "table/csv.h"
 #include "table/xml_lite.h"
 
@@ -139,6 +145,182 @@ TEST(ParserFuzz, RandomQuoteNewlineSoupNeverCrashes) {
     if (s.ok()) ExpectConsistent(t);
   }
   SUCCEED();
+}
+
+int FuzzIters() {
+  const char* env = std::getenv("GORDIAN_FUZZ_ITERS");
+  if (env != nullptr && *env != '\0') {
+    int n = std::atoi(env);
+    if (n > 0) return n;
+  }
+  return 3;
+}
+
+// Tokens at the edges of numeric inference (csv_test pins each one's type).
+const char* const kEdgeTokens[] = {
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+    "-9223372036854775809", "123456789012345678", "-999999999999999999",
+    "1234567890123456789", "12345678901234567890", "000123", "-0", "0",
+    "+7", " 7", "7 ", "-", "--1", "1e500", "1e-310", "0x1F", "inf", "-inf",
+    "nan", "NaN", "1.5", "-2.5E-3", ".5", "5.", "1e5", "-0.0", "0.0", "x"};
+
+// One raw field value (before quoting). `plain` fields hold none of the
+// bytes that would need quotes.
+std::string RandomFuzzField(Random* rng, char delimiter, bool plain) {
+  std::string f;
+  switch (rng->Uniform(plain ? 6 : 7)) {
+    case 0:
+      return kEdgeTokens[rng->Uniform(sizeof(kEdgeTokens) /
+                                      sizeof(kEdgeTokens[0]))];
+    case 1: {  // 1-20 digits, maybe signed, maybe leading zeros
+      if (rng->Uniform(3) == 0) f += '-';
+      const uint64_t digits = 1 + rng->Uniform(20);
+      for (uint64_t i = 0; i < digits; ++i) f += char('0' + rng->Uniform(10));
+      return f;
+    }
+    case 2:  // small ints repeat, so the dictionaries see hits
+      return std::to_string(rng->UniformRange(-5, 40));
+    case 3:
+      return std::to_string(rng->UniformRange(-99, 99)) + "." +
+             std::to_string(rng->Uniform(1000));
+    case 4:
+      for (uint64_t n = rng->Uniform(5); n > 0; --n) {
+        f += "ab "[rng->Uniform(3)];
+      }
+      return f;
+    case 5:
+      return f;  // empty: NULL under inference
+    default: {
+      const char special[] = {'a', '1', ' ', '"', '\n', '\r', delimiter};
+      for (uint64_t n = rng->Uniform(8); n > 0; --n) {
+        f += special[rng->Uniform(sizeof(special))];
+      }
+      return f;
+    }
+  }
+}
+
+struct CsvFuzzFile {
+  std::string content;
+  CsvOptions options;
+};
+
+// A random CSV file mixing plain and quoted records, LF, CRLF and bare CR,
+// blank lines and embedded newlines; large files straddle the reader's
+// 64 KiB refill and its 4096-row batches. Some files end inside a quote or
+// carry one record of the wrong width.
+CsvFuzzFile RandomCsvFile(Random* rng) {
+  CsvFuzzFile out;
+  out.options.delimiter = rng->Uniform(4) == 0 ? '\t' : ',';
+  out.options.has_header = rng->Uniform(3) != 0;
+  out.options.infer_types = rng->Uniform(4) != 0;
+  out.options.encode_threads = rng->Uniform(4) == 0 ? 2 : 0;
+  const char delim = out.options.delimiter;
+  const int cols = 1 + static_cast<int>(rng->Uniform(8));
+  int rows;
+  switch (rng->Uniform(3)) {
+    case 0:
+      rows = static_cast<int>(rng->Uniform(20));
+      break;
+    case 1:
+      rows = 50 + static_cast<int>(rng->Uniform(500));
+      break;
+    default:
+      rows = 2000 + static_cast<int>(rng->Uniform(5000));
+      break;
+  }
+  const uint64_t eol_style = rng->Uniform(3);  // LF, CRLF, mixed
+  const int ragged_row =
+      rng->Uniform(8) == 0 ? static_cast<int>(rng->Uniform(rows + 1)) : -1;
+  const int records = rows + (out.options.has_header ? 1 : 0);
+  std::string& s = out.content;
+  for (int r = 0; r < records; ++r) {
+    if (rng->Uniform(20) == 0) s += rng->Uniform(2) == 0 ? "\n" : "\r\n";
+    const bool plain = rng->Uniform(2) == 0;
+    int width = cols;
+    if (r == ragged_row) width += (cols > 1 && rng->Uniform(2) == 0) ? -1 : 1;
+    for (int c = 0; c < width; ++c) {
+      if (c > 0) s += delim;
+      std::string f = RandomFuzzField(rng, delim, plain);
+      bool quote = !plain && (rng->Uniform(4) == 0 ||
+                              f.find_first_of(std::string("\"\n\r") +
+                                              delim) != std::string::npos);
+      if (!quote) {
+        if (rng->Uniform(40) == 0) f.insert(rng->Uniform(f.size() + 1), "\r");
+        s += f;
+        continue;
+      }
+      s += '"';
+      for (char ch : f) {
+        s += ch;
+        if (ch == '"') s += '"';
+      }
+      s += '"';
+    }
+    if (r + 1 < records || rng->Uniform(2) == 0) {
+      const bool crlf = eol_style == 1 || (eol_style == 2 && rng->Uniform(2));
+      s += crlf ? "\r\n" : "\n";
+    }
+  }
+  if (rng->Uniform(10) == 0) s += "\"open\n" + std::string(8, 'z');
+  if (rng->Uniform(20) == 0) s += "\n\r\n";
+  return out;
+}
+
+// Same type and, for doubles, the same bits: a dictionary keeps the first
+// of -0.0 and 0.0, or of several NaNs, that it sees.
+bool SameRepresentation(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.type() != ValueType::kDouble) return a == b;
+  const double x = a.dbl();
+  const double y = b.dbl();
+  return std::memcmp(&x, &y, sizeof(x)) == 0;
+}
+
+void ExpectMatchesReference(const Table& t, const OracleCsvTable& want) {
+  ASSERT_EQ(t.num_columns(), static_cast<int>(want.names.size()));
+  ASSERT_EQ(t.num_rows(), want.num_rows);
+  for (int c = 0; c < t.num_columns(); ++c) {
+    EXPECT_EQ(t.schema().name(c), want.names[c]) << "column " << c;
+    const Dictionary& dict = t.dictionary(c);
+    const std::vector<Value>& values = want.dictionaries[c];
+    ASSERT_EQ(dict.size(), values.size()) << "column " << c;
+    for (uint32_t code = 0; code < dict.size(); ++code) {
+      ASSERT_TRUE(SameRepresentation(dict.Decode(code), values[code]))
+          << "column " << c << " code " << code << ": "
+          << dict.Decode(code).ToString() << " vs " << values[code].ToString();
+    }
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      ASSERT_EQ(t.code(r, c), want.codes[c][static_cast<size_t>(r)])
+          << "column " << c << " row " << r;
+    }
+  }
+}
+
+// ReadCsv against the reference reader: the same table (names, dictionary
+// values in code order, every code) or the same Status code and message.
+// The quoted round-trip above never reaches an unquoted record, and the
+// soups only check that nothing crashes.
+TEST(ParserFuzz, ReadCsvMatchesReferenceReader) {
+  Random rng(507);
+  const int files = 40 * FuzzIters();
+  int compared = 0;
+  for (int trial = 0; trial < files; ++trial) {
+    CsvFuzzFile f = RandomCsvFile(&rng);
+    std::string path = WriteTemp("csvdiff", f.content);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", " +
+                 std::to_string(f.content.size()) + " bytes");
+    Table t;
+    Status got = ReadCsv(path, f.options, &t);
+    OracleCsvTable want;
+    Status expected = OracleReadCsv(path, f.options, &want);
+    ASSERT_EQ(got.code(), expected.code()) << got.ToString();
+    ASSERT_EQ(got.message(), expected.message());
+    if (!got.ok()) continue;
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(t, want));
+    ++compared;
+  }
+  EXPECT_GT(compared, files / 2);
 }
 
 TEST(ParserFuzz, RandomTagSoupNeverCrashesXml) {
