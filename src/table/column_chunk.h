@@ -60,9 +60,13 @@ class ColumnChunk {
     words_.push_back(bits);
   }
 
+  // A string entry's length is the top 24 bits of its word; longer strings
+  // must be refused before they reach a chunk (the CSV reader does).
+  static constexpr uint64_t kMaxStringBytes = (uint64_t{1} << 24) - 1;
+
   void AppendString(std::string_view s) {
     assert(str_data_.size() < (uint64_t{1} << 40) &&
-           s.size() < (uint64_t{1} << 24));
+           s.size() <= kMaxStringBytes);
     PushTag(ValueType::kString, /*null=*/false);
     words_.push_back((static_cast<uint64_t>(s.size()) << 40) |
                      static_cast<uint64_t>(str_data_.size()));

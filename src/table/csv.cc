@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -38,7 +39,7 @@ void WriteField(std::ostream& os, const std::string& s, char delimiter) {
 }  // namespace
 
 CsvBatchReader::CsvBatchReader(std::istream& in, const CsvOptions& options)
-    : in_(in), options_(options), buf_(1 << 16) {}
+    : in_(in), options_(options), buf_(kReadBufferBytes) {}
 
 bool CsvBatchReader::Refill() {
   in_.read(buf_.data(), static_cast<std::streamsize>(buf_.size()));
@@ -47,9 +48,47 @@ bool CsvBatchReader::Refill() {
   return len_ > 0;
 }
 
+bool CsvBatchReader::ScanPlainLine() {
+  if (pos_ == len_ && !Refill()) return false;
+  const char* line = buf_.data() + pos_;
+  const char* nl =
+      static_cast<const char*>(std::memchr(line, '\n', len_ - pos_));
+  if (nl == nullptr || nl == line || nl[-1] == '\r') return false;
+  const size_t n = static_cast<size_t>(nl - line);
+  if (std::memchr(line, '"', n) != nullptr) return false;
+  // The line lies inside the read buffer, so no field of it can pass the
+  // field limit.
+  static_assert(kReadBufferBytes <= ColumnChunk::kMaxStringBytes);
+  const char delim = options_.delimiter;
+  const uint64_t base = arena_.size();
+  uint64_t field_start = base;
+  for (size_t k = 0; k < n; ++k) {
+    const char c = line[k];
+    if (c == delim) {
+      rec_fields_.emplace_back(
+          field_start, static_cast<uint32_t>(base + k - field_start));
+      field_start = base + k + 1;
+    } else if (c == '\r') {
+      rec_fields_.clear();
+      return false;
+    }
+  }
+  rec_fields_.emplace_back(field_start,
+                           static_cast<uint32_t>(base + n - field_start));
+  arena_.insert(arena_.end(), line, nl + 1);
+  for (const auto& [off, len] : rec_fields_) arena_[off + len] = '\0';
+  pos_ += n + 1;
+  ++line_;
+  return true;
+}
+
 Status CsvBatchReader::ScanRecord(Scan* result) {
   rec_fields_.clear();
   record_line_ = line_;
+  if (ScanPlainLine()) {
+    *result = Scan::kRecord;
+    return Status::OK();
+  }
   uint64_t field_start = arena_.size();
   // Raw-length bookkeeping reproduces the line reader's blank-record rule:
   // a record is blank (and skipped) iff its raw content is "" or "\r".
@@ -57,11 +96,20 @@ Status CsvBatchReader::ScanRecord(Scan* result) {
   char first_raw = 0;
   bool in_quotes = false;
 
+  // False, with nothing recorded, when the field is over the limit.
   auto end_field = [&] {
-    rec_fields_.emplace_back(field_start,
-                             static_cast<uint32_t>(arena_.size() - field_start));
+    const uint64_t len = arena_.size() - field_start;
+    if (len > ColumnChunk::kMaxStringBytes) return false;
+    rec_fields_.emplace_back(field_start, static_cast<uint32_t>(len));
     arena_.push_back('\0');  // sentinel so numeric inference parses in place
     field_start = arena_.size();
+    return true;
+  };
+  auto field_too_long = [&] {
+    return Status::InvalidArgument(
+        "line " + std::to_string(record_line_) + ": field of " +
+        std::to_string(arena_.size() - field_start) + " bytes; at most " +
+        std::to_string(ColumnChunk::kMaxStringBytes) + " are supported");
   };
   auto count_raw = [&](char c) {
     if (raw_len == 0) first_raw = c;
@@ -100,7 +148,7 @@ Status CsvBatchReader::ScanRecord(Scan* result) {
         *result = Scan::kEof;  // nothing (or a bare CR) before EOF
         return Status::OK();
       }
-      end_field();  // final record without trailing newline
+      if (!end_field()) return field_too_long();  // no trailing newline
       *result = Scan::kRecord;
       return Status::OK();
     }
@@ -128,12 +176,12 @@ Status CsvBatchReader::ScanRecord(Scan* result) {
         record_line_ = line_;
         continue;
       }
-      end_field();
+      if (!end_field()) return field_too_long();
       *result = Scan::kRecord;
       return Status::OK();
     } else if (c == options_.delimiter) {
       count_raw(c);
-      end_field();
+      if (!end_field()) return field_too_long();
     } else if (c == '"') {
       count_raw(c);
       in_quotes = true;
@@ -197,6 +245,23 @@ bool MaybeNumericStart(char c) {
   }
 }
 
+// An optional '-' then 1-18 ASCII digits: such a field cannot overflow an
+// int64, and strtoll would consume all of it to the same value. Any other
+// field returns false and takes the libc chain.
+bool ParsePlainInt(const char* s, uint32_t len, int64_t* out) {
+  const bool negative = s[0] == '-';
+  const uint32_t digits = len - (negative ? 1 : 0);
+  if (digits == 0 || digits > 18) return false;
+  uint64_t v = 0;
+  for (const char* p = s + (negative ? 1 : 0); p != s + len; ++p) {
+    const unsigned d = static_cast<unsigned char>(*p) - unsigned{'0'};
+    if (d > 9) return false;
+    v = v * 10 + d;
+  }
+  *out = negative ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
+  return true;
+}
+
 }  // namespace
 
 void CsvBatchReader::ParseColumnInto(int col, ColumnChunk* chunk) const {
@@ -208,6 +273,11 @@ void CsvBatchReader::ParseColumnInto(int col, ColumnChunk* chunk) const {
     }
     if (len == 0) {
       chunk->AppendNull();
+      continue;
+    }
+    int64_t plain;
+    if (ParsePlainInt(s, len, &plain)) {
+      chunk->AppendInt64(plain);
       continue;
     }
     if (!MaybeNumericStart(s[0])) {

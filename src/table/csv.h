@@ -37,6 +37,14 @@ struct CsvOptions {
 // character arena (each span NUL-terminated so numeric inference runs in
 // place), then each column is type-inferred and appended to its
 // ColumnChunk — independently per column, hence parallelizable.
+//
+// Both passes do per-byte and per-field work only where the input needs
+// it. A record whose line is already in the read buffer and holds no quote
+// and no CR is split whole; every other record goes through the quote-aware
+// state machine. A field that is an optional '-' and 1-18 digits becomes an
+// int64 directly; every other field takes strtoll, then strtod. A field of
+// more than ColumnChunk::kMaxStringBytes bytes is InvalidArgument naming
+// its line.
 class CsvBatchReader {
  public:
   // `in` must outlive the reader.
@@ -62,8 +70,15 @@ class CsvBatchReader {
  private:
   enum class Scan { kRecord, kEof };
 
+  static constexpr size_t kReadBufferBytes = 1 << 16;
+
   // Scans one non-blank record into rec_fields_ (spans over arena_).
   Status ScanRecord(Scan* result);
+  // ScanRecord's whole-record path: when the next line is already buffered
+  // and holds no quote and no CR, copies it into the arena in one piece
+  // with each delimiter overwritten by the NUL sentinel, and returns true.
+  // Otherwise consumes nothing and returns false.
+  bool ScanPlainLine();
   void ParseColumnInto(int col, ColumnChunk* chunk) const;
 
   int NextChar() {

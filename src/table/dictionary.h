@@ -30,45 +30,43 @@ class Dictionary {
  public:
   // Returns the code for `v`, inserting it if new.
   uint32_t Encode(const Value& v) {
-    MaybeRehash();
-    size_t i = Probe(v.Hash(), [&](const Value& u) { return u == v; });
-    if (slots_[i] != kEmpty) return slots_[i];
-    return Insert(i, Value(v));
+    return EncodeWith(
+        v.Hash(), [&](const Value& u) { return u == v; },
+        [&] { return Value(v); });
   }
 
   uint32_t EncodeNull() {
-    MaybeRehash();
-    size_t i = Probe(Value::NullHash(),
-                     [](const Value& u) { return u.is_null(); });
-    if (slots_[i] != kEmpty) return slots_[i];
-    return Insert(i, Value::Null());
+    return EncodeWith(
+        Value::NullHash(), [](const Value& u) { return u.is_null(); },
+        [] { return Value::Null(); });
   }
 
   uint32_t Encode(int64_t v) {
-    MaybeRehash();
-    size_t i = Probe(Value::HashOf(v), [&](const Value& u) {
-      return u.type() == ValueType::kInt64 && u.int64() == v;
-    });
-    if (slots_[i] != kEmpty) return slots_[i];
-    return Insert(i, Value(v));
+    return EncodeWith(
+        Value::HashOf(v),
+        [&](const Value& u) {
+          return u.type() == ValueType::kInt64 && u.int64() == v;
+        },
+        [&] { return Value(v); });
   }
 
   uint32_t Encode(double v) {
-    MaybeRehash();
-    size_t i = Probe(Value::HashOf(v), [&](const Value& u) {
-      return u.type() == ValueType::kDouble && Value::SameDouble(u.dbl(), v);
-    });
-    if (slots_[i] != kEmpty) return slots_[i];
-    return Insert(i, Value(v));
+    return EncodeWith(
+        Value::HashOf(v),
+        [&](const Value& u) {
+          return u.type() == ValueType::kDouble &&
+                 Value::SameDouble(u.dbl(), v);
+        },
+        [&] { return Value(v); });
   }
 
   uint32_t Encode(std::string_view v) {
-    MaybeRehash();
-    size_t i = Probe(Value::HashOf(v), [&](const Value& u) {
-      return u.type() == ValueType::kString && u.str() == v;
-    });
-    if (slots_[i] != kEmpty) return slots_[i];
-    return Insert(i, Value(std::string(v)));
+    return EncodeWith(
+        Value::HashOf(v),
+        [&](const Value& u) {
+          return u.type() == ValueType::kString && u.str() == v;
+        },
+        [&] { return Value(std::string(v)); });
   }
 
   // Encodes every entry of `chunk` in order, appending one code per entry
@@ -115,8 +113,21 @@ class Dictionary {
  private:
   static constexpr uint32_t kEmpty = UINT32_MAX;
 
-  void MaybeRehash() {
-    if (values_.size() + 1 > (slots_.size() * 7) / 10) Rehash();
+  // Probe first, so a hit pays no load-factor check. A miss inserts in
+  // place unless one more value would pass a 0.7 load, in which case the
+  // table doubles and is probed again. Codes are first-seen order either
+  // way.
+  template <typename Eq, typename Make>
+  uint32_t EncodeWith(uint64_t hash, const Eq& eq, const Make& make) {
+    if (!slots_.empty()) {
+      const size_t i = Probe(hash, eq);
+      if (slots_[i] != kEmpty) return slots_[i];
+      if (values_.size() + 1 <= (slots_.size() * 7) / 10) {
+        return Insert(i, make());
+      }
+    }
+    Rehash();
+    return Insert(Probe(hash, eq), make());
   }
 
   uint32_t Insert(size_t slot, Value v) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/gordian.h"
+#include "core/streaming.h"
 #include "oracle/csv.h"
 
 namespace gordian {
@@ -248,6 +249,47 @@ TEST_F(CsvTest, NumericInferenceEdges) {
   const Value& nan = t.value(static_cast<int64_t>(cases.size()), 0);
   ASSERT_EQ(nan.type(), ValueType::kDouble);
   EXPECT_TRUE(std::isnan(nan.dbl()));
+}
+
+// A string's length is a 24-bit field of its ColumnChunk word. A longer
+// field used to fail that assert and abort the process (or, built with
+// NDEBUG, load truncated); the reader refuses it, naming its line, whether
+// it is quoted or unquoted and wherever it ends.
+TEST_F(CsvTest, FieldOverTheChunkLimitIsInvalidArgument) {
+  const size_t limit = ColumnChunk::kMaxStringBytes;
+  ASSERT_EQ(limit, (size_t{1} << 24) - 1);
+  std::string p = Path("longfield.csv");
+  WriteFile(p, "a,b\n1,2\n" + std::string(limit, 'x') + ",1\n");
+  Table t;
+  ASSERT_TRUE(ReadCsv(p, CsvOptions{}, &t).ok());
+  EXPECT_EQ(t.value(1, 0).str().size(), limit);
+  EXPECT_EQ(t.value(1, 1), Value(int64_t{1}));
+
+  const std::string over = std::string(limit + 1, 'x');
+  const std::string message =
+      ": field of 16777216 bytes; at most 16777215 are supported";
+  WriteFile(p, "a,b\n1,2\n" + over + ",1\n");
+  Status s = ReadCsv(p, CsvOptions{}, &t);
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(s.message(), "line 3" + message);
+
+  WriteFile(p, "a,b\n\n1,\"" + over + "\"");
+  s = ReadCsv(p, CsvOptions{}, &t);
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(s.message(), "line 3" + message);
+
+  CsvOptions no_header;
+  no_header.has_header = false;
+  WriteFile(p, over + "\n");
+  s = ReadCsv(p, no_header, &t);
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(s.message(), "line 1" + message);
+
+  KeyDiscoveryResult result;
+  WriteFile(p, "a,b\n1,2\n" + over + ",1\n");
+  s = ProfileCsvFile(p, CsvOptions{}, GordianOptions{}, &result);
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(s.message(), "line 3" + message);
 }
 
 TEST_F(CsvTest, CustomDelimiter) {
