@@ -53,30 +53,28 @@ bool CsvBatchReader::ScanPlainLine() {
   const char* line = buf_.data() + pos_;
   const char* nl =
       static_cast<const char*>(std::memchr(line, '\n', len_ - pos_));
-  if (nl == nullptr || nl == line || nl[-1] == '\r') return false;
+  if (nl == nullptr) return false;
   const size_t n = static_cast<size_t>(nl - line);
-  if (std::memchr(line, '"', n) != nullptr) return false;
+  if (n == 0 || std::memchr(line, '"', n) != nullptr ||
+      std::memchr(line, '\r', n) != nullptr) {
+    return false;
+  }
   // The line lies inside the read buffer, so no field of it can pass the
   // field limit.
   static_assert(kReadBufferBytes <= ColumnChunk::kMaxStringBytes);
   const char delim = options_.delimiter;
   const uint64_t base = arena_.size();
-  uint64_t field_start = base;
-  for (size_t k = 0; k < n; ++k) {
-    const char c = line[k];
-    if (c == delim) {
-      rec_fields_.emplace_back(
-          field_start, static_cast<uint32_t>(base + k - field_start));
-      field_start = base + k + 1;
-    } else if (c == '\r') {
-      rec_fields_.clear();
-      return false;
-    }
-  }
-  rec_fields_.emplace_back(field_start,
-                           static_cast<uint32_t>(base + n - field_start));
   arena_.insert(arena_.end(), line, nl + 1);
-  for (const auto& [off, len] : rec_fields_) arena_[off + len] = '\0';
+  char* copy = arena_.data() + base;
+  copy[n] = delim;  // the newline ends the last field
+  uint64_t field_start = base;
+  for (size_t k = 0; k <= n; ++k) {
+    if (copy[k] != delim) continue;
+    copy[k] = '\0';
+    rec_fields_.emplace_back(field_start,
+                             static_cast<uint32_t>(base + k - field_start));
+    field_start = base + k + 1;
+  }
   pos_ += n + 1;
   ++line_;
   return true;
