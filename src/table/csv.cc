@@ -115,9 +115,9 @@ Status CsvBatchReader::ScanRecord(Scan* result) {
   };
 
   for (;;) {
-    // Fast path: outside quotes, bulk-copy the run of ordinary bytes ahead
-    // of the cursor (anything but delimiter, quote, LF, CR) in one go
-    // instead of dispatching per character.
+    // Outside quotes, bulk-copy the run of ordinary bytes ahead of the
+    // cursor (anything but delimiter, quote, LF, CR) in one go instead of
+    // dispatching per character.
     if (!in_quotes && pos_ < len_) {
       const char* base = buf_.data() + pos_;
       const size_t n = len_ - pos_;
